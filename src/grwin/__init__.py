@@ -10,7 +10,7 @@ from .autoequiv import (
     twist_on_generator,
 )
 from .bott import BwbClass, Dominant, NonRegular, Regular, bwb_cohomology, classify, twisted_action
-from .bundles import BundleLabel, GradedComplex, StackParams, normalize, rank, relabel_to_x
+from .bundles import BundleLabel, GradedComplex, normalize, rank, relabel_to_x
 from .characters import (
     SchurBivariate,
     cauchy_truncated,
@@ -32,7 +32,7 @@ from .windows import gamma_set, gamma_split, in_window, window_generators
 
 __all__ = [
     "BundleLabel", "BwbClass", "Dominant", "FixedPointVector", "GradedComplex",
-    "NonRegular", "Regular", "SchurBivariate", "StackParams", "StaircaseResult",
+    "NonRegular", "Regular", "SchurBivariate", "StaircaseResult",
     "add_full_column", "bwb_cohomology", "cauchy_truncated", "classify",
     "complement", "cotwist_on_generator", "euler_character", "gamma_set",
     "gamma_split", "hom_invariant_dimension", "in_window", "jshriek_jlower",

@@ -3,7 +3,7 @@
 The up-shift fixes narrow generators and replaces full-width ones by the
 positive part of their staircase resolution; the down-shift is its O(1)
 conjugate.  K-theory matrices are solved exactly from torus fixed-point
-localization with Fraction arithmetic.
+localization by one Fraction Gauss-Jordan elimination per matrix.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from random import Random
 from typing import Sequence
 
 from .bundles import GradedComplex, normalize
-from .partitions import canonical, height, size, strip, staircase, width
-from .resolutions import _wedge, unstable_resolution_twisted
+from .partitions import canonical, check_box, height, resolution_terms, size, strip, width
+from .resolutions import InternalConsistencyError, _wedge, unstable_resolution_twisted
 from .windows import gamma_set, window_generators
 
 
@@ -24,14 +24,9 @@ class ParameterDegeneracyError(ValueError):
     """Localization parameters failed to separate the generator basis."""
 
 
-class InternalConsistencyError(AssertionError):
-    """A solve produced values the theory forbids (e.g. non-integers)."""
-
-
 def _check_generator(delta: tuple[int, ...], d: int, r: int) -> tuple[int, ...]:
     delta = canonical(delta)
-    if not 0 < r < d:
-        raise ValueError(f"need 0 < r < d, got r={r}, d={d}")
+    check_box(d, r, strict=True)
     if height(delta) > r or width(delta) > d - r:
         raise ValueError(f"{delta} is not in the (d-r) x r index box")
     return delta
@@ -41,19 +36,13 @@ def twist_on_generator(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:
     """Image of the generator S^delta S^dual(1) under the up-shift.
 
     Narrow diagrams are fixed.  Full-width ones map to the degree-0-cancelled
-    cone: staircase terms of the stripped diagram in degrees K-1-k.
+    cone, which is the twisted resolution of the stripped diagram tensored
+    by O(1): staircase terms in degrees K-1-k.
     """
     delta = _check_generator(delta, d, r)
     if width(delta) < d - r:
         return GradedComplex.from_items([(0, normalize(delta, 1, r), 1)])
-    seed = strip(delta, "first-row")
-    K = d - r + 1
-    chain = staircase(seed, r, K)
-    items = []
-    for k in range(K):
-        items.append((K - 1 - k, normalize(chain.delta(k), 0, r,
-                                           v_shape=_wedge(chain.s(k), d)), 1))
-    return GradedComplex.from_items(items)
+    return tensor_twist(unstable_resolution_twisted(delta, d, r), 1)
 
 
 def cotwist_on_generator(delta: tuple[int, ...], d: int, n: int) -> GradedComplex:
@@ -68,12 +57,10 @@ def cotwist_on_generator(delta: tuple[int, ...], d: int, n: int) -> GradedComple
     if width(delta) < d - n:
         return GradedComplex.from_items([(0, normalize(delta, 0, n), 1)])
     K = d - n
-    chain = staircase(delta, n + 1, K)
     items = []
-    for k in range(K + 1):
-        hat = strip(chain.delta(k), "first-row")
-        items.append((K - k, normalize(hat, -1, n,
-                                       v_shape=_wedge(chain.s(k), d)), 1))
+    for k, dk, sk in resolution_terms(delta, d, n + 1):
+        hat = strip(dk, "first-row")
+        items.append((K - k, normalize(hat, -1, n, v_shape=_wedge(sk, d)), 1))
     return GradedComplex.from_items(items)
 
 
@@ -164,6 +151,7 @@ def k_class(cx: GradedComplex, d: int, r: int,
              params: Sequence[Fraction] | None = None) -> FixedPointVector:
     """Alternating localization values of a complex of ambient-side labels."""
     params = tuple(params) if params is not None else default_parameters(d)
+    check_box(d, r)
     for _, label, _m in cx.items():
         if label.side != "S" or label.taut_rank != r or label.bracket_twist:
             raise ValueError(f"localization needs ambient-side labels, got {label}")
@@ -187,58 +175,36 @@ def k_class(cx: GradedComplex, d: int, r: int,
 # exact linear algebra over Fractions
 
 
-def solve_exact(matrix: list[list[Fraction]],
-                rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square system by fraction-exact Gaussian elimination."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ParameterDegeneracyError("basis matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
+def solve_exact(matrix: Sequence[Sequence[Fraction | int]],
+                columns: Sequence[Sequence[Fraction | int]]
+                ) -> tuple[Fraction, list[list[Fraction]]]:
+    """One Gauss-Jordan pass over [matrix | columns], exact in Fractions.
 
-
-def det_exact(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    Returns (det, solutions) with one solution per right-hand column.  A
+    singular matrix gives (0, []); pass no columns to get only the
+    determinant.
+    """
     n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a = [[Fraction(x) for x in row] + [Fraction(col[i]) for col in columns]
+         for i, row in enumerate(matrix)]
     det = Fraction(1)
     for col in range(n):
         pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return Fraction(0), []
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             det = -det
         det *= a[col][col]
+        # columns left of `col` are already reduced, so only the tail changes
         inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
-
-
-def invert_exact(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(solve_exact([[Fraction(x) for x in row] for row in matrix], e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def matmul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [[sum(Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(m))
-             for j in range(p)] for i in range(n)]
+        tail = [x * inv for x in a[col][col:]]
+        a[col][col:] = tail
+        for i in range(n):
+            f = a[i][col]
+            if i != col and f:
+                a[i][col:] = [x - f * y for x, y in zip(a[i][col:], tail)]
+    return det, [[a[i][n + j] for i in range(n)] for j in range(len(columns))]
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +215,6 @@ def _basis_matrix(labels, d: int, r: int, params) -> list[list[Fraction]]:
     cols = [k_class(GradedComplex.from_items([(0, lb, 1)]), d, r, params).values
             for lb in labels]
     return [[cols[j][i] for j in range(len(labels))] for i in range(len(cols[0]))]
-
-
-def _solve_integral_column(basis_matrix, cx: GradedComplex, d: int, r: int,
-                           params) -> list[int]:
-    y = list(k_class(cx.expand_multiplicities(d), d, r, params).values)
-    x = solve_exact([row[:] for row in basis_matrix], y)
-    for val in x:
-        if val.denominator != 1:
-            raise InternalConsistencyError(
-                f"expected integral coordinates, got {x}")
-    return [int(v) for v in x]
 
 
 def k_matrix(which: str, d: int, r: int,
@@ -282,8 +237,16 @@ def k_matrix(which: str, d: int, r: int,
     else:
         raise ValueError(f"unknown functor {which!r}")
     basis = _basis_matrix(basis_labels, d, r, params)
-    cols = [_solve_integral_column(basis, img, d, r, params) for img in images]
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]
+    ys = [k_class(img.expand_multiplicities(d), d, r, params).values for img in images]
+    det, cols = solve_exact(basis, ys)
+    if det == 0:
+        raise ParameterDegeneracyError("basis matrix is singular")
+    for delta, x in zip(gamma_set(d, r), cols):
+        if any(val.denominator != 1 for val in x):
+            raise InternalConsistencyError(
+                f"{which} image of {delta} at (d,r)=({d},{r}): "
+                f"expected integral coordinates, got {x}")
+    return [[int(cols[j][i]) for j in range(len(cols))] for i in range(len(cols))]
 
 
 def o1_matrix(d: int, r: int,
@@ -291,18 +254,9 @@ def o1_matrix(d: int, r: int,
     """Matrix of tensoring by O(1) on plain K-theory in the Kapranov basis.
 
     Narrow generators absorb the twist as an extra full column; full-width
-    ones expand through the exactness of their twisted staircase resolution.
-    Window shifts act trivially on plain K-theory, so this is also the
-    conjugating matrix for the twist/cotwist matrices.
+    ones expand through the exactness of their twisted staircase resolution
+    tensored by O(1).  Those are exactly the up-shift images, so this is the
+    twist matrix.  Window shifts act trivially on plain K-theory, so it is
+    also the conjugating matrix for the twist/cotwist matrices.
     """
-    params = tuple(params) if params is not None else default_parameters(d)
-    basis_labels = window_generators(d, r, 0)
-    basis = _basis_matrix(basis_labels, d, r, params)
-    cols = []
-    for delta in gamma_set(d, r):
-        if width(delta) < d - r:
-            image = GradedComplex.from_items([(0, normalize(delta, 1, r), 1)])
-        else:
-            image = tensor_twist(unstable_resolution_twisted(delta, d, r), 1)
-        cols.append(_solve_integral_column(basis, image, d, r, params))
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]
+    return k_matrix("twist", d, r, params)

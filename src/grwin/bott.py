@@ -7,7 +7,6 @@ by (p.v)[i] = v[p[i]], so slot p[i] of the input lands in slot i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .partitions import canonical, height
 
@@ -30,10 +29,6 @@ class NonRegular:
 
 
 BwbClass = Dominant | Regular | NonRegular
-
-
-def identity_perm(r: int) -> tuple[int, ...]:
-    return tuple(range(r))
 
 
 def apply_perm(w: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -79,24 +74,6 @@ def classify(alpha: tuple[int, ...]) -> BwbClass:
     if all(alpha[i] >= alpha[i + 1] for i in range(r - 1)):
         return Dominant()
     w = tuple(sorted(range(r), key=lambda i: -shifted[i]))
-    return Regular(w=w, length=inversions(w), dominant_rep=twisted_action(w, alpha))
-
-
-def classify_bruteforce(alpha: tuple[int, ...]) -> BwbClass:
-    """Oracle: scan all r! permutations for sorters of alpha + rho."""
-    r = len(alpha)
-    shifted = tuple(alpha[i] + r - i for i in range(r))
-    sorters = []
-    for w in permutations(range(r)):
-        moved = apply_perm(w, shifted)
-        if all(moved[i] > moved[i + 1] for i in range(r - 1)):
-            sorters.append(w)
-    if not sorters:
-        return NonRegular()
-    assert len(sorters) == 1
-    w = sorters[0]
-    if w == identity_perm(r):
-        return Dominant()
     return Regular(w=w, length=inversions(w), dominant_rep=twisted_action(w, alpha))
 
 

@@ -21,21 +21,6 @@ from .partitions import canonical, complement, height, width
 from .schur import schur_dimension
 
 
-@dataclass(frozen=True)
-class StackParams:
-    d: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.r <= self.d:
-            raise ValueError(f"need 0 < r <= d, got r={self.r}, d={self.d}")
-
-    @property
-    def sigma(self) -> int:
-        # relative-dimension gap between the two correspondence legs
-        return 2 * (self.d - self.r) + 1
-
-
 @dataclass(frozen=True, order=True)
 class BundleLabel:
     schur: tuple[int, ...]
@@ -113,9 +98,10 @@ def to_nondual(label: BundleLabel, w: int) -> tuple[tuple[int, ...], int]:
     return gamma, label.det_twist + w
 
 
-def rank(label: BundleLabel, params: StackParams) -> int:
+def rank(label: BundleLabel, d: int) -> int:
+    """Rank of the labeled bundle, with V of dimension d."""
     return (schur_dimension(label.schur, label.taut_rank)
-            * schur_dimension(label.v_shape, params.d))
+            * schur_dimension(label.v_shape, d))
 
 
 def relabel_to_x(label: BundleLabel) -> BundleLabel:
@@ -193,8 +179,8 @@ class GradedComplex:
                 out.append((degree, stripped, mult * dim))
         return GradedComplex.from_items(out)
 
-    def alternating_rank_sum(self, params: StackParams) -> int:
-        return sum((-1) ** degree * mult * rank(label, params)
+    def alternating_rank_sum(self, d: int) -> int:
+        return sum((-1) ** degree * mult * rank(label, d)
                    for degree, label, mult in self.items())
 
 

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 from .partitions import (
     canonical,
+    check_box,
     complement,
     height,
     partitions_of,
+    resolution_terms,
     size,
-    staircase,
     width,
 )
 from .schur import lr_coefficient, schur_dimension, schur_product
@@ -100,19 +101,6 @@ def cauchy_truncated(d: int, r: int, D: int) -> SchurBivariate:
     return out
 
 
-def resolution_terms(delta: tuple[int, ...], d: int,
-                     r: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """(k, delta_k, s_k) for k = 0..K, the resolution's term data."""
-    delta = canonical(delta)
-    if height(delta) >= r:
-        raise ValueError(f"height({delta}) must be < {r}")
-    if width(delta) > d - r + 1:
-        raise ValueError(f"width({delta}) must be <= {d - r + 1}")
-    K = d - r + 1
-    chain = staircase(delta, r, K)
-    return [(k, chain.delta(k), chain.s(k)) for k in range(K + 1)]
-
-
 def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
                     terms: list[tuple[int, tuple[int, ...], int]] | None = None
                     ) -> SchurBivariate:
@@ -138,6 +126,7 @@ def pushforward_character(delta: tuple[int, ...], d: int, r: int,
     """Character of the torsion pushforward: sum over both alphabets of
     LR products of delta against the corank-1 side, heights <= r-1."""
     delta = canonical(delta)
+    check_box(d, r)
     if height(delta) > r - 1:
         raise ValueError(f"height({delta}) must be <= {r - 1}")
     out = SchurBivariate(d, r, D)
@@ -180,8 +169,7 @@ def hom_invariant_dimension(case: str, delta: tuple[int, ...], d: int, r: int,
     corank-1 power into the top staircase term, SL-equivariantly).
     """
     delta = canonical(delta)
-    if not 0 < r <= d:
-        raise ValueError(f"need 0 < r <= d, got r={r}, d={d}")
+    check_box(d, r)
     if case == "self":
         if height(delta) > r:
             raise ValueError(f"height({delta}) must be <= {r}")
@@ -194,10 +182,8 @@ def hom_invariant_dimension(case: str, delta: tuple[int, ...], d: int, r: int,
         if height(delta) >= r or width(delta) != d - r + 1:
             raise ValueError(
                 f"{delta} must have height < {r} and width exactly {d - r + 1}")
-        K = d - r + 1
-        chain = staircase(delta, r, K)
-        eps_top = complement(chain.delta(K), d - r + 1, r)
-        s_top = chain.s(K)
+        _, top, s_top = resolution_terms(delta, d, r)[-1]
+        eps_top = complement(top, d - r + 1, r)
         rect = (d - r,) * (r - 1)
         total = 0
         for n in range(D + 1):

@@ -1,6 +1,7 @@
 """Command-line front end: deterministic text and JSON output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 success, 1 verification failure (a failed exactness check or
+an InternalConsistencyError), 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import sys
 from random import Random
 
 from . import autoequiv, bundles, characters, resolutions, windows
-from .bundles import BundleLabel, GradedComplex, StackParams
+from .bundles import BundleLabel, GradedComplex
 from .bott import Dominant, Regular, classify
 from .partitions import ascii_diagram, format_partition, parse_partition, staircase
 
@@ -149,9 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_windows(args) -> int:
     gens = windows.window_generators(args.d, args.r, args.k)
-    params = StackParams(args.d, args.r)
     if args.json:
-        doc = [dict(bundles.label_to_json(g), **{"bundle_rank": bundles.rank(g, params)})
+        doc = [dict(bundles.label_to_json(g), **{"bundle_rank": bundles.rank(g, args.d)})
                for g in gens]
         print(bundles.dumps(doc, pretty=args.pretty))
         return 0
@@ -159,7 +159,7 @@ def cmd_windows(args) -> int:
         if args.pretty:
             print(format_label(g))
         else:
-            print(f"{format_label(g)}  rank {bundles.rank(g, params)}")
+            print(f"{format_label(g)}  rank {bundles.rank(g, args.d)}")
     return 0
 
 
@@ -248,7 +248,7 @@ def cmd_kmatrix(args) -> int:
     else:
         print("could not find generic localization parameters", file=sys.stderr)
         return 2
-    det = autoequiv.det_exact(matrix)
+    det, _ = autoequiv.solve_exact(matrix, [])
     if args.json:
         doc = {"which": args.which, "d": args.d, "r": args.r,
                "matrix": [list(row) for row in matrix], "determinant": int(det)}
@@ -292,9 +292,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, autoequiv.InternalConsistencyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except autoequiv.InternalConsistencyError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -49,6 +49,12 @@ def conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for x in p if x > j) for j in range(width(p)))
 
 
+def check_box(d: int, r: int, strict: bool = False) -> None:
+    """Validate a (d, r) pair: 0 < r <= d, or 0 < r < d when strict."""
+    if not 0 < r <= (d - 1 if strict else d):
+        raise ValueError(f"need 0 < r {'<' if strict else '<='} d, got r={r}, d={d}")
+
+
 def column_height(p: tuple[int, ...], c: int) -> int:
     """Height of column c (1-based) of the diagram."""
     if c < 1:
@@ -130,6 +136,21 @@ def staircase(seed: tuple[int, ...], r: int, K: int) -> StaircaseResult:
         cur = _fill_column(cur, k, target)
         steps.append((cur, size(cur) - size(seed)))
     return StaircaseResult(seed=seed, height_param=r, steps=tuple(steps))
+
+
+def resolution_terms(delta: tuple[int, ...], d: int,
+                     r: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """(k, delta_k, s_k) for k = 0..K with K = d-r+1: the staircase walk
+    behind every resolution built from a seed diagram."""
+    delta = canonical(delta)
+    check_box(d, r)
+    if height(delta) >= r:
+        raise ValueError(f"height({delta}) must be < {r}")
+    if width(delta) > d - r + 1:
+        raise ValueError(f"width({delta}) must be <= {d - r + 1}")
+    K = d - r + 1
+    chain = staircase(delta, r, K)
+    return [(k, chain.delta(k), chain.s(k)) for k in range(K + 1)]
 
 
 def staircase_closed_form(seed: tuple[int, ...], r: int, k: int) -> tuple[int, ...]:

@@ -4,8 +4,12 @@ labeled graded complexes (no differentials).
 Degree conventions, pinned per display:
   * theorem_resolution lives in degrees -K..0 with the seed term at 0,
   * jshriek_jlower lives in degrees 0..K with the K-th staircase term at 0,
-  * unstable_resolution_twisted lives in degrees 0..K-1, leftmost at 0.
-Top exterior powers of V are dropped on sight (det V trivialized).
+  * unstable_resolution_twisted lives in degrees 0..K-1, leftmost at 0,
+    and the up-shift image of a full-width generator is it tensored by
+    O(1) in the same degrees.
+Here K = d-r+1, and every term comes from the one staircase walk,
+partitions.resolution_terms.  Top exterior powers of V are dropped on
+sight (det V trivialized).
 """
 
 from __future__ import annotations
@@ -15,13 +19,18 @@ from dataclasses import dataclass
 from .bundles import BundleLabel, GradedComplex, from_nondual, is_zero_schur, normalize
 from .partitions import (
     canonical,
+    check_box,
     complement,
     height,
+    resolution_terms,
     strip,
-    staircase,
     width,
 )
 from .schur import pieri_filtration
+
+
+class InternalConsistencyError(AssertionError):
+    """A construction or solve produced data the theory forbids."""
 
 
 @dataclass(frozen=True)
@@ -50,20 +59,10 @@ def theorem_resolution(delta: tuple[int, ...], d: int,
     Terms: S^{delta_k}S^dual ⊗ wedge^{s_k}V in degree -k for k = 1..K and
     the seed Schur power in degree 0, with K = d-r+1.
     """
-    delta = canonical(delta)
-    if not 0 < r <= d:
-        raise ValueError(f"need 0 < r <= d, got r={r}, d={d}")
-    if height(delta) >= r:
-        raise ValueError(f"height({delta}) must be < {r}")
-    if width(delta) > d - r + 1:
-        raise ValueError(f"width({delta}) must be <= {d - r + 1}")
-    K = d - r + 1
-    chain = staircase(delta, r, K)
-    items = [(0, normalize(delta, 0, r), 1)]
-    for k in range(1, K + 1):
-        items.append((-k, normalize(chain.delta(k), 0, r,
-                                    v_shape=_wedge(chain.s(k), d)), 1))
-    return GradedComplex.from_items(items), TorsionCokernel(delta, r - 1)
+    terms = resolution_terms(delta, d, r)
+    items = [(-k, normalize(dk, 0, r, v_shape=_wedge(sk, d)), 1)
+             for k, dk, sk in terms]
+    return GradedComplex.from_items(items), TorsionCokernel(terms[0][1], r - 1)
 
 
 def unstable_resolution_twisted(delta_target: tuple[int, ...], d: int,
@@ -75,23 +74,24 @@ def unstable_resolution_twisted(delta_target: tuple[int, ...], d: int,
     twisted by O(1); anything else is an internal consistency failure.
     """
     delta_target = canonical(delta_target)
-    if not 0 < r < d:
-        raise ValueError(f"need 0 < r < d, got r={r}, d={d}")
+    check_box(d, r, strict=True)
     if height(delta_target) > r or width(delta_target) != d - r:
         raise ValueError(
             f"{delta_target} is not a full-width box diagram for (d,r)=({d},{r})")
-    seed = strip(delta_target, "first-row")
-    K = d - r + 1
-    chain = staircase(seed, r, K)
-    assert chain.s(K) == d, "stripped seed must absorb the full exterior power"
-    leftmost = normalize(chain.delta(K), 0, r)
+    terms = resolution_terms(strip(delta_target, "first-row"), d, r)
+    K, top, s_top = terms[-1]
+    where = f"(d,r)=({d},{r}), delta={delta_target}"
+    if s_top != d:
+        raise InternalConsistencyError(
+            f"{where}: stripped seed absorbs wedge^{s_top}, not wedge^{d}; "
+            f"top staircase term {top}")
+    leftmost = normalize(top, 0, r)
     expected = normalize(delta_target, 1, r)
-    assert leftmost == expected, (
-        f"input-cancelling term mismatch: {leftmost} != {expected}")
-    items = []
-    for k in range(K):
-        items.append((K - 1 - k, normalize(chain.delta(k), -1, r,
-                                           v_shape=_wedge(chain.s(k), d)), 1))
+    if leftmost != expected:
+        raise InternalConsistencyError(
+            f"{where}: input-cancelling term mismatch: {leftmost} != {expected}")
+    items = [(K - 1 - k, normalize(dk, -1, r, v_shape=_wedge(sk, d)), 1)
+             for k, dk, sk in terms[:-1]]
     return GradedComplex.from_items(items)
 
 
@@ -101,29 +101,18 @@ def jshriek_jlower(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:
     Terms: the non-dual Schur power of the complement diagram eps_k,
     bracket-twisted by d-r, with wedge^{s_k}V, in degree K-k for k = 0..K.
     """
-    delta = canonical(delta)
-    if not 0 < r <= d:
-        raise ValueError(f"need 0 < r <= d, got r={r}, d={d}")
-    if height(delta) >= r:
-        raise ValueError(f"height({delta}) must be < {r}")
-    if width(delta) > d - r + 1:
-        raise ValueError(f"width({delta}) must be <= {d - r + 1}")
     K = d - r + 1
-    chain = staircase(delta, r, K)
     items = []
-    for k in range(K + 1):
-        eps = complement(chain.delta(k), d - r + 1, r)
+    for k, dk, sk in resolution_terms(delta, d, r):
+        eps = complement(dk, d - r + 1, r)
         items.append((K - k, from_nondual(eps, r, bracket_twist=d - r,
-                                          v_shape=_wedge(chain.s(k), d)), 1))
+                                          v_shape=_wedge(sk, d)), 1))
     return GradedComplex.from_items(items)
 
 
 def epsilon_sequence(delta: tuple[int, ...], d: int, r: int) -> list[tuple[int, ...]]:
     """The complement diagrams eps_0..eps_K of the staircase (for tests)."""
-    delta = canonical(delta)
-    K = d - r + 1
-    chain = staircase(delta, r, K)
-    return [complement(chain.delta(k), d - r + 1, r) for k in range(K + 1)]
+    return [complement(dk, d - r + 1, r) for _, dk, _ in resolution_terms(delta, d, r)]
 
 
 def _h_label(alpha: tuple[int, ...], rank_h: int, det_power: int = 0) -> BundleLabel:
@@ -134,8 +123,7 @@ def _h_label(alpha: tuple[int, ...], rank_h: int, det_power: int = 0) -> BundleL
 def _check_pushdown_args(gamma: tuple[int, ...], d: int, r: int, locus: str) -> None:
     if locus not in ("stack", "open"):
         raise ValueError(f"locus must be 'stack' or 'open', got {locus!r}")
-    if not 0 < r <= d:
-        raise ValueError(f"need 0 < r <= d, got r={r}, d={d}")
+    check_box(d, r)
     if height(gamma) > r:
         raise ValueError(f"height({gamma}) must be <= {r}")
     if width(gamma) > d - r + 1:

@@ -11,6 +11,7 @@ from functools import cache
 
 from .partitions import (
     canonical,
+    conjugate,
     contains,
     height,
     partitions_of,
@@ -130,7 +131,7 @@ def schur_dimension(lam: tuple[int, ...], n: int) -> int:
         return 0
     num = 1
     den = 1
-    conj = [sum(1 for x in lam if x > j) for j in range(lam[0])]
+    conj = conjugate(lam)
     for i, row in enumerate(lam):
         for j in range(row):
             num *= n + j - i

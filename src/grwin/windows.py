@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import cache
 
 from .bundles import BundleLabel, normalize
-from .partitions import partitions_in_box, size, width
+from .partitions import check_box, partitions_in_box, size, width
 
 
 @cache
@@ -15,8 +15,7 @@ def gamma_set(d: int, r: int) -> tuple[tuple[int, ...], ...]:
     Ordered by size, then first-row-major within each size, so the list
     starts O, dual-taut, Sym^2, ... as in the rank-2 collection.
     """
-    if not 0 < r <= d:
-        raise ValueError(f"need 0 < r <= d, got r={r}, d={d}")
+    check_box(d, r)
     box = partitions_in_box(d - r, r)
     return tuple(sorted(box, key=lambda p: (size(p), tuple(-x for x in p))))
 
@@ -33,8 +32,7 @@ def gamma_split(d: int, r: int) -> tuple[tuple[tuple[int, ...], ...],
 
 def window_generators(d: int, r: int, k: int) -> list[BundleLabel]:
     """Normalized labels of the k-th window's generating bundles."""
-    if not 0 < r < d:
-        raise ValueError(f"window generators need 0 < r < d, got r={r}, d={d}")
+    check_box(d, r, strict=True)
     return [normalize(delta, k, r) for delta in gamma_set(d, r)]
 
 

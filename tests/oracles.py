@@ -71,5 +71,33 @@ def dominant_sorters(alpha):
     return found
 
 
+def identity_perm(r):
+    return tuple(range(r))
+
+
+def classify_bruteforce(alpha):
+    """Classify alpha by an all-permutations scan for sorters of alpha + rho;
+    only the result types come from the library."""
+    from grwin.bott import Dominant, NonRegular, Regular
+    sorters = dominant_sorters(alpha)
+    if not sorters:
+        return NonRegular()
+    assert len(sorters) == 1, (alpha, sorters)
+    w = sorters[0]
+    r = len(w)
+    if w == identity_perm(r):
+        return Dominant()
+    length = sum(1 for i in range(r) for j in range(i + 1, r) if w[i] > w[j])
+    moved = [alpha[w[i]] + r - w[i] for i in range(r)]
+    return Regular(w=w, length=length,
+                   dominant_rep=tuple(moved[i] - (r - i) for i in range(r)))
+
+
+def int_matmul(a, b):
+    """Integer matrix product, so matrix identities need no inversion."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
 def subsets_lex(d, r):
     return list(combinations(range(d), r))

@@ -8,18 +8,18 @@ import random
 import time
 from math import comb
 
+from oracles import classify_bruteforce, int_matmul
+
 from grwin.autoequiv import (
     cotwist_on_generator,
-    det_exact,
-    invert_exact,
     k_matrix,
-    matmul,
     o1_matrix,
+    solve_exact,
     tensor_twist,
     twist_on_generator,
 )
-from grwin.bott import Dominant, NonRegular, Regular, bwb_cohomology, classify, classify_bruteforce
-from grwin.bundles import BundleLabel, GradedComplex, StackParams
+from grwin.bott import Dominant, NonRegular, Regular, bwb_cohomology, classify
+from grwin.bundles import BundleLabel, GradedComplex
 from grwin.characters import (
     euler_character,
     hom_invariant_dimension,
@@ -77,7 +77,6 @@ def test_criterion_01_golden_three_fold_flop():
 
 def test_criterion_02_golden_d4_r2_suite():
     t0 = time.monotonic()
-    params = StackParams(4, 2)
     out_sq = cotwist_on_generator((2,), 4, 2)
     assert out_sq == complex_of(
         (0, label((1,), 2, 0, v=(1, 1, 1)), 1),
@@ -106,14 +105,14 @@ def test_criterion_02_golden_d4_r2_suite():
         (2, label((1,), 2, 0, v=(1,)), 1),
         (3, label((2,), 2, -1), 1),
     )
-    assert printed.alternating_rank_sum(params) == 2
+    assert printed.alternating_rank_sum(4) == 2
     four_term_fixed = complex_of(
         (0, label((), 2, 2), 1),
         (1, label((), 2, 1, v=(1, 1)), 1),
         (2, label((1,), 2, 0, v=(1,)), 1),
         (3, label((2,), 2, -1), 1),
     )
-    assert four_term_fixed.alternating_rank_sum(params) == 0
+    assert four_term_fixed.alternating_rank_sum(4) == 0
     _finish(2, "rank-2 shift images incl. corrected third complex", t0, 1)
 
 
@@ -247,11 +246,11 @@ def test_criterion_09_k_theory_matrices():
     for d, r in [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]:
         mt = k_matrix("twist", d, r)
         mc = k_matrix("cotwist", d, r)
-        assert abs(det_exact(mt)) == 1, (d, r)
-        assert abs(det_exact(mc)) == 1, (d, r)
+        assert abs(solve_exact(mt, [])[0]) == 1, (d, r)
+        assert abs(solve_exact(mc, [])[0]) == 1, (d, r)
         T = o1_matrix(d, r)
-        conj = matmul(matmul(T, mc), invert_exact(T))
-        assert [[int(x) for x in row] for row in conj] == mt, (d, r)
+        assert abs(solve_exact(T, [])[0]) == 1, (d, r)
+        assert int_matmul(T, mc) == int_matmul(mt, T), (d, r)
     _finish(9, "unimodularity and exact conjugation of K-matrices", t0, 60)
 
 

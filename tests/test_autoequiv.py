@@ -2,19 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import schur_value_bruteforce
+from oracles import int_matmul, schur_value_bruteforce
 
+from grwin import autoequiv
 from grwin.autoequiv import (
     FixedPointVector,
     InternalConsistencyError,
     ParameterDegeneracyError,
     cotwist_on_generator,
     default_parameters,
-    det_exact,
-    invert_exact,
     k_class,
     k_matrix,
-    matmul,
     o1_matrix,
     schur_evaluate,
     solve_exact,
@@ -174,11 +172,11 @@ def test_fixed_point_vector_validation():
 
 def test_k_matrix_twist_three_fold():
     assert k_matrix("twist", 2, 1) == [[0, -1], [1, 2]]
-    assert abs(det_exact(k_matrix("twist", 2, 1))) == 1
+    assert solve_exact(k_matrix("twist", 2, 1), []) == (1, [])
 
 
 def test_k_matrix_cotwist_three_fold():
-    assert abs(det_exact(k_matrix("cotwist", 2, 1))) == 1
+    assert abs(solve_exact(k_matrix("cotwist", 2, 1), [])[0]) == 1
 
 
 def test_k_matrix_identity():
@@ -198,9 +196,8 @@ def test_o1_matrix_conjugation():
     for d, r in [(2, 1), (3, 1), (3, 2), (4, 2)]:
         T = o1_matrix(d, r)
         mc = k_matrix("cotwist", d, r)
-        conj = matmul(matmul(T, mc), invert_exact(T))
-        assert [[int(x) for x in row] for row in conj] == k_matrix("twist", d, r)
-        assert abs(det_exact(T)) == 1
+        assert int_matmul(T, mc) == int_matmul(k_matrix("twist", d, r), T)
+        assert abs(solve_exact(T, [])[0]) == 1
 
 
 def test_k_matrix_entries_integral_with_random_parameters():
@@ -210,17 +207,38 @@ def test_k_matrix_entries_integral_with_random_parameters():
     assert k_matrix("twist", 4, 2, params) == k_matrix("twist", 4, 2)
 
 
-def test_solve_exact_rejects_singular():
+def test_solve_exact_rejects_singular(monkeypatch):
+    assert solve_exact([[1, 1], [1, 1]], [[0, 1]]) == (0, [])
+    assert solve_exact([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [])[0] == 0
+    # k_matrix turns a singular basis into a parameter retry signal
+    monkeypatch.setattr(autoequiv, "_basis_matrix",
+                        lambda labels, d, r, params: [[Fraction(1)] * len(labels)
+                                                      for _ in labels])
     with pytest.raises(ParameterDegeneracyError):
-        solve_exact([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
-                    [Fraction(0), Fraction(1)])
+        k_matrix("twist", 3, 1)
 
 
 def test_solver_round_trip():
-    a = [[Fraction(2), Fraction(1)], [Fraction(5), Fraction(3)]]
-    x = solve_exact([row[:] for row in a], [Fraction(4), Fraction(11)])
-    assert [a[0][0] * x[0] + a[0][1] * x[1], a[1][0] * x[0] + a[1][1] * x[1]] == [4, 11]
-    assert det_exact(a) == 1
+    a = [[Fraction(2), Fraction(1), 0], [Fraction(5), Fraction(3), 1], [0, 4, Fraction(1, 2)]]
+    ys = [[4, 11, 0], [1, 0, 0], [Fraction(1, 3), -2, 7]]
+    before = [row[:] for row in a]
+    det, xs = solve_exact(a, ys)
+    assert a == before
+    assert det == Fraction(-15, 2)
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        assert [sum(row[k] * x[k] for k in range(3)) for row in a] == y
+    # one column at a time gives the same solutions
+    assert [solve_exact(a, [y])[1][0] for y in ys] == xs
+
+
+def test_solve_exact_row_swap_flips_determinant():
+    a = [[2, 1, 0], [5, 3, 1], [0, 4, 1]]
+    det = solve_exact(a, [])[0]
+    assert det == -7
+    assert solve_exact([a[1], a[0], a[2]], [])[0] == -det
+    # a zero leading entry forces a pivot swap inside the elimination
+    assert solve_exact([[0, 1], [1, 0]], [[3, 5]]) == (-1, [[5, 3]])
 
 
 def test_default_parameters_are_primes():

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from oracles import dominant_sorters
+from oracles import classify_bruteforce, dominant_sorters, identity_perm
 
 from grwin.bott import (
     Dominant,
@@ -11,9 +11,7 @@ from grwin.bott import (
     Regular,
     bwb_cohomology,
     classify,
-    classify_bruteforce,
     compose,
-    identity_perm,
     inversions,
     twisted_action,
 )

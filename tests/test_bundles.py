@@ -5,7 +5,6 @@ import pytest
 from grwin.bundles import (
     BundleLabel,
     GradedComplex,
-    StackParams,
     complex_from_json,
     complex_to_json,
     dumps,
@@ -38,7 +37,6 @@ def test_normalize_rejects_vanishing():
 
 def test_normalize_idempotent_and_rank_preserving():
     rng = random.Random(59)
-    params = StackParams(5, 3)
     for _ in range(500):
         r = rng.randint(1, 3)
         schur = rng.choice(partitions_in_box(4, r))
@@ -46,7 +44,7 @@ def test_normalize_idempotent_and_rank_preserving():
         lb = normalize(schur, twist, r)
         assert normalize(lb.schur, lb.det_twist, lb.taut_rank) == lb
         assert schur_dimension(lb.schur, r) == schur_dimension(schur, r)
-        assert rank(lb, params) == schur_dimension(schur, r)
+        assert rank(lb, 5) == schur_dimension(schur, r)
 
 
 def test_dual_conversion_example():
@@ -65,10 +63,9 @@ def test_dual_conversion_round_trip():
 
 
 def test_rank_examples():
-    params = StackParams(4, 2)
-    assert rank(BundleLabel((1,), 2, 0, v_shape=(1, 1, 1)), params) == 8
-    assert rank(BundleLabel((), 2, 5), params) == 1
-    assert rank(BundleLabel((2,), 2, -1), params) == 3
+    assert rank(BundleLabel((1,), 2, 0, v_shape=(1, 1, 1)), 4) == 8
+    assert rank(BundleLabel((), 2, 5), 4) == 1
+    assert rank(BundleLabel((2,), 2, -1), 4) == 3
 
 
 def test_relabel_to_x():
@@ -144,8 +141,3 @@ def test_expand_multiplicities():
     assert flat.at(0) == {BundleLabel((1,), 2, 0): 4}
     assert flat.at(1) == {BundleLabel((), 2, 0): 1}
 
-
-def test_stack_params():
-    assert StackParams(4, 2).sigma == 5
-    with pytest.raises(ValueError):
-        StackParams(2, 3)

@@ -1,8 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grwin import cli
+from grwin.autoequiv import InternalConsistencyError
 from grwin.bundles import complex_from_json, complex_to_json, dumps
 
 
@@ -146,3 +150,64 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["--help"])
     assert exc.value.code == 0
+
+
+def test_internal_consistency_error_exits_one(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalConsistencyError("input-cancelling term mismatch")
+    monkeypatch.setattr(cli.autoequiv, "twist_on_generator", broken)
+    code, out, err = run(capsys, "twist", "2", "--d", "4", "--r", "2")
+    assert code == 1
+    assert out == ""
+    assert "input-cancelling term mismatch" in err
+    assert "Traceback" not in err
+
+
+# Cheap sizes only: d <= 5 keeps every K-matrix and character check small,
+# and short partition strings keep staircase diagrams small.
+small_int = st.integers(-2, 5).map(str)
+partition_text = st.one_of(
+    st.text(alphabet="0123,- x", max_size=5),
+    st.lists(st.integers(-1, 4), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+)
+flags = st.lists(st.sampled_from(["--json", "--pretty", "--expand-multiplicities"]),
+                 unique=True)
+argvs = st.one_of(
+    st.tuples(st.just("windows"), small_int, small_int, small_int),
+    st.tuples(st.just("staircase"), partition_text, small_int, small_int),
+    st.tuples(st.just("resolve"), partition_text, st.just("--d"), small_int,
+              st.just("--r"), small_int,
+              st.sampled_from([(), ("--twisted",)])),
+    st.tuples(st.just("twist"), partition_text, st.just("--d"), small_int,
+              st.just("--r"), small_int),
+    st.tuples(st.just("cotwist"), partition_text, st.just("--d"), small_int,
+              st.just("--n"), small_int),
+    st.tuples(st.just("bwb"), partition_text, small_int, small_int),
+    st.tuples(st.just("kmatrix"), st.just("--which"),
+              st.sampled_from(["twist", "cotwist", "identity", "shift"]),
+              st.just("--d"), st.integers(-1, 4).map(str), st.just("--r"), small_int),
+    st.tuples(st.just("verify-exactness"), st.just("--d"), small_int, st.just("--r"),
+              small_int, st.just("--delta"), partition_text, st.just("--degree"),
+              st.integers(-1, 4).map(str)),
+    st.lists(st.one_of(small_int, partition_text), max_size=3),
+)
+
+
+def _flatten(parts):
+    out = []
+    for part in parts:
+        out.extend(part if isinstance(part, tuple) else [part])
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argv=argvs.map(_flatten), extra=flags)
+def test_cli_exit_code_contract_on_arbitrary_input(argv, extra):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv + extra)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue()

@@ -1,6 +1,6 @@
 import pytest
 
-from grwin.bundles import BundleLabel, GradedComplex, StackParams
+from grwin.bundles import BundleLabel, GradedComplex
 from grwin.partitions import height, partitions_in_box, strip, width
 from grwin.resolutions import (
     epsilon_sequence,
@@ -61,10 +61,9 @@ def test_resolution_alternating_rank_sum_vanishes():
     # the cokernel is torsion, so the bundle ranks must cancel
     params_list = [(3, 2), (4, 2), (4, 3), (5, 3), (6, 3)]
     for d, r in params_list:
-        params = StackParams(d, r)
         for delta in partitions_in_box(min(3, d - r + 1), min(3, r - 1)):
             cx, _ = theorem_resolution(delta, d, r)
-            assert cx.alternating_rank_sum(params) == 0, (d, r, delta)
+            assert cx.alternating_rank_sum(d) == 0, (d, r, delta)
 
 
 def test_unstable_route_for_square_of_dual_taut():
@@ -101,12 +100,11 @@ def test_unstable_route_rejects_narrow_targets():
 def test_unstable_route_rank_sum_equals_target_rank():
     from grwin.schur import schur_dimension
     for d, r in [(3, 2), (4, 2), (5, 2), (4, 3), (5, 3), (6, 3)]:
-        params = StackParams(d, r)
         for delta in partitions_in_box(d - r, r):
             if width(delta) != d - r:
                 continue
             cx = unstable_resolution_twisted(delta, d, r)
-            assert cx.alternating_rank_sum(params) == schur_dimension(delta, r)
+            assert cx.alternating_rank_sum(d) == schur_dimension(delta, r)
 
 
 def test_jshriek_three_fold():
