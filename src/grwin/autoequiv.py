@@ -2,19 +2,21 @@
 
 The up-shift fixes narrow generators and replaces full-width ones by the
 positive part of their staircase resolution; the down-shift is its O(1)
-conjugate.  K-theory matrices are solved exactly from torus fixed-point
-localization by one Fraction Gauss-Jordan elimination per matrix.
+conjugate.  K-theory matrices come from torus fixed-point localization:
+each distinct label is evaluated once per fixed point, by Jacobi-Trudi over
+one h table, and one fraction-free integer elimination solves the matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
+from math import comb, lcm, prod
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .bundles import GradedComplex, normalize
+from .bundles import BundleLabel, GradedComplex, normalize
 from .partitions import canonical, check_box, height, resolution_terms, size, strip, width
 from .resolutions import InternalConsistencyError, _wedge, unstable_resolution_twisted
 from .windows import gamma_set, window_generators
@@ -73,6 +75,29 @@ def tensor_twist(cx: GradedComplex, m: int) -> GradedComplex:
 # fixed-point localization
 
 
+def default_parameters(d: int) -> tuple[Fraction, ...]:
+    """The first d primes."""
+    primes = (c for c in count(2) if all(c % p for p in range(2, c)))
+    return tuple(map(Fraction, islice(primes, d)))
+
+
+def random_parameters(d: int, rng: Random) -> tuple[Fraction, ...]:
+    while True:
+        params = tuple(Fraction(rng.randint(1, 1000), rng.randint(1, 50))
+                       for _ in range(d))
+        if len(set(params)) == d:
+            return params
+
+
+def _parameters(params: Sequence[Fraction] | None, d: int) -> tuple[Fraction, ...]:
+    """d distinct nonzero localization parameters; the first d primes by default."""
+    params = default_parameters(d) if params is None else tuple(map(Fraction, params))
+    if len(params) != d or len(set(params)) != d or 0 in params:
+        raise ValueError(f"need {d} distinct nonzero localization parameters, "
+                         f"got ({', '.join(map(str, params))})")
+    return params
+
+
 @dataclass(frozen=True)
 class FixedPointVector:
     """Localization values of a K-class at the torus fixed points, indexed
@@ -84,137 +109,124 @@ class FixedPointVector:
     r: int
 
     def __post_init__(self) -> None:
-        from math import comb
         if len(self.values) != comb(self.d, self.r):
             raise ValueError("one value per r-subset fixed point required")
-        if len(set(self.parameters)) != self.d or any(t == 0 for t in self.parameters):
-            raise ValueError("parameters must be distinct and nonzero")
+        _parameters(self.parameters, self.d)
+
+
+def _h_table(xs: Sequence[Fraction], top: int) -> tuple[int, list[int]]:
+    """(den, h) with den the common denominator of xs and h[k] = h_k(den*xs)
+    = den^k h_k(xs) for k <= top: complete homogeneous values, in integers."""
+    den = lcm(*(x.denominator for x in xs))
+    h = [1] + [0] * top
+    for x in xs:
+        p = x.numerator * (den // x.denominator)
+        for k in range(1, top + 1):
+            h[k] += p * h[k - 1]
+    return den, h
+
+
+def _schur_value(lam: tuple[int, ...], den: int, h: list[int]) -> Fraction:
+    """s_lam at the alphabet of an h table: det(h_{lam_i - i + j}) / den^|lam|."""
+    n = len(lam)
+    return Fraction(_eliminate([[h[part - i + j] if part >= i - j else 0 for j in range(n)]
+                                for i, part in enumerate(lam)], n), den ** size(lam))
 
 
 def schur_evaluate(lam: tuple[int, ...], xs: Sequence[Fraction]) -> Fraction:
-    """Exact Schur polynomial value via horizontal-strip chains."""
+    """Exact Schur polynomial value by the Jacobi-Trudi determinant
+    s_lam = det(h_{lam_i - i + j}) (Macdonald, I.3)."""
     lam = canonical(lam)
-    if not lam:
-        return Fraction(1)
-    if height(lam) > len(xs):
-        return Fraction(0)
-    cur: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-    for x in xs:
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for mu, val in cur.items():
-            for nu in _strip_extensions(mu, lam):
-                add = size(nu) - size(mu)
-                nxt[nu] = nxt.get(nu, Fraction(0)) + val * x ** add
-        cur = nxt
-    return cur.get(lam, Fraction(0))
+    return _schur_value(lam, *_h_table(xs, width(lam) + height(lam) - 1))
 
 
-def _strip_extensions(mu: tuple[int, ...], lam: tuple[int, ...]):
-    # nu with mu <= nu <= lam and nu/mu a horizontal strip
-    rows = len(lam)
-    mu_padded = mu + (0,) * (rows - len(mu))
-
-    def rec(i: int, prefix: tuple[int, ...]):
-        if i == rows:
-            yield canonical(prefix)
-            return
-        hi = lam[i] if i == 0 else min(lam[i], mu_padded[i - 1], prefix[i - 1])
-        for x in range(mu_padded[i], hi + 1):
-            yield from rec(i + 1, prefix + (x,))
-
-    yield from rec(0, ())
-
-
-def first_primes(n: int) -> list[int]:
-    out: list[int] = []
-    c = 2
-    while len(out) < n:
-        if all(c % p for p in out):
-            out.append(c)
-        c += 1
-    return out
-
-
-def default_parameters(d: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(p) for p in first_primes(d))
-
-
-def random_parameters(d: int, rng: Random) -> tuple[Fraction, ...]:
-    while True:
-        params = tuple(Fraction(rng.randint(1, 1000), rng.randint(1, 50))
-                       for _ in range(d))
-        if len(set(params)) == d:
-            return params
+def _fixed_point_values(complexes: Sequence[Iterable[tuple[int, BundleLabel, int]]],
+                        r: int, params: tuple[Fraction, ...]) -> list[list[Fraction]]:
+    """Values of complexes, as (degree, label, mult) terms, at each fixed
+    point (lexicographic r-subset of params): one row per point.  Each
+    complex folds into its K-class; each distinct label is evaluated once
+    per point from that point's h table, and its V factor once in all."""
+    classes = []
+    for items in complexes:
+        net: dict[BundleLabel, int] = {}
+        for degree, label, mult in items:
+            if label.side != "S" or label.taut_rank != r or label.bracket_twist:
+                raise ValueError(f"localization needs ambient-side labels, got {label}")
+            net[label] = net.get(label, 0) + (-1) ** degree * mult
+        classes.append({label: c for label, c in net.items() if c})
+    labels = list(dict.fromkeys(label for cls in classes for label in cls))
+    v_factor = {v: schur_evaluate(v, params) for v in {lb.v_shape for lb in labels}}
+    top = max((width(lb.schur) + height(lb.schur) - 1 for lb in labels), default=0)
+    rows = []
+    for sigma in combinations(params, r):
+        den, h = _h_table([1 / t for t in sigma], top)
+        det = prod(sigma)
+        value = {lb: _schur_value(lb.schur, den, h) * det ** -lb.det_twist
+                 * v_factor[lb.v_shape] for lb in labels}
+        rows.append([sum((c * value[lb] for lb, c in cls.items()), Fraction(0))
+                     for cls in classes])
+    return rows
 
 
 def k_class(cx: GradedComplex, d: int, r: int,
              params: Sequence[Fraction] | None = None) -> FixedPointVector:
     """Alternating localization values of a complex of ambient-side labels."""
-    params = tuple(params) if params is not None else default_parameters(d)
+    params = _parameters(params, d)
     check_box(d, r)
-    for _, label, _m in cx.items():
-        if label.side != "S" or label.taut_rank != r or label.bracket_twist:
-            raise ValueError(f"localization needs ambient-side labels, got {label}")
-    values = []
-    for sigma in combinations(range(d), r):
-        inv = [1 / params[i] for i in sigma]
-        det = Fraction(1)
-        for i in sigma:
-            det *= params[i]
-        total = Fraction(0)
-        for degree, label, mult in cx.items():
-            val = (schur_evaluate(label.schur, inv)
-                   * det ** (-label.det_twist)
-                   * schur_evaluate(label.v_shape, params))
-            total += (-1) ** degree * mult * val
-        values.append(total)
-    return FixedPointVector(tuple(values), params, d, r)
+    rows = _fixed_point_values([cx.items()], r, params)
+    return FixedPointVector(tuple(row[0] for row in rows), params, d, r)
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fractions
+# exact linear algebra
+
+
+def _eliminate(a: list[list[int]], n: int) -> int:
+    """Fraction-free Gauss-Jordan (Bareiss) on integer rows, in place; every
+    division is exact.  Returns the det of the leading n x n block, 0 if it
+    is singular; otherwise the columns right of it end as p*X, with X the
+    solution for those columns and p = a[n-1][n-1] the last pivot."""
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        p, tail = a[k][k], a[k][k + 1:]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i][k + 1:] = [(p * x - f * y) // prev
+                                for x, y in zip(a[i][k + 1:], tail)]
+        prev = p
+    return sign * prev
 
 
 def solve_exact(matrix: Sequence[Sequence[Fraction | int]],
                 columns: Sequence[Sequence[Fraction | int]]
                 ) -> tuple[Fraction, list[list[Fraction]]]:
-    """One Gauss-Jordan pass over [matrix | columns], exact in Fractions.
-
-    Returns (det, solutions) with one solution per right-hand column.  A
-    singular matrix gives (0, []); pass no columns to get only the
-    determinant.
-    """
+    """(det, solutions) of matrix * x = y, one per column y; (0, []) if
+    singular.  Each row of [matrix | columns] is scaled to integers by the
+    lcm of its denominators, then one fraction-free pass solves them all."""
     n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(col[i]) for col in columns]
-         for i, row in enumerate(matrix)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0), []
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        # columns left of `col` are already reduced, so only the tail changes
-        inv = 1 / a[col][col]
-        tail = [x * inv for x in a[col][col:]]
-        a[col][col:] = tail
-        for i in range(n):
-            f = a[i][col]
-            if i != col and f:
-                a[i][col:] = [x - f * y for x, y in zip(a[i][col:], tail)]
-    return det, [[a[i][n + j] for i in range(n)] for j in range(len(columns))]
+    rows, scale = [], 1
+    for i, row in enumerate(matrix):
+        entries = [Fraction(x) for x in row] + [Fraction(col[i]) for col in columns]
+        den = lcm(*(x.denominator for x in entries))
+        scale *= den
+        rows.append([x.numerator * (den // x.denominator) for x in entries])
+    det = _eliminate(rows, n)
+    if det == 0:
+        return Fraction(0), []
+    pivot = rows[-1][n - 1] if n else 1
+    return Fraction(det, scale), [[Fraction(rows[i][n + j], pivot) for i in range(n)]
+                                  for j in range(len(columns))]
 
 
 # ---------------------------------------------------------------------------
 # functor matrices in the Kapranov basis
-
-
-def _basis_matrix(labels, d: int, r: int, params) -> list[list[Fraction]]:
-    cols = [k_class(GradedComplex.from_items([(0, lb, 1)]), d, r, params).values
-            for lb in labels]
-    return [[cols[j][i] for j in range(len(labels))] for i in range(len(cols[0]))]
 
 
 def k_matrix(which: str, d: int, r: int,
@@ -224,21 +236,20 @@ def k_matrix(which: str, d: int, r: int,
 
     V factors enter through their dimensions, so entries are plain integers.
     """
-    params = tuple(params) if params is not None else default_parameters(d)
-    if which == "twist":
-        basis_labels = window_generators(d, r, 0)
-        images = [twist_on_generator(delta, d, r) for delta in gamma_set(d, r)]
-    elif which == "cotwist":
-        basis_labels = window_generators(d, r, -1)
-        images = [cotwist_on_generator(delta, d, r) for delta in gamma_set(d, r)]
-    elif which == "identity":
-        basis_labels = window_generators(d, r, 0)
-        images = [GradedComplex.from_items([(0, lb, 1)]) for lb in basis_labels]
-    else:
+    params = _parameters(params, d)
+    if which not in ("twist", "cotwist", "identity"):
         raise ValueError(f"unknown functor {which!r}")
-    basis = _basis_matrix(basis_labels, d, r, params)
-    ys = [k_class(img.expand_multiplicities(d), d, r, params).values for img in images]
-    det, cols = solve_exact(basis, ys)
+    basis_labels = window_generators(d, r, -1 if which == "cotwist" else 0)
+    if which == "identity":
+        images = [[(0, lb, 1)] for lb in basis_labels]
+    else:
+        image = twist_on_generator if which == "twist" else cotwist_on_generator
+        images = [image(delta, d, r).expand_multiplicities(d).items()
+                  for delta in gamma_set(d, r)]
+    n = len(basis_labels)
+    rows = _fixed_point_values([[(0, lb, 1)] for lb in basis_labels] + images, r, params)
+    det, cols = solve_exact([row[:n] for row in rows],
+                            [[row[j] for row in rows] for j in range(n, n + len(images))])
     if det == 0:
         raise ParameterDegeneracyError("basis matrix is singular")
     for delta, x in zip(gamma_set(d, r), cols):

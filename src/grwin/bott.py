@@ -85,6 +85,8 @@ def bwb_cohomology(delta: tuple[int, ...], i: int,
     Returns (degree, shape) for the single non-vanishing group, or None.
     """
     delta = canonical(delta)
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
     if height(delta) > r - 1:
         raise ValueError(f"height({delta}) must be <= {r - 1}")
     if i < 0:

@@ -111,12 +111,6 @@ def relabel_to_x(label: BundleLabel) -> BundleLabel:
     return replace(label, side="S")
 
 
-def expand_v(label: BundleLabel, d: int) -> tuple[BundleLabel, int]:
-    """Replace the V factor by its multiplicity: (stripped label, dim)."""
-    mult = schur_dimension(label.v_shape, d)
-    return replace(label, v_shape=()), mult
-
-
 @dataclass(frozen=True)
 class GradedComplex:
     """Map homological degree -> multiset of labels; no differentials."""
@@ -158,13 +152,13 @@ class GradedComplex:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def map_labels(self, fn) -> "GradedComplex":
-        return GradedComplex.from_items(
-            (degree, fn(label), mult) for degree, label, mult in self.items())
-
     def tensor_det(self, m: int) -> "GradedComplex":
-        """Tensor by the m-th power of the side determinant line."""
-        return self.map_labels(lambda lb: replace(lb, det_twist=lb.det_twist + m))
+        """Tensor by the m-th power of the side determinant line.  A uniform
+        det_twist shift is injective and keeps label order: no re-sort."""
+        return GradedComplex(tuple(
+            (degree, tuple((replace(lb, det_twist=lb.det_twist + m), mult)
+                           for lb, mult in labels))
+            for degree, labels in self.terms))
 
     def shift(self, n: int) -> "GradedComplex":
         return GradedComplex.from_items(
@@ -174,9 +168,9 @@ class GradedComplex:
         """Drop V factors, multiplying each term by its V-dimension."""
         out = []
         for degree, label, mult in self.items():
-            stripped, dim = expand_v(label, d)
+            dim = schur_dimension(label.v_shape, d)
             if dim:
-                out.append((degree, stripped, mult * dim))
+                out.append((degree, replace(label, v_shape=()), mult * dim))
         return GradedComplex.from_items(out)
 
     def alternating_rank_sum(self, d: int) -> int:

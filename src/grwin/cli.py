@@ -12,7 +12,7 @@ from random import Random
 
 from . import autoequiv, bundles, characters, resolutions, windows
 from .bundles import BundleLabel, GradedComplex
-from .bott import Dominant, Regular, classify
+from .bott import bwb_cohomology
 from .partitions import ascii_diagram, format_partition, parse_partition, staircase
 
 
@@ -68,13 +68,14 @@ def format_complex(cx: GradedComplex, underline: bool = True) -> str:
     return line
 
 
-def _emit_complex(cx: GradedComplex, args) -> None:
+def _emit_complex(cx: GradedComplex, args) -> int:
     if args.expand_multiplicities:
         cx = cx.expand_multiplicities(args.d)
     if args.json:
         print(bundles.dumps(bundles.complex_to_json(cx), pretty=args.pretty))
     else:
         print(format_complex(cx))
+    return 0
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -181,10 +182,8 @@ def cmd_staircase(args) -> int:
 
 def cmd_resolve(args) -> int:
     if args.twisted:
-        cx = resolutions.unstable_resolution_twisted(
-            parse_partition(args.delta), args.d, args.r)
-        _emit_complex(cx, args)
-        return 0
+        return _emit_complex(resolutions.unstable_resolution_twisted(
+            parse_partition(args.delta), args.d, args.r), args)
     cx, coker = resolutions.theorem_resolution(
         parse_partition(args.delta), args.d, args.r)
     if args.json:
@@ -199,39 +198,31 @@ def cmd_resolve(args) -> int:
 
 def cmd_twist(args) -> int:
     cx = autoequiv.twist_on_generator(parse_partition(args.delta), args.d, args.r)
-    _emit_complex(cx, args)
-    return 0
+    return _emit_complex(cx, args)
 
 
 def cmd_cotwist(args) -> int:
     cx = autoequiv.cotwist_on_generator(parse_partition(args.delta), args.d, args.n)
-    _emit_complex(cx, args)
-    return 0
+    return _emit_complex(cx, args)
 
 
 def cmd_bwb(args) -> int:
-    from .bott import bwb_cohomology
     delta = parse_partition(args.delta)
-    alpha = delta + (0,) * (args.r - 1 - len(delta)) + (args.i,)
-    cls = classify(alpha)
+    # validates and classifies once; regular weights land in degree l(w) >= 1
     result = bwb_cohomology(delta, args.i, args.r)
+    kind = "non-regular" if result is None else "regular" if result[0] else "dominant"
     if args.json:
-        doc: dict = {"alpha": list(alpha)}
-        if isinstance(cls, Dominant):
-            doc["class"] = "dominant"
-        elif isinstance(cls, Regular):
-            doc["class"] = "regular"
-            doc["length"] = cls.length
-        else:
-            doc["class"] = "non-regular"
+        doc: dict = {"alpha": list(delta + (0,) * (args.r - 1 - len(delta)) + (args.i,)),
+                     "class": kind}
+        if kind == "regular":
+            doc["length"] = result[0]
         doc["cohomology"] = (None if result is None
                              else {"degree": result[0], "shape": list(result[1])})
         print(bundles.dumps(doc, pretty=args.pretty))
-        return 0
-    if result is None:
+    elif result is None:
         print("non-regular: all cohomology vanishes")
     else:
-        kind = "dominant" if isinstance(cls, Dominant) else f"regular l={cls.length}"
+        kind += f" l={result[0]}" if result[0] else ""
         print(f"{kind}: H^{result[0]} has shape ({format_partition(result[1]) or ''})")
     return 0
 

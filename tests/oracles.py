@@ -101,3 +101,28 @@ def int_matmul(a, b):
 
 def subsets_lex(d, r):
     return list(combinations(range(d), r))
+
+
+def solve_fraction_gauss_jordan(matrix, columns):
+    """(det, solutions) of matrix * x = y for each column y, by Gauss-Jordan
+    over Fractions with the first nonzero pivot; a singular matrix gives
+    (0, [])."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(col[i]) for col in columns]
+         for i, row in enumerate(matrix)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pivot is None:
+            return Fraction(0), []
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for i in range(n):
+            f = a[i][col]
+            if i != col and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det, [[a[i][n + j] for i in range(n)] for j in range(len(columns))]

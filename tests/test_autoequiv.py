@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import int_matmul, schur_value_bruteforce
+from oracles import int_matmul, schur_value_bruteforce, solve_fraction_gauss_jordan
 
 from grwin import autoequiv
 from grwin.autoequiv import (
@@ -134,6 +135,17 @@ def test_schur_evaluate_against_tableau_sum():
     assert schur_evaluate((1,), [Fraction(2), Fraction(3)]) == 5
 
 
+nonzero_fractions = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+shapes = st.lists(st.integers(1, 6), max_size=3).map(
+    lambda rows: tuple(sorted(rows, reverse=True))).filter(lambda lam: sum(lam) <= 6)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(lam=shapes, xs=st.lists(nonzero_fractions, max_size=4))
+def test_schur_evaluate_matches_tableau_sum_at_random_points(lam, xs):
+    assert schur_evaluate(lam, xs) == schur_value_bruteforce(lam, xs)
+
+
 def test_k_class_trivial_bundle():
     ts = (Fraction(2), Fraction(3))
     vec = k_class(single(label((), 1, 0)), 2, 1, ts)
@@ -211,9 +223,11 @@ def test_solve_exact_rejects_singular(monkeypatch):
     assert solve_exact([[1, 1], [1, 1]], [[0, 1]]) == (0, [])
     assert solve_exact([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [])[0] == 0
     # k_matrix turns a singular basis into a parameter retry signal
-    monkeypatch.setattr(autoequiv, "_basis_matrix",
-                        lambda labels, d, r, params: [[Fraction(1)] * len(labels)
-                                                      for _ in labels])
+    # every complex takes the value 1 at each of the three fixed points, so
+    # the basis block of the value table is singular
+    monkeypatch.setattr(autoequiv, "_fixed_point_values",
+                        lambda complexes, r, params: [[Fraction(1)] * len(complexes)
+                                                      for _ in range(3)])
     with pytest.raises(ParameterDegeneracyError):
         k_matrix("twist", 3, 1)
 
@@ -239,6 +253,29 @@ def test_solve_exact_row_swap_flips_determinant():
     assert solve_exact([a[1], a[0], a[2]], [])[0] == -det
     # a zero leading entry forces a pivot swap inside the elimination
     assert solve_exact([[0, 1], [1, 0]], [[3, 5]]) == (-1, [[5, 3]])
+
+
+@st.composite
+def linear_systems(draw):
+    """Random Fraction systems; some made singular, all row-permuted."""
+    n = draw(st.integers(0, 5))
+    entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 8))
+    matrix = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    columns = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=3))
+    if n and draw(st.booleans()):
+        # the last row becomes a combination of the others
+        coeffs = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+        matrix[-1] = [sum((c * row[j] for c, row in zip(coeffs, matrix)), Fraction(0))
+                      for j in range(n)]
+    order = draw(st.permutations(range(n)))
+    return ([matrix[i] for i in order], [[col[i] for i in order] for col in columns])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(system=linear_systems())
+def test_solve_exact_matches_fraction_gauss_jordan(system):
+    matrix, columns = system
+    assert solve_exact(matrix, columns) == solve_fraction_gauss_jordan(matrix, columns)
 
 
 def test_default_parameters_are_primes():

@@ -86,6 +86,12 @@ def test_bwb_cohomology_rejects_tall_shape():
         bwb_cohomology((1, 1, 1), 0, 3)
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_bwb_cohomology_rejects_nonpositive_rank(r):
+    with pytest.raises(ValueError, match=rf"need r >= 1, got r={r}"):
+        bwb_cohomology((), 0, r)
+
+
 def test_bwb_staircase_linkage():
     # every regular weight lands on a staircase diagram with matching box count
     rng = random.Random(47)

@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from grwin.autoequiv import twist_on_generator
 from grwin.bundles import (
     BundleLabel,
     GradedComplex,
@@ -17,6 +19,7 @@ from grwin.bundles import (
     to_nondual,
 )
 from grwin.partitions import partitions_in_box
+from grwin.windows import gamma_set
 from grwin.schur import schur_dimension
 
 
@@ -130,6 +133,32 @@ def test_tensor_det_and_shift():
     cx = GradedComplex.from_items([(0, BundleLabel((1,), 2, 0), 1)])
     assert cx.tensor_det(2).at(0) == {BundleLabel((1,), 2, 2): 1}
     assert cx.shift(1).degrees() == [-1]
+
+
+def _tensor_det_by_resorting(cx, m):
+    return GradedComplex.from_items(
+        (degree, replace(label, det_twist=label.det_twist + m), mult)
+        for degree, label, mult in cx.items())
+
+
+def test_tensor_det_keeps_terms_sorted():
+    # the shift is injective and order preserving, so the result equals the
+    # re-sorted construction term for term; the sum of all images of a box
+    # puts many labels in one degree
+    for d in range(2, 7):
+        for r in range(1, d):
+            images = [twist_on_generator(delta, d, r) for delta in gamma_set(d, r)]
+            merged = GradedComplex.from_items(item for cx in images for item in cx.items())
+            for cx in images + [merged]:
+                for m in (-2, 1, 3):
+                    assert cx.tensor_det(m).terms == _tensor_det_by_resorting(cx, m).terms
+
+
+def test_tensor_det_composes():
+    cx = twist_on_generator((3, 1), 5, 2)
+    for a, b in [(1, 2), (-3, 1), (0, 4), (2, -2)]:
+        assert cx.tensor_det(a).tensor_det(b) == cx.tensor_det(a + b)
+    assert cx.tensor_det(0) == cx
 
 
 def test_expand_multiplicities():

@@ -120,6 +120,21 @@ def test_bwb_outputs(capsys):
                    "cohomology": {"degree": 0, "shape": [3, 1]}}
 
 
+def test_bwb_json_names_the_class_from_one_classification(capsys):
+    _, out, _ = run(capsys, "bwb", "3,1", "4", "3", "--json")
+    assert json.loads(out) == {"alpha": [3, 1, 4], "class": "regular", "length": 1,
+                               "cohomology": {"degree": 1, "shape": [3, 3, 2]}}
+    _, out, _ = run(capsys, "bwb", "3,1", "2", "3", "--json")
+    assert json.loads(out) == {"alpha": [3, 1, 2], "class": "non-regular",
+                               "cohomology": None}
+
+
+def test_bwb_rejects_nonpositive_rank(capsys):
+    code, out, err = run(capsys, "bwb", "", "0", "0")
+    assert (code, out) == (2, "")
+    assert "need r >= 1, got r=0" in err
+
+
 def test_resolve_shows_cokernel(capsys):
     _, out, _ = run(capsys, "resolve", "", "--d", "2", "--r", "1")
     assert out.splitlines()[0] == "O(2) -> O(1)⊗V -> O"

@@ -1,7 +1,10 @@
 """Contracts that span modules: the (d, r) validation every public entry
-point shares, and the absence of `assert` in the library."""
+point shares, the localization-parameter validation of the K-theory entry
+points, and source scans that keep `assert` out of the library and caches
+out of the K-matrix engine."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -71,4 +74,38 @@ def test_library_has_no_assert_statements():
              for path in files
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+# entry point -> call with localization parameters at (d, r) = (4, 2)
+TAKES_PARAMETERS = {
+    "k_matrix": lambda ts: autoequiv.k_matrix("twist", 4, 2, ts),
+    "o1_matrix": lambda ts: autoequiv.o1_matrix(4, 2, ts),
+    "k_class": lambda ts: autoequiv.k_class(GradedComplex(), 4, 2, ts),
+}
+BAD_PARAMETERS = {
+    "zero": (2, 3, 0, 7),
+    "short": (2, 3, 5),
+    "long": (2, 3, 5, 7, 11),
+    "repeated": (2, 3, Fraction(6, 2), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_PARAMETERS))
+@pytest.mark.parametrize("case", sorted(BAD_PARAMETERS))
+def test_k_theory_entry_points_reject_bad_parameters(name, case):
+    with pytest.raises(ValueError, match=r"need 4 distinct nonzero localization"):
+        TAKES_PARAMETERS[name](BAD_PARAMETERS[case])
+    TAKES_PARAMETERS[name]((2, 3, 5, 7))  # good parameters, plain ints, succeed
+
+
+def test_k_matrix_engine_defines_no_cache():
+    # a functools cache would stay warm across calls that are meant to be
+    # one-shot, so the engine keeps its tables inside one k_matrix call
+    caches = {"cache", "lru_cache", "cached_property"}
+    found = [f"autoequiv.py:{node.lineno}"
+             for node in ast.walk(ast.parse((SRC / "autoequiv.py").read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             and any(alias.name in caches for alias in node.names)
+             or isinstance(node, ast.Attribute) and node.attr in caches]
     assert found == []
