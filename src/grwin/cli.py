@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import comb
 from random import Random
 
 from . import autoequiv, bundles, characters, resolutions, windows
@@ -78,6 +79,11 @@ def _emit_complex(cx: GradedComplex, args) -> int:
     return 0
 
 
+# C(9,4): the largest K-matrix basis computed by default; (9,4) twist takes
+# about 40 s on a 2-core x86_64 host, and (10,5) has 252 generators
+MAX_BASIS = 126
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="emit JSON")
     sub.add_argument("--pretty", action="store_true", help="human-oriented output")
@@ -136,6 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
+    p.add_argument("--max-basis", type=int, default=MAX_BASIS, metavar="N",
+                   help=f"refuse a basis of more than N = C(d,r) generators "
+                        f"(default {MAX_BASIS})")
     _add_common(p)
 
     p = subs.add_parser("verify-exactness", help="character oracle for a resolution")
@@ -228,6 +237,10 @@ def cmd_bwb(args) -> int:
 
 
 def cmd_kmatrix(args) -> int:
+    basis = comb(args.d, args.r) if 0 < args.r < args.d else 0
+    if basis > args.max_basis:
+        raise ValueError(f"C({args.d},{args.r}) = {basis} generators is above the limit "
+                         f"{args.max_basis}; pass --max-basis {basis} to compute it")
     params = autoequiv.default_parameters(args.d)
     rng = Random(args.seed)
     for attempt in range(10):

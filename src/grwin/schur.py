@@ -1,23 +1,19 @@
 """Littlewood-Richardson and Pieri combinatorics, Schur functor dimensions.
 
-LR coefficients are computed by direct enumeration of lattice skew tableaux
-(semistandard rows, strict columns, reverse-reading-word ballot condition),
-memoized on (lambda, mu, nu).  Desk-scale sizes keep this exact and fast.
+A product s_lam * s_mu is grown strip by strip from Littlewood-Richardson
+tableaux (Macdonald, Symmetric Functions and Hall Polynomials, I.9): letter
+v of mu fills a horizontal strip of mu_v boxes, and the v's in rows <= i
+never outnumber the (v-1)'s in rows < i.  Only shapes that occur are ever
+built, rows past the alphabet bound are pruned as they are reached, and
+tableaux that reach the same shape with the same last strip are merged.
+An LR coefficient is read off the product at the height of its shape.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .partitions import (
-    canonical,
-    conjugate,
-    contains,
-    height,
-    partitions_of,
-    size,
-    width,
-)
+from .partitions import canonical, conjugate, contains, height, size
 
 
 @cache
@@ -26,57 +22,59 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...],
     """The coefficient of s_nu in s_lam * s_mu."""
     if size(lam) + size(mu) != size(nu) or not contains(nu, lam):
         return 0
-    if not mu:
-        return 1
-    # Cells of nu/lam in reverse-reading-word order: rows top to bottom,
-    # each row right to left.  Ballot and content checks run incrementally.
-    cells = []
-    lam_padded = lam + (0,) * (len(nu) - len(lam))
-    for i in range(len(nu)):
-        for j in range(nu[i] - 1, lam_padded[i] - 1, -1):
-            cells.append((i, j))
-    nvals = len(mu)
-    entry: dict[tuple[int, int], int] = {}
-    counts = [0] * (nvals + 1)
-    total = 0
+    return dict(_schur_product_items(lam, mu, height(nu))).get(nu, 0)
 
-    def place(pos: int) -> None:
-        nonlocal total
-        if pos == len(cells):
-            total += 1
+
+def _add_strips(shape: tuple[int, ...], last: tuple[int, ...], boxes: int,
+                slack: int, max_height: int
+                ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every way to add a horizontal strip of `boxes` boxes to shape within
+    max_height rows, as (new shape, boxes per row).
+
+    The running count of new boxes through row i may exceed the running
+    count of `last` through row i-1 by at most `slack` (the ballot
+    condition; the first letter passes slack = boxes and no `last`).
+    """
+    out = []
+    top = min(len(shape) + 1, max_height)
+    # the rows below row i take at most shape[i] - floor boxes of the strip
+    floor = shape[top - 1] if top <= len(shape) else 0
+
+    def grow(i: int, left: int, slack: int, rows: tuple[int, ...],
+             per_row: tuple[int, ...]) -> None:
+        if not left:
+            out.append((rows + shape[i:], per_row))
             return
-        i, j = cells[pos]
-        upper = nvals
-        if (i, j + 1) in entry:          # right neighbour, filled earlier
-            upper = entry[(i, j + 1)]
-        lower = 1
-        if i > 0 and j >= lam_padded[i - 1]:  # cell above is a skew cell
-            lower = entry[(i - 1, j)] + 1
-        for v in range(lower, upper + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            counts[v] += 1
-            entry[(i, j)] = v
-            place(pos + 1)
-            del entry[(i, j)]
-            counts[v] -= 1
+        old = shape[i] if i < len(shape) else 0
+        room = shape[i - 1] - old if i else left
+        below = last[i] if i < len(last) else 0
+        for a in range(min(left, room, slack), max(0, left - old + floor) - 1, -1):
+            grow(i + 1, left - a, slack - a + below,
+                 rows + (old + a,) if old + a else rows, per_row + (a,))
 
-    place(0)
-    return total
+    grow(0, boxes, slack, (), ())
+    return out
 
 
 @cache
 def _schur_product_items(lam: tuple[int, ...], mu: tuple[int, ...],
                          max_height: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    n = size(lam) + size(mu)
-    items = []
-    for nu in partitions_of(n, max_height, width(lam) + width(mu)):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            items.append((nu, c))
-    return tuple(items)
+    if size(lam) < size(mu):
+        lam, mu = mu, lam  # c^nu_{lam mu} = c^nu_{mu lam}: fewer letters to place
+    if height(lam) > max_height:
+        return ()
+    # (shape so far, boxes per row of the last letter) -> number of tableaux
+    tableaux = {(lam, ()): 1}
+    for v, boxes in enumerate(mu):
+        grown: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for (shape, last), count in tableaux.items():
+            for key in _add_strips(shape, last, boxes, 0 if v else boxes, max_height):
+                grown[key] = grown.get(key, 0) + count
+        tableaux = grown
+    product: dict[tuple[int, ...], int] = {}
+    for (shape, _), count in tableaux.items():
+        product[shape] = product.get(shape, 0) + count
+    return tuple(sorted(product.items(), reverse=True))
 
 
 def schur_product(lam: tuple[int, ...], mu: tuple[int, ...],

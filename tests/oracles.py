@@ -58,6 +58,67 @@ def is_horizontal_strip(outer, inner):
     return True
 
 
+def lr_coefficient_by_filling(lam, mu, nu):
+    """The coefficient of s_nu in s_lam * s_mu, counted by filling the cells
+    of nu/lam one at a time in reverse reading order (rows top to bottom,
+    each right to left) with rows weakly increasing, columns strictly
+    increasing, content mu and a ballot reading word."""
+    if sum(lam) + sum(mu) != sum(nu) or len(lam) > len(nu) \
+            or any(x > y for x, y in zip(lam, nu)):
+        return 0
+    if not mu:
+        return 1
+    cells = []
+    lam_padded = tuple(lam) + (0,) * (len(nu) - len(lam))
+    for i in range(len(nu)):
+        for j in range(nu[i] - 1, lam_padded[i] - 1, -1):
+            cells.append((i, j))
+    nvals = len(mu)
+    entry = {}
+    counts = [0] * (nvals + 1)
+    total = 0
+
+    def place(pos):
+        nonlocal total
+        if pos == len(cells):
+            total += 1
+            return
+        i, j = cells[pos]
+        upper = nvals
+        if (i, j + 1) in entry:          # right neighbour, filled earlier
+            upper = entry[(i, j + 1)]
+        lower = 1
+        if i > 0 and j >= lam_padded[i - 1]:  # cell above is a skew cell
+            lower = entry[(i - 1, j)] + 1
+        for v in range(lower, upper + 1):
+            if counts[v] >= mu[v - 1]:
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue
+            counts[v] += 1
+            entry[(i, j)] = v
+            place(pos + 1)
+            del entry[(i, j)]
+            counts[v] -= 1
+
+    place(0)
+    return total
+
+
+def schur_product_by_candidates(lam, mu, max_height):
+    """s_lam * s_mu below max_height as (nu, c) items, lexicographically
+    descending: every partition nu of |lam| + |mu| in the height/width box,
+    kept when its filled LR coefficient is nonzero."""
+    from grwin.partitions import partitions_of
+    width = (lam[0] if lam else 0) + (mu[0] if mu else 0)
+    items = []
+    for nu in partitions_of(sum(lam) + sum(mu), max_height, width):
+        c = lr_coefficient_by_filling(lam, mu, nu)
+        if c:
+            items.append((nu, c))
+    return items
+
+
 def dominant_sorters(alpha):
     """All permutations sending alpha + rho to a strictly decreasing vector."""
     from itertools import permutations

@@ -1,0 +1,69 @@
+"""Euler and pushforward characters of every seed in four boxes, pinned
+bit for bit.
+
+Each digest is the sha256 of the compact JSON of the sorted
+[lambda, mu, coefficient] rows of a character, recorded from the
+candidate-partition Schur products that strip-by-strip generation
+replaced.  The resolutions are exact, so both sides of a seed share one
+digest; a product bug that moves both sides alike still fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from grwin.characters import euler_character, pushforward_character
+from grwin.partitions import partitions_in_box, size
+
+# "d,r:delta" -> digest of both characters at D = |delta| + r(d-r+1)
+DIGESTS = {
+    "4,2:": "abd81999ee95e54cb37c391e427f8835e74ca213c1aa6dd9a1ae34b816906737",
+    "4,2:3": "96c25e7dae0d89747b4d32c20fb031c15756577ae7493ab02900bb42f3fee9d5",
+    "4,2:2": "c43eb5eaa3f86b5a0b2773b18ce02116e3ace1c558602ebb855d448517d826ac",
+    "4,2:1": "c93299dde6460f7564ca7059e2b64bf7165e0c7c928e4c6ac5a575e2a4c5fd95",
+    "4,3:": "841520b903ae26c4308f910411185b4c330577cf83d8fca8b25c12eeab31dcf8",
+    "4,3:2": "1ba1b0be30fff31f6855d044bdc204a74c331b78634995a35343fa05eeea9c0e",
+    "4,3:2,2": "ddc9590c4806642fcab6ed929abb82aa3bd7e8d63d8fa662afabe25002b34906",
+    "4,3:2,1": "9a00e9a1cba115564f2313eee768f4bf45a991c949845bfba9bc47f196164843",
+    "4,3:1": "c606a8099a498e93ba4c6c67e2c493dcd543126354b79a97e22784fe2a871540",
+    "4,3:1,1": "a44f1b53563a7993a46cdb4dbd1215359ba5596cd4e479c364a8da9aba466e2a",
+    "5,2:": "7eb20467b01f882f9d8cde309b834e08cb1317d11ea2593d5f7e81411c8b550a",
+    "5,2:4": "2eb081ea3aae15f95605d864c5278eb6734b07d59554ed2e88f56e37a7b4a746",
+    "5,2:3": "6412d268c16d2a7a5fa87381db04cbb7641ba5d62e67dcd7a1ddc22822816bf6",
+    "5,2:2": "b9dad9964bf4532de08bc8aaadf29d6175762f078ba9eb4f5e98f6a00d5b891d",
+    "5,2:1": "5409f3964ddc78ba9720ffd73f9b864620ed23d98a98025b44e9772db3b20c5f",
+    "5,3:": "d46b146bdfd7964cc90b65be3e719dd6215c793536c1a86376faa74eee4601c5",
+    "5,3:3": "143a94c4d2e23b3cfc3b57caa2962808f3144411ded904ccace480a46067a72d",
+    "5,3:3,3": "20a3bb935d8bff0ccb23487d8695cecfb5ef9b4fa57dc045d9e091d5a7dfbd32",
+    "5,3:3,2": "a0d0ee4c5b5a4757343841f456783444c6a73a18d224f64f1e80cc6b92990c60",
+    "5,3:3,1": "f4b25e24c516fada7b990cc1ac00477f056243e1c1b177a86ab6d39371fb4a8b",
+    "5,3:2": "a82bd1d0955a9f0ac5af1ce5b3492ea3d6e7494e6aca16d78a514728efddab12",
+    "5,3:2,2": "e9905938c876b320a6dac9090b2e705a370b5e8e1d559afce7738ed0688ff187",
+    "5,3:2,1": "41b6e7a96678b2c5ffacd669007a3151c7d7d84dff64c15f60dd2390f9c8282f",
+    "5,3:1": "09a9f8f8e4fbdf24d84d598cffe8eb3bcc32012bd68e23ee9af5bba1c5d21c30",
+    "5,3:1,1": "3d659c694dec3d9bd45b5ebb05c96a1a79eadd0df1907d86dbf7fc9686f85269",
+}
+BOXES = [(4, 2), (4, 3), (5, 2), (5, 3)]
+CASES = [(d, r, delta) for d, r in BOXES for delta in partitions_in_box(d - r + 1, r - 1)]
+
+
+def digest(character):
+    rows = sorted([list(lam), list(mu), c]
+                  for (lam, mu), c in character.coefficients.items())
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
+def key(d, r, delta):
+    return f"{d},{r}:{','.join(map(str, delta))}"
+
+
+def test_pins_cover_every_seed_of_the_four_boxes():
+    assert sorted(key(*case) for case in CASES) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("d,r,delta", CASES, ids=[key(*case) for case in CASES])
+def test_characters_match_pinned_digests(d, r, delta):
+    D = size(delta) + r * (d - r + 1)
+    assert digest(euler_character(delta, d, r, D)) == DIGESTS[key(d, r, delta)]
+    assert digest(pushforward_character(delta, d, r, D)) == DIGESTS[key(d, r, delta)]

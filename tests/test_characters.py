@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grwin.characters import (
     SchurBivariate,
@@ -10,6 +11,7 @@ from grwin.characters import (
     resolution_terms,
     verify_exactness,
 )
+from grwin.partitions import canonical, partitions_in_box, size
 
 
 def coeffs(x: SchurBivariate):
@@ -143,3 +145,30 @@ def test_hom_dimension_guards():
         hom_invariant_dimension("tautological", (1, 1), 4, 2, 10)
     with pytest.raises(ValueError):
         hom_invariant_dimension("mystery", (1,), 4, 2, 10)
+
+
+@st.composite
+def seeds(draw):
+    """(d, r, delta) with 2 <= r < d <= 7 and delta in its (d-r+1) x (r-1)
+    box, |delta| <= 2 so that the stable degree stays small."""
+    d = draw(st.integers(3, 7))
+    r = draw(st.integers(2, d - 1))
+    delta = draw(st.sampled_from(
+        [p for p in partitions_in_box(d - r + 1, r - 1) if size(p) <= 2]))
+    return d, r, delta
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seed=seeds())
+def test_exactness_at_stable_degree_and_one_box_perturbation_caught(seed):
+    d, r, delta = seed
+    D = size(delta) + r * (d - r + 1)
+    assert verify_exactness(delta, d, r, D)
+    # criterion 4's perturbation: the last box of term 1's bottom row moves
+    # to its top row
+    terms = resolution_terms(delta, d, r)
+    k, shape, s = terms[1]
+    moved = canonical((shape[0] + 1,) + shape[1:-1] + (shape[-1] - 1,))
+    bad = terms[:1] + [(k, moved, s)] + terms[2:]
+    assert euler_character(delta, d, r, D, terms=bad) != \
+        pushforward_character(delta, d, r, D)

@@ -94,6 +94,35 @@ def test_kmatrix_text_output(capsys):
     assert out.splitlines()[-1] == "determinant: 1"
 
 
+def test_kmatrix_refuses_a_basis_above_the_limit(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("k_matrix ran on a refused basis")
+    monkeypatch.setattr(cli.autoequiv, "k_matrix", never)
+    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "10", "--r", "5")
+    assert (code, out) == (2, "")
+    assert "C(10,5) = 252" in err and "--max-basis" in err
+    assert "Traceback" not in err
+    code, _, err = run(capsys, "kmatrix", "--which", "identity", "--d", "4", "--r", "2",
+                       "--max-basis", "5")
+    assert code == 2 and "C(4,2) = 6" in err
+
+
+def test_kmatrix_max_basis_raises_the_limit(capsys, monkeypatch):
+    argv = ["kmatrix", "--which", "twist", "--d", "4", "--r", "2"]
+    assert run(capsys, *argv, "--max-basis", "6") == run(capsys, *argv)
+    assert run(capsys, *argv)[0] == 0
+    # above the default limit, a stand-in engine keeps the case small
+    monkeypatch.setattr(cli.autoequiv, "k_matrix", lambda *args: [[1]])
+    code, out, _ = run(capsys, "kmatrix", "--which", "twist", "--d", "10", "--r", "5",
+                       "--max-basis", "252")
+    assert (code, out) == (0, "   1\ndeterminant: 1\n")
+
+
+def test_max_basis_is_a_kmatrix_option_only(capsys):
+    code, _, err = run(capsys, "windows", "4", "2", "0", "--max-basis", "6")
+    assert code == 2 and "--max-basis" in err
+
+
 def test_staircase_json(capsys):
     _, out, _ = run(capsys, "staircase", "1", "2", "3", "--json")
     doc = json.loads(out)

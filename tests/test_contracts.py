@@ -109,3 +109,21 @@ def test_k_matrix_engine_defines_no_cache():
              and any(alias.name in caches for alias in node.names)
              or isinstance(node, ast.Attribute) and node.attr in caches]
     assert found == []
+
+
+def test_schur_caches_are_the_three_the_benchmark_clears():
+    # the benchmark clears these three before every cold op; a cache on any
+    # other helper would stay warm across cold ops and overstate a gain
+    caches = {"cache", "lru_cache", "cached_property"}
+    tree = ast.parse((SRC / "schur.py").read_text())
+    refs = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in caches
+            or isinstance(node, ast.Attribute) and node.attr in caches]
+    decorated = sorted(node.name for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef)
+                       and any(dec in refs for dec in node.decorator_list))
+    renamed = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "functools"
+               for alias in node.names if alias.asname]
+    assert decorated == ["_schur_product_items", "lr_coefficient", "schur_dimension"]
+    assert len(refs) == len(decorated) and renamed == []

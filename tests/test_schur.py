@@ -1,8 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import is_horizontal_strip, ssyt_count
+from oracles import (
+    is_horizontal_strip,
+    lr_coefficient_by_filling,
+    schur_product_by_candidates,
+    ssyt_count,
+)
 
 from grwin.partitions import height, partitions_of, size
 from grwin.schur import lr_coefficient, pieri_filtration, schur_dimension, schur_product
@@ -119,3 +125,35 @@ def test_schur_dimension_against_tableau_enumeration():
 def test_schur_dimension_zero_above_alphabet():
     assert schur_dimension((2, 1, 1), 2) == 0
     assert height((2, 1, 1)) == 3
+
+
+# every partition of at most 7 boxes: the empty one, and shapes up to 7 rows
+# tall, so some are taller than the alphabet bound
+SMALL_SHAPES = [p for n in range(8) for p in partitions_of(n)]
+small_shapes = st.sampled_from(SMALL_SHAPES)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lam=small_shapes, mu=small_shapes, max_height=st.integers(1, 6))
+@example(lam=(), mu=(), max_height=1)
+@example(lam=(), mu=(3, 2, 1), max_height=3)
+@example(lam=(2, 1, 1, 1), mu=(1,), max_height=3)
+@example(lam=(2, 1), mu=(1, 1, 1, 1, 1), max_height=4)
+@example(lam=(3, 2, 1), mu=(2, 2, 1, 1), max_height=6)
+def test_schur_product_matches_candidate_loop(lam, mu, max_height):
+    expected = schur_product_by_candidates(lam, mu, max_height)
+    got = schur_product(lam, mu, max_height)
+    assert got == dict(expected)
+    assert list(got.items()) == expected  # lexicographically descending
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(lam=small_shapes, mu=small_shapes, max_height=st.integers(1, 6),
+       picks=st.lists(st.integers(0, 10**6), max_size=5))
+@example(lam=(2, 1), mu=(2, 1), max_height=3, picks=[0, 4, 7])
+def test_lr_coefficient_matches_filling(lam, mu, max_height, picks):
+    # nu from the product's support, then random nu of the right size
+    support = [nu for nu, _ in schur_product_by_candidates(lam, mu, max_height)]
+    others = partitions_of(size(lam) + size(mu))
+    for nu in support + [others[i % len(others)] for i in picks]:
+        assert lr_coefficient(lam, mu, nu) == lr_coefficient_by_filling(lam, mu, nu), nu
