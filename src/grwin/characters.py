@@ -48,33 +48,8 @@ class SchurBivariate:
         else:
             self.coefficients.pop(key, None)
 
-    def accumulate(self, other: "SchurBivariate", sign: int = 1) -> None:
-        for (lam, mu), c in other.coefficients.items():
-            self.add(lam, mu, sign * c)
-
-    def mul_basis(self, lam: tuple[int, ...], mu: tuple[int, ...]) -> "SchurBivariate":
-        """Multiply by the basis element s_lam ⊗ s_mu (alphabet filtered)."""
-        out = SchurBivariate(self.d, self.r, self.degree_cap)
-        if height(lam) > self.d or height(mu) > self.r:
-            return out
-        for (a, b), c in self.coefficients.items():
-            if size(a) + size(lam) > self.degree_cap:
-                continue
-            left = schur_product(a, lam, self.d)
-            right = schur_product(b, mu, self.r)
-            for la, cl in left.items():
-                for mb, cr in right.items():
-                    out.add(la, mb, c * cl * cr)
-        return out
-
     def coefficient(self, lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         return self.coefficients.get((canonical(lam), canonical(mu)), 0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchurBivariate):
-            return NotImplemented
-        return (self.d, self.r, self.degree_cap) == (other.d, other.r, other.degree_cap) \
-            and self.coefficients == other.coefficients
 
     def difference_report(self, other: "SchurBivariate") -> list[dict]:
         keys = sorted(set(self.coefficients) | set(other.coefficients))
@@ -88,11 +63,15 @@ class SchurBivariate:
         return out
 
 
+def _check_degree(D: int) -> None:
+    if D < 0:
+        raise ValueError("truncation degree must be >= 0")
+
+
 def cauchy_truncated(d: int, r: int, D: int) -> SchurBivariate:
     """Character of the symmetric algebra on the tensor product of the two
     alphabets: the diagonal sum of s_lambda ⊗ s_lambda up to degree D."""
-    if D < 0:
-        raise ValueError("truncation degree must be >= 0")
+    _check_degree(D)
     out = SchurBivariate(d, r, D)
     h = min(d, r)
     for n in range(D + 1):
@@ -112,13 +91,21 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
     if terms is None:
         terms = resolution_terms(delta, d, r)
     cauchy = cauchy_truncated(d, r, D)
-    total = SchurBivariate(d, r, D)
+    total: dict[Key, int] = {}
     for k, shape, s in terms:
         if s > d:
             continue  # the exterior power vanishes
-        wedge = (1,) * s
-        total.accumulate(cauchy.mul_basis(wedge, shape), sign=(-1) ** k)
-    return total
+        sign = (-1) ** k
+        for (a, b), c in cauchy.coefficients.items():
+            if size(a) + s > D:
+                continue
+            right = schur_product(b, shape, r)
+            for la, cl in schur_product(a, (1,) * s, d).items():
+                for mb, cr in right.items():
+                    new = total.pop((la, mb), 0) + sign * c * cl * cr
+                    if new:
+                        total[la, mb] = new
+    return SchurBivariate(d, r, D, total)
 
 
 def pushforward_character(delta: tuple[int, ...], d: int, r: int,
@@ -127,6 +114,7 @@ def pushforward_character(delta: tuple[int, ...], d: int, r: int,
     LR products of delta against the corank-1 side, heights <= r-1."""
     delta = canonical(delta)
     check_box(d, r)
+    _check_degree(D)
     if height(delta) > r - 1:
         raise ValueError(f"height({delta}) must be <= {r - 1}")
     out = SchurBivariate(d, r, D)
@@ -170,13 +158,11 @@ def hom_invariant_dimension(case: str, delta: tuple[int, ...], d: int, r: int,
     """
     delta = canonical(delta)
     check_box(d, r)
-    if case == "self":
-        if height(delta) > r:
-            raise ValueError(f"height({delta}) must be <= {r}")
-        return _pairing_dimension(delta, d, r, D)
-    if case == "tautological":
-        if height(delta) > r - 1:
-            raise ValueError(f"height({delta}) must be <= {r - 1}")
+    _check_degree(D)
+    if case in ("self", "tautological"):
+        top = r if case == "self" else r - 1
+        if height(delta) > top:
+            raise ValueError(f"height({delta}) must be <= {top}")
         return _pairing_dimension(delta, d, r, D)
     if case == "eta":
         if height(delta) >= r or width(delta) != d - r + 1:
@@ -198,6 +184,7 @@ def hom_invariant_dimension(case: str, delta: tuple[int, ...], d: int, r: int,
 
 
 def _pairing_dimension(delta: tuple[int, ...], d: int, r: int, D: int) -> int:
+    # c^delta_{delta lam} = 0 unless lam = (), so this is 1 whatever the input
     # both Cauchy factors contract: the corank-1 pairing matches the two
     # expansion indices, the ambient pairing then weights by dim S^lam V
     total = 0

@@ -1,11 +1,12 @@
 """Littlewood-Richardson and Pieri combinatorics, Schur functor dimensions.
 
-A product s_lam * s_mu is grown strip by strip from Littlewood-Richardson
-tableaux (Macdonald, Symmetric Functions and Hall Polynomials, I.9): letter
-v of mu fills a horizontal strip of mu_v boxes, and the v's in rows <= i
-never outnumber the (v-1)'s in rows < i.  Only shapes that occur are ever
-built, rows past the alphabet bound are pruned as they are reached, and
-tableaux that reach the same shape with the same last strip are merged.
+A product s_lam * s_mu in h letters (Macdonald, Symmetric Functions and Hall
+Polynomials, I.3, I.9) first strips the common full columns, as
+s_{lam + (m^h)} = (x_1...x_h)^m s_lam, and conjugates a mu taller than it is
+wide, as c^nu_{lam mu} = c^{nu'}_{lam' mu'}.  The rest grows from LR
+tableaux: letter v of mu fills a horizontal strip of mu_v boxes, and the v's
+in rows <= i never outnumber the (v-1)'s in rows < i.  Shapes past the bound
+are pruned as reached; tableaux with equal shape and last strip are merged.
 An LR coefficient is read off the product at the height of its shape.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import canonical, conjugate, contains, height, size
+from .partitions import canonical, conjugate, contains, height, size, width
 
 
 @cache
@@ -26,10 +27,10 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...],
 
 
 def _add_strips(shape: tuple[int, ...], last: tuple[int, ...], boxes: int,
-                slack: int, max_height: int
+                slack: int, max_height: int, max_width: int
                 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every way to add a horizontal strip of `boxes` boxes to shape within
-    max_height rows, as (new shape, boxes per row).
+    max_height rows and max_width columns, as (new shape, boxes per row).
 
     The running count of new boxes through row i may exceed the running
     count of `last` through row i-1 by at most `slack` (the ballot
@@ -46,7 +47,7 @@ def _add_strips(shape: tuple[int, ...], last: tuple[int, ...], boxes: int,
             out.append((rows + shape[i:], per_row))
             return
         old = shape[i] if i < len(shape) else 0
-        room = shape[i - 1] - old if i else left
+        room = (shape[i - 1] if i else max_width) - old
         below = last[i] if i < len(last) else 0
         for a in range(min(left, room, slack), max(0, left - old + floor) - 1, -1):
             grow(i + 1, left - a, slack - a + below,
@@ -59,20 +60,32 @@ def _add_strips(shape: tuple[int, ...], last: tuple[int, ...], boxes: int,
 @cache
 def _schur_product_items(lam: tuple[int, ...], mu: tuple[int, ...],
                          max_height: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    if max(len(lam), len(mu)) > max_height:
+        return ()
+    if max_height and max_height in (len(lam), len(mu)):
+        # strip the full columns (zero letters have none), put them back on h rows
+        a, b = (p[-1] if len(p) == max_height else 0 for p in (lam, mu))
+        reduced = _schur_product_items(tuple(x - a for x in lam if x > a),
+                                       tuple(x - b for x in mu if x > b), max_height)
+        return tuple((tuple(x + a + b for x in nu + (0,) * (max_height - len(nu))), c)
+                     for nu, c in reduced)
     if size(lam) < size(mu):
         lam, mu = mu, lam  # c^nu_{lam mu} = c^nu_{mu lam}: fewer letters to place
-    if height(lam) > max_height:
-        return ()
+    flip = len(mu) > width(mu)  # then mu' has fewer letters than mu
+    bounds = (max_height, width(lam) + width(mu))  # no product shape is wider
+    if flip:
+        lam, mu, bounds = conjugate(lam), conjugate(mu), bounds[::-1]
     # (shape so far, boxes per row of the last letter) -> number of tableaux
     tableaux = {(lam, ()): 1}
     for v, boxes in enumerate(mu):
         grown: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for (shape, last), count in tableaux.items():
-            for key in _add_strips(shape, last, boxes, 0 if v else boxes, max_height):
+            for key in _add_strips(shape, last, boxes, 0 if v else boxes, *bounds):
                 grown[key] = grown.get(key, 0) + count
         tableaux = grown
     product: dict[tuple[int, ...], int] = {}
     for (shape, _), count in tableaux.items():
+        shape = conjugate(shape) if flip else shape
         product[shape] = product.get(shape, 0) + count
     return tuple(sorted(product.items(), reverse=True))
 

@@ -52,6 +52,14 @@ def test_verify_exactness_exit_one_on_failure(capsys, monkeypatch):
     assert out == "NOT exact\n"
 
 
+def test_verify_exactness_negative_degree_exits_two(capsys):
+    code, out, err = run(capsys, "verify-exactness", "--d", "4", "--r", "2",
+                         "--delta", "", "--degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: truncation degree must be >= 0\n"
+
+
 def test_malformed_partition_exits_two(capsys):
     code, _, err = run(capsys, "twist", "a,b", "--d", "2", "--r", "1")
     assert code == 2

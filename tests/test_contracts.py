@@ -1,7 +1,8 @@
 """Contracts that span modules: the (d, r) validation every public entry
 point shares, the localization-parameter validation of the K-theory entry
-points, and source scans that keep `assert` out of the library and caches
-out of the K-matrix engine."""
+points, the truncation degree of the character entry points, and source
+scans that keep `assert` out of the library and caches out of the K-matrix
+engine and the character oracle."""
 
 import ast
 from fractions import Fraction
@@ -77,6 +78,26 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+# entry point -> call with truncation degree D at (d, r) = (4, 2)
+TAKES_DEGREE = {
+    "euler_character": lambda D: characters.euler_character((), 4, 2, D),
+    "pushforward_character": lambda D: characters.pushforward_character((), 4, 2, D),
+    "verify_exactness": lambda D: characters.verify_exactness((), 4, 2, D),
+    "exactness_report": lambda D: characters.exactness_report((), 4, 2, D),
+    "hom_self": lambda D: characters.hom_invariant_dimension("self", (), 4, 2, D),
+    "hom_tautological": lambda D: characters.hom_invariant_dimension(
+        "tautological", (), 4, 2, D),
+    "hom_eta": lambda D: characters.hom_invariant_dimension("eta", (3,), 4, 2, D),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_DEGREE))
+def test_character_entry_points_reject_negative_degree(name):
+    with pytest.raises(ValueError, match=r"^truncation degree must be >= 0$"):
+        TAKES_DEGREE[name](-1)
+    TAKES_DEGREE[name](0)  # degree 0 is a valid truncation
+
+
 # entry point -> call with localization parameters at (d, r) = (4, 2)
 TAKES_PARAMETERS = {
     "k_matrix": lambda ts: autoequiv.k_matrix("twist", 4, 2, ts),
@@ -99,16 +120,25 @@ def test_k_theory_entry_points_reject_bad_parameters(name, case):
     TAKES_PARAMETERS[name]((2, 3, 5, 7))  # good parameters, plain ints, succeed
 
 
+def functools_caches(filename):
+    caches = {"cache", "lru_cache", "cached_property"}
+    return [f"{filename}:{node.lineno}"
+            for node in ast.walk(ast.parse((SRC / filename).read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            and any(alias.name in caches for alias in node.names)
+            or isinstance(node, ast.Attribute) and node.attr in caches]
+
+
 def test_k_matrix_engine_defines_no_cache():
     # a functools cache would stay warm across calls that are meant to be
     # one-shot, so the engine keeps its tables inside one k_matrix call
-    caches = {"cache", "lru_cache", "cached_property"}
-    found = [f"autoequiv.py:{node.lineno}"
-             for node in ast.walk(ast.parse((SRC / "autoequiv.py").read_text()))
-             if isinstance(node, ast.ImportFrom) and node.module == "functools"
-             and any(alias.name in caches for alias in node.names)
-             or isinstance(node, ast.Attribute) and node.attr in caches]
-    assert found == []
+    assert functools_caches("autoequiv.py") == []
+
+
+def test_characters_define_no_cache():
+    # the benchmark clears only the schur and windows caches before a cold
+    # op; a cache on an Euler helper would stay warm and overstate a gain
+    assert functools_caches("characters.py") == []
 
 
 def test_schur_caches_are_the_three_the_benchmark_clears():

@@ -10,7 +10,7 @@ from oracles import (
     ssyt_count,
 )
 
-from grwin.partitions import height, partitions_of, size
+from grwin.partitions import canonical, height, partitions_of, size, width
 from grwin.schur import lr_coefficient, pieri_filtration, schur_dimension, schur_product
 
 
@@ -157,3 +157,61 @@ def test_lr_coefficient_matches_filling(lam, mu, max_height, picks):
     others = partitions_of(size(lam) + size(mu))
     for nu in support + [others[i % len(others)] for i in picks]:
         assert lr_coefficient(lam, mu, nu) == lr_coefficient_by_filling(lam, mu, nu), nu
+
+
+def test_one_letter_products_add_rows():
+    # in one letter s_(a) * s_(b) = s_(a+b), and a second row vanishes
+    for a in range(5):
+        for b in range(5):
+            assert schur_product(canonical((a,)), canonical((b,)), 1) == \
+                {canonical((a + b,)): 1}
+    assert schur_product((2,), (1, 1), 1) == {}
+
+
+def test_wedge_taller_than_alphabet_vanishes():
+    for h in range(1, 5):
+        assert schur_product((2, 1), (1,) * (h + 1), h) == {}
+        assert schur_product((1,) * (h + 1), (3,), h) == {}
+
+
+def test_lr_coefficient_of_empty_shapes():
+    # nu = () asks for a product in zero letters
+    assert lr_coefficient((), (), ()) == 1
+    assert lr_coefficient((1,), (), ()) == 0
+
+
+row_lists = st.lists(st.integers(0, 2), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(h=st.integers(1, 4), lam_rows=row_lists, mu_rows=row_lists,
+       full=st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)]))
+@example(h=1, lam_rows=[0], mu_rows=[0], full=(2, 1))
+@example(h=3, lam_rows=[2, 1, 0], mu_rows=[1, 1, 0], full=(0, 1))
+def test_schur_product_with_full_columns_matches_candidate_loop(h, lam_rows, mu_rows,
+                                                                full):
+    # lam gets a and mu gets b full columns of height h, a + b >= 1; in h
+    # letters s_{lam + (a^h)} = (x_1...x_h)^a s_lam, so the product sheds them
+    a, b = full
+    lam = canonical(x + a for x in sorted((lam_rows + [0] * h)[:h], reverse=True))
+    mu = canonical(x + b for x in sorted((mu_rows + [0] * h)[:h], reverse=True))
+    expected = schur_product_by_candidates(lam, mu, h)
+    got = schur_product(lam, mu, h)
+    assert got == dict(expected)
+    assert list(got.items()) == expected
+
+
+TALL_SHAPES = [p for p in SMALL_SHAPES if height(p) > width(p)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(lam=small_shapes, mu=st.sampled_from(TALL_SHAPES), max_height=st.integers(1, 7))
+@example(lam=(3, 2), mu=(1, 1, 1), max_height=4)
+@example(lam=(2, 2, 1), mu=(2, 1, 1), max_height=5)
+def test_schur_product_with_tall_factor_matches_candidate_loop(lam, mu, max_height):
+    # a mu with more rows than columns is multiplied as lam' * mu' under an
+    # h-column bound, and the conjugated results are sorted back
+    expected = schur_product_by_candidates(lam, mu, max_height)
+    got = schur_product(lam, mu, max_height)
+    assert got == dict(expected)
+    assert list(got.items()) == expected
