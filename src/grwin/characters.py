@@ -21,7 +21,7 @@ from .partitions import (
     size,
     width,
 )
-from .schur import lr_coefficient, schur_dimension, schur_product
+from .schur import _schur_product_items, lr_coefficient, schur_dimension, schur_product
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -88,20 +88,26 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
 
     A terms override supports tamper tests; the default is the staircase.
     """
+    check_box(d, r)
     if terms is None:
         terms = resolution_terms(delta, d, r)
+    else:
+        terms = [(k, canonical(shape), s) for k, shape, s in terms]
     cauchy = cauchy_truncated(d, r, D)
+    # every shape is canonical and 0 < r <= d, so the products are read
+    # straight from the cache that schur_product fills
     total: dict[Key, int] = {}
     for k, shape, s in terms:
         if s > d:
             continue  # the exterior power vanishes
         sign = (-1) ** k
+        column = (1,) * s
         for (a, b), c in cauchy.coefficients.items():
             if size(a) + s > D:
                 continue
-            right = schur_product(b, shape, r)
-            for la, cl in schur_product(a, (1,) * s, d).items():
-                for mb, cr in right.items():
+            right = _schur_product_items(b, shape, r)
+            for la, cl in _schur_product_items(a, column, d):
+                for mb, cr in right:
                     new = total.pop((la, mb), 0) + sign * c * cl * cr
                     if new:
                         total[la, mb] = new

@@ -46,7 +46,13 @@ def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
 
 
 def conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(1 for x in p if x > j) for j in range(width(p)))
+    # the columns p[i] <= j < p[i-1] are exactly i rows tall (p[len(p)] = 0)
+    out: tuple[int, ...] = ()
+    shorter = 0
+    for i in range(len(p), 0, -1):
+        out += (i,) * (p[i - 1] - shorter)
+        shorter = p[i - 1]
+    return out
 
 
 def check_box(d: int, r: int, strict: bool = False) -> None:
@@ -181,6 +187,9 @@ def partitions_in_box(w: int, h: int) -> list[tuple[int, ...]]:
 def partitions_of(n: int, max_height: int | None = None,
                   max_width: int | None = None) -> list[tuple[int, ...]]:
     """All partitions of n, optionally bounded in height and width."""
+    for bound in (max_height, max_width):
+        if bound is not None and bound < 0:
+            raise ValueError(f"partition bounds must be >= 0, got {bound}")
     if n < 0:
         return []
     maxw = n if max_width is None else min(max_width, n)

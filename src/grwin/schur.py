@@ -1,12 +1,14 @@
 """Littlewood-Richardson and Pieri combinatorics, Schur functor dimensions.
 
 A product s_lam * s_mu in h letters (Macdonald, Symmetric Functions and Hall
-Polynomials, I.3, I.9) first strips the common full columns, as
-s_{lam + (m^h)} = (x_1...x_h)^m s_lam, and conjugates a mu taller than it is
-wide, as c^nu_{lam mu} = c^{nu'}_{lam' mu'}.  The rest grows from LR
-tableaux: letter v of mu fills a horizontal strip of mu_v boxes, and the v's
-in rows <= i never outnumber the (v-1)'s in rows < i.  Shapes past the bound
-are pruned as reached; tableaux with equal shape and last strip are merged.
+Polynomials, I.3, I.5, I.9) first strips the common full columns, as
+s_{lam + (m^h)} = (x_1...x_h)^m s_lam.  When the smaller factor is then a
+single column, s_lam * e_s is the sum of lam plus a vertical strip of s boxes
+(Pieri), each once.  Otherwise a mu taller than it is wide is conjugated, as
+c^nu_{lam mu} = c^{nu'}_{lam' mu'}, and the rest grows from LR tableaux:
+letter v of mu fills a horizontal strip of mu_v boxes, and the v's in rows
+<= i never outnumber the (v-1)'s in rows < i.  Shapes past the bound are
+pruned as reached; tableaux with equal shape and last strip are merged.
 An LR coefficient is read off the product at the height of its shape.
 """
 
@@ -57,6 +59,26 @@ def _add_strips(shape: tuple[int, ...], last: tuple[int, ...], boxes: int,
     return out
 
 
+def _add_vertical_strips(shape: tuple[int, ...], boxes: int,
+                         max_height: int) -> list[tuple[int, ...]]:
+    """Every shape plus a vertical strip of `boxes` boxes (at most one per
+    row) within max_height rows, lexicographically descending."""
+    out = []
+
+    def grow(i: int, left: int, rows: tuple[int, ...]) -> None:
+        if not left:
+            out.append(rows + shape[i:])
+        elif i + left <= max_height:
+            old = shape[i] if i < len(shape) else 0
+            if not i or rows[-1] > old:  # a box in row i first: larger shapes first
+                grow(i + 1, left - 1, rows + (old + 1,))
+            if old:  # below an empty row no box can go
+                grow(i + 1, left, rows + (old,))
+
+    grow(0, boxes, ())
+    return out
+
+
 @cache
 def _schur_product_items(lam: tuple[int, ...], mu: tuple[int, ...],
                          max_height: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -71,6 +93,8 @@ def _schur_product_items(lam: tuple[int, ...], mu: tuple[int, ...],
                      for nu, c in reduced)
     if size(lam) < size(mu):
         lam, mu = mu, lam  # c^nu_{lam mu} = c^nu_{mu lam}: fewer letters to place
+    if width(mu) == 1:  # s_lam * e_s: each vertical strip once, already sorted
+        return tuple((nu, 1) for nu in _add_vertical_strips(lam, len(mu), max_height))
     flip = len(mu) > width(mu)  # then mu' has fewer letters than mu
     bounds = (max_height, width(lam) + width(mu))  # no product shape is wider
     if flip:

@@ -43,6 +43,11 @@ def schur_value_bruteforce(shape, xs):
     return total
 
 
+def conjugate_by_cells(p):
+    """Transpose of a partition: column j counts the rows longer than j."""
+    return tuple(sum(1 for x in p if x > j) for j in range(p[0] if p else 0))
+
+
 def is_horizontal_strip(outer, inner):
     """outer/inner is a horizontal strip: containment with at most one box
     per column, i.e. outer[i+1] <= inner[i]."""

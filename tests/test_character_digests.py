@@ -1,10 +1,11 @@
-"""Euler and pushforward characters of every seed in four boxes, pinned
-bit for bit.
+"""Euler and pushforward characters of every seed in four boxes, and of a
+few seeds in three wider ones, pinned bit for bit.
 
 Each digest is the sha256 of the compact JSON of the sorted
 [lambda, mu, coefficient] rows of a character, recorded from the
 candidate-partition Schur products that strip-by-strip generation
-replaced.  The resolutions are exact, so both sides of a seed share one
+replaced (the wider seeds from the LR-tableau products that Pieri vertical
+strips replaced for exterior powers).  The resolutions are exact, so both sides of a seed share one
 digest; a product bug that moves both sides alike still fails here.
 """
 
@@ -46,6 +47,19 @@ DIGESTS = {
 }
 BOXES = [(4, 2), (4, 3), (5, 2), (5, 3)]
 CASES = [(d, r, delta) for d, r in BOXES for delta in partitions_in_box(d - r + 1, r - 1)]
+# a few seeds each at (6,3), (7,2) and (7,3), up to delta = (5,5) at D = 25
+WIDER_DIGESTS = {
+    "6,3:": "ac1efac01920bc5103cf89b9e1b5a1a264c0e71629df298e166049008ae9b7fe",
+    "6,3:2,1": "618593dd2f636be62a9ddca86652f2811aa0992de1432ae2092993c32345f3fa",
+    "6,3:4,2": "5998a148e8c5c1af073e462bc9913d9ff6829a604a37def4b01dbaf14654b0ee",
+    "6,3:4,4": "4c7876c92dd682da357fe3738e461717702aae310812c27d3ddf6b1d14593f3e",
+    "7,2:": "0d82b9547b25d352cc48bc452ef3204482ea38917c4cb7929351fa57f8e7c4a7",
+    "7,2:3": "76bf001b7be7e02a9562876002aa5016738859d9f31ca289263769d116292247",
+    "7,2:6": "c4918b2014fd38e4476660874855aedd7bb37bb2dece6b5cfc95531c421f9b23",
+    "7,3:": "250f1a4a0a8124d188a582fff2d4cba73cf86d5e8890b672f340124b8d5f50b5",
+    "7,3:3,1": "34a55f4b743592e468b9cc8a6d04e97745052df3e15ac8cc7dc603cc81d2043a",
+    "7,3:5,5": "045a07000874cdcd8ddf6c7764525a86e0742c40ba461d3f11bc9f590a3429e5",
+}
 
 
 def digest(character):
@@ -58,12 +72,23 @@ def key(d, r, delta):
     return f"{d},{r}:{','.join(map(str, delta))}"
 
 
+def parse_key(pin):
+    box, _, rows = pin.partition(":")
+    d, r = map(int, box.split(","))
+    return d, r, tuple(int(x) for x in rows.split(",") if x)
+
+
+WIDER_CASES = [parse_key(pin) for pin in WIDER_DIGESTS]
+
+
 def test_pins_cover_every_seed_of_the_four_boxes():
     assert sorted(key(*case) for case in CASES) == sorted(DIGESTS)
 
 
-@pytest.mark.parametrize("d,r,delta", CASES, ids=[key(*case) for case in CASES])
+@pytest.mark.parametrize("d,r,delta", CASES + WIDER_CASES,
+                         ids=[key(*case) for case in CASES + WIDER_CASES])
 def test_characters_match_pinned_digests(d, r, delta):
     D = size(delta) + r * (d - r + 1)
-    assert digest(euler_character(delta, d, r, D)) == DIGESTS[key(d, r, delta)]
-    assert digest(pushforward_character(delta, d, r, D)) == DIGESTS[key(d, r, delta)]
+    pinned = {**DIGESTS, **WIDER_DIGESTS}[key(d, r, delta)]
+    assert digest(euler_character(delta, d, r, D)) == pinned
+    assert digest(pushforward_character(delta, d, r, D)) == pinned

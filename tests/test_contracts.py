@@ -1,7 +1,7 @@
 """Contracts that span modules: the (d, r) validation every public entry
 point shares, the localization-parameter validation of the K-theory entry
-points, the truncation degree of the character entry points, and source
-scans that keep `assert` out of the library and caches out of the K-matrix
+points, the truncation degree of the character entry points, the partition
+bounds and Euler-character overrides they pass on, and source scans that keep `assert` out of the library and caches out of the K-matrix
 engine and the character oracle."""
 
 import ast
@@ -12,6 +12,7 @@ import pytest
 
 from grwin import autoequiv, characters, resolutions, windows
 from grwin.bundles import GradedComplex
+from grwin.partitions import partitions_of
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "grwin"
 
@@ -96,6 +97,35 @@ def test_character_entry_points_reject_negative_degree(name):
     with pytest.raises(ValueError, match=r"^truncation degree must be >= 0$"):
         TAKES_DEGREE[name](-1)
     TAKES_DEGREE[name](0)  # degree 0 is a valid truncation
+
+
+def test_euler_character_override_checks_rank_and_shapes():
+    # a terms override skips resolution_terms, so euler_character checks
+    # (d, r) and every override shape itself before any product
+    for r in (7, 0, -1):
+        with pytest.raises(ValueError, match=r"need 0 < r <= d"):
+            characters.euler_character((), 3, r, 2, terms=[(0, (), 0)])
+    with pytest.raises(ValueError, match=r"non-increasing"):
+        characters.euler_character((), 3, 2, 2, terms=[(0, (2, 3), 0)])
+    with pytest.raises(ValueError, match=r"negative row length"):
+        characters.euler_character((), 3, 2, 2, terms=[(0, (1, -1), 0)])
+    # a padded or list-valued override shape is canonicalized, not refused
+    staircase = characters.euler_character((), 3, 2, 4)
+    padded = [(k, list(shape) + [0], s) for k, shape, s in
+              characters.resolution_terms((), 3, 2)]
+    assert characters.euler_character((), 3, 2, 4, terms=padded) == staircase
+
+
+@pytest.mark.parametrize("bounds", [{"max_height": -1}, {"max_width": -1},
+                                    {"max_height": 2, "max_width": -3}])
+def test_partitions_of_rejects_negative_bounds(bounds):
+    with pytest.raises(ValueError, match=r"^partition bounds must be >= 0, got -\d$"):
+        partitions_of(3, **bounds)
+
+
+def test_cauchy_truncated_rejects_a_negative_alphabet():
+    with pytest.raises(ValueError, match=r"^partition bounds must be >= 0"):
+        characters.cauchy_truncated(3, -1, 4)
 
 
 # entry point -> call with localization parameters at (d, r) = (4, 2)

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import conjugate_by_cells
 
 from grwin.partitions import (
     add_full_column,
@@ -8,6 +11,7 @@ from grwin.partitions import (
     canonical,
     column_height,
     complement,
+    conjugate,
     format_partition,
     height,
     parse_partition,
@@ -160,6 +164,24 @@ def test_partitions_of_bounds():
     assert set(partitions_of(3)) == {(3,), (2, 1), (1, 1, 1)}
     assert partitions_of(3, max_height=1) == [(3,)]
     assert partitions_of(0) == [()]
+    # a zero bound is a bound: only the empty partition fits
+    assert partitions_of(0, max_height=0, max_width=0) == [()]
+    assert partitions_of(3, max_height=0) == partitions_of(3, max_width=0) == []
+
+
+def test_conjugate_matches_cell_count_on_every_small_partition():
+    for n in range(15):
+        for p in partitions_of(n):
+            assert conjugate(p) == conjugate_by_cells(p), p
+            assert conjugate(conjugate(p)) == p
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(rows=st.lists(st.integers(1, 40), max_size=25))
+def test_conjugate_matches_cell_count_on_random_partitions(rows):
+    p = tuple(sorted(rows, reverse=True))
+    assert conjugate(p) == conjugate_by_cells(p)
+    assert size(conjugate(p)) == size(p) and height(conjugate(p)) == width(p)
 
 
 def test_ascii_and_parse_roundtrip():

@@ -215,3 +215,35 @@ def test_schur_product_with_tall_factor_matches_candidate_loop(lam, mu, max_heig
     got = schur_product(lam, mu, max_height)
     assert got == dict(expected)
     assert list(got.items()) == expected
+
+
+@st.composite
+def exterior_power_cases(draw):
+    """(lam, s, h) with s up to h + 2; lam has exactly h rows half the time,
+    so the product first sheds full columns."""
+    h = draw(st.integers(1, 5))
+    s = draw(st.integers(0, h + 2))
+    lam = draw(small_shapes)
+    if draw(st.booleans()):
+        lam = tuple(x + 1 for x in (lam + (0,) * h)[:h])
+    return lam, s, h
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=exterior_power_cases())
+@example(case=((), 0, 1))
+@example(case=((3,), 1, 1))
+@example(case=((2,), 2, 1))
+@example(case=((2, 1), 2, 3))
+@example(case=((2, 2, 1), 2, 3))
+@example(case=((3, 1, 1), 3, 4))
+@example(case=((1, 1), 3, 3))
+def test_exterior_power_products_match_candidate_loop(case):
+    # s_lam * e_s adds a vertical strip of s boxes, at most one per row,
+    # within h rows, each shape once and in lexicographically descending order
+    lam, s, h = case
+    column = (1,) * s
+    expected = schur_product_by_candidates(lam, column, h)
+    for got in (schur_product(lam, column, h), schur_product(column, lam, h)):
+        assert got == dict(expected)
+        assert list(got.items()) == expected
