@@ -1,9 +1,7 @@
 """Exact window-shift calculus on Grassmannian flop models."""
 
 from .autoequiv import (
-    FixedPointVector,
     cotwist_on_generator,
-    k_class,
     k_matrix,
     o1_matrix,
     tensor_twist,
@@ -31,15 +29,15 @@ from .schur import lr_coefficient, pieri_filtration, schur_dimension, schur_prod
 from .windows import gamma_set, gamma_split, in_window, window_generators
 
 __all__ = [
-    "BundleLabel", "BwbClass", "Dominant", "FixedPointVector", "GradedComplex",
-    "NonRegular", "Regular", "SchurBivariate", "StaircaseResult",
-    "add_full_column", "bwb_cohomology", "cauchy_truncated", "classify",
-    "complement", "cotwist_on_generator", "euler_character", "gamma_set",
-    "gamma_split", "hom_invariant_dimension", "in_window", "jshriek_jlower",
-    "k_class", "k_matrix", "lr_coefficient", "normalize", "o1_matrix",
-    "pieri_filtration", "pushdown_pi", "pushdown_pi_bruteforce",
-    "pushforward_character", "rank", "relabel_to_x", "schur_dimension",
-    "schur_product", "staircase", "strip", "tensor_twist",
-    "theorem_resolution", "twist_on_generator", "twisted_action",
-    "unstable_resolution_twisted", "verify_exactness", "window_generators",
+    "BundleLabel", "BwbClass", "Dominant", "GradedComplex", "NonRegular",
+    "Regular", "SchurBivariate", "StaircaseResult", "add_full_column",
+    "bwb_cohomology", "cauchy_truncated", "classify", "complement",
+    "cotwist_on_generator", "euler_character", "gamma_set", "gamma_split",
+    "hom_invariant_dimension", "in_window", "jshriek_jlower", "k_matrix",
+    "lr_coefficient", "normalize", "o1_matrix", "pieri_filtration",
+    "pushdown_pi", "pushdown_pi_bruteforce", "pushforward_character", "rank",
+    "relabel_to_x", "schur_dimension", "schur_product", "staircase", "strip",
+    "tensor_twist", "theorem_resolution", "twist_on_generator",
+    "twisted_action", "unstable_resolution_twisted", "verify_exactness",
+    "window_generators",
 ]

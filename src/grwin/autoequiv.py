@@ -9,21 +9,15 @@ one h table, and one fraction-free integer elimination solves the matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
-from math import comb, lcm, prod
-from random import Random
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .bundles import BundleLabel, GradedComplex, normalize
 from .partitions import canonical, check_box, height, resolution_terms, size, strip, width
 from .resolutions import InternalConsistencyError, _wedge, unstable_resolution_twisted
 from .windows import gamma_set, window_generators
-
-
-class ParameterDegeneracyError(ValueError):
-    """Localization parameters failed to separate the generator basis."""
 
 
 def _check_generator(delta: tuple[int, ...], d: int, r: int) -> tuple[int, ...]:
@@ -81,14 +75,6 @@ def default_parameters(d: int) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, islice(primes, d)))
 
 
-def random_parameters(d: int, rng: Random) -> tuple[Fraction, ...]:
-    while True:
-        params = tuple(Fraction(rng.randint(1, 1000), rng.randint(1, 50))
-                       for _ in range(d))
-        if len(set(params)) == d:
-            return params
-
-
 def _parameters(params: Sequence[Fraction] | None, d: int) -> tuple[Fraction, ...]:
     """d distinct nonzero localization parameters; the first d primes by default."""
     params = default_parameters(d) if params is None else tuple(map(Fraction, params))
@@ -96,22 +82,6 @@ def _parameters(params: Sequence[Fraction] | None, d: int) -> tuple[Fraction, ..
         raise ValueError(f"need {d} distinct nonzero localization parameters, "
                          f"got ({', '.join(map(str, params))})")
     return params
-
-
-@dataclass(frozen=True)
-class FixedPointVector:
-    """Localization values of a K-class at the torus fixed points, indexed
-    by r-subsets of {1..d} in lexicographic order."""
-
-    values: tuple[Fraction, ...]
-    parameters: tuple[Fraction, ...]
-    d: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if len(self.values) != comb(self.d, self.r):
-            raise ValueError("one value per r-subset fixed point required")
-        _parameters(self.parameters, self.d)
 
 
 def _h_table(xs: Sequence[Fraction], top: int) -> tuple[int, list[int]]:
@@ -166,15 +136,6 @@ def _fixed_point_values(complexes: Sequence[Iterable[tuple[int, BundleLabel, int
         rows.append([sum((c * value[lb] for lb, c in cls.items()), Fraction(0))
                      for cls in classes])
     return rows
-
-
-def k_class(cx: GradedComplex, d: int, r: int,
-             params: Sequence[Fraction] | None = None) -> FixedPointVector:
-    """Alternating localization values of a complex of ambient-side labels."""
-    params = _parameters(params, d)
-    check_box(d, r)
-    rows = _fixed_point_values([cx.items()], r, params)
-    return FixedPointVector(tuple(row[0] for row in rows), params, d, r)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +196,13 @@ def k_matrix(which: str, d: int, r: int,
     coordinates of the image in the target window's generator basis.
 
     V factors enter through their dimensions, so entries are plain integers.
+
+    The basis block is nonsingular.  With y = 1/t it is [s_delta(y_sigma)]
+    up to a det twist per row.  As s_delta = a_{delta+rho} / a_rho, its
+    numerators form the r-th compound of the Vandermonde matrix in y, of det
+    Vandermonde^C(d-1, r-1) (Sylvester-Franke); each pair i < j divides
+    C(d-2, r-2) of the a_rho.  So |det| = prod_{i<j} |y_i - y_j|^m with
+    m = C(d-2, r-1), nonzero for distinct nonzero t: a zero det is a bug.
     """
     params = _parameters(params, d)
     if which not in ("twist", "cotwist", "identity"):
@@ -251,7 +219,9 @@ def k_matrix(which: str, d: int, r: int,
     det, cols = solve_exact([row[:n] for row in rows],
                             [[row[j] for row in rows] for j in range(n, n + len(images))])
     if det == 0:
-        raise ParameterDegeneracyError("basis matrix is singular")
+        raise InternalConsistencyError(
+            f"{which} at (d,r)=({d},{r}): basis matrix singular at parameters "
+            f"({', '.join(map(str, params))})")
     for delta, x in zip(gamma_set(d, r), cols):
         if any(val.denominator != 1 for val in x):
             raise InternalConsistencyError(

@@ -93,6 +93,9 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
         terms = resolution_terms(delta, d, r)
     else:
         terms = [(k, canonical(shape), s) for k, shape, s in terms]
+        for k, _, s in terms:
+            if not (isinstance(k, int) and isinstance(s, int) and s >= 0):
+                raise ValueError(f"override term needs int k, s >= 0: got {k!r}, {s!r}")
     cauchy = cauchy_truncated(d, r, D)
     # every shape is canonical and 0 < r <= d, so the products are read
     # straight from the cache that schur_product fills

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from math import comb
-from random import Random
 
 from . import autoequiv, bundles, characters, resolutions, windows
 from .bundles import BundleLabel, GradedComplex
@@ -89,8 +88,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--pretty", action="store_true", help="human-oriented output")
     sub.add_argument("--expand-multiplicities", action="store_true",
                      help="replace V factors by their dimensions")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized localization parameter retries")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,17 +238,7 @@ def cmd_kmatrix(args) -> int:
     if basis > args.max_basis:
         raise ValueError(f"C({args.d},{args.r}) = {basis} generators is above the limit "
                          f"{args.max_basis}; pass --max-basis {basis} to compute it")
-    params = autoequiv.default_parameters(args.d)
-    rng = Random(args.seed)
-    for attempt in range(10):
-        try:
-            matrix = autoequiv.k_matrix(args.which, args.d, args.r, params)
-            break
-        except autoequiv.ParameterDegeneracyError:
-            params = autoequiv.random_parameters(args.d, rng)
-    else:
-        print("could not find generic localization parameters", file=sys.stderr)
-        return 2
+    matrix = autoequiv.k_matrix(args.which, args.d, args.r)
     det, _ = autoequiv.solve_exact(matrix, [])
     if args.json:
         doc = {"which": args.which, "d": args.d, "r": args.r,

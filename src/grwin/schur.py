@@ -4,11 +4,10 @@ A product s_lam * s_mu in h letters (Macdonald, Symmetric Functions and Hall
 Polynomials, I.3, I.5, I.9) first strips the common full columns, as
 s_{lam + (m^h)} = (x_1...x_h)^m s_lam.  When the smaller factor is then a
 single column, s_lam * e_s is the sum of lam plus a vertical strip of s boxes
-(Pieri), each once.  Otherwise a mu taller than it is wide is conjugated, as
-c^nu_{lam mu} = c^{nu'}_{lam' mu'}, and the rest grows from LR tableaux:
-letter v of mu fills a horizontal strip of mu_v boxes, and the v's in rows
-<= i never outnumber the (v-1)'s in rows < i.  Shapes past the bound are
-pruned as reached; tableaux with equal shape and last strip are merged.
+(Pieri), each once.  Otherwise the product grows from LR tableaux: letter v
+of mu fills a horizontal strip of mu_v boxes, and the v's in rows <= i never
+outnumber the (v-1)'s in rows < i.  Shapes past the bound are pruned as
+reached; tableaux with equal shape and last strip are merged.
 An LR coefficient is read off the product at the height of its shape.
 """
 
@@ -29,10 +28,10 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...],
 
 
 def _add_strips(shape: tuple[int, ...], last: tuple[int, ...], boxes: int,
-                slack: int, max_height: int, max_width: int
+                slack: int, max_height: int
                 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every way to add a horizontal strip of `boxes` boxes to shape within
-    max_height rows and max_width columns, as (new shape, boxes per row).
+    max_height rows, as (new shape, boxes per row).
 
     The running count of new boxes through row i may exceed the running
     count of `last` through row i-1 by at most `slack` (the ballot
@@ -49,7 +48,7 @@ def _add_strips(shape: tuple[int, ...], last: tuple[int, ...], boxes: int,
             out.append((rows + shape[i:], per_row))
             return
         old = shape[i] if i < len(shape) else 0
-        room = (shape[i - 1] if i else max_width) - old
+        room = shape[i - 1] - old if i else left
         below = last[i] if i < len(last) else 0
         for a in range(min(left, room, slack), max(0, left - old + floor) - 1, -1):
             grow(i + 1, left - a, slack - a + below,
@@ -95,21 +94,16 @@ def _schur_product_items(lam: tuple[int, ...], mu: tuple[int, ...],
         lam, mu = mu, lam  # c^nu_{lam mu} = c^nu_{mu lam}: fewer letters to place
     if width(mu) == 1:  # s_lam * e_s: each vertical strip once, already sorted
         return tuple((nu, 1) for nu in _add_vertical_strips(lam, len(mu), max_height))
-    flip = len(mu) > width(mu)  # then mu' has fewer letters than mu
-    bounds = (max_height, width(lam) + width(mu))  # no product shape is wider
-    if flip:
-        lam, mu, bounds = conjugate(lam), conjugate(mu), bounds[::-1]
     # (shape so far, boxes per row of the last letter) -> number of tableaux
     tableaux = {(lam, ()): 1}
     for v, boxes in enumerate(mu):
         grown: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for (shape, last), count in tableaux.items():
-            for key in _add_strips(shape, last, boxes, 0 if v else boxes, *bounds):
+            for key in _add_strips(shape, last, boxes, 0 if v else boxes, max_height):
                 grown[key] = grown.get(key, 0) + count
         tableaux = grown
     product: dict[tuple[int, ...], int] = {}
     for (shape, _), count in tableaux.items():
-        shape = conjugate(shape) if flip else shape
         product[shape] = product.get(shape, 0) + count
     return tuple(sorted(product.items(), reverse=True))
 

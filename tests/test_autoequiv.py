@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +10,9 @@ from oracles import int_matmul, schur_value_bruteforce, solve_fraction_gauss_jor
 
 from grwin import autoequiv
 from grwin.autoequiv import (
-    FixedPointVector,
     InternalConsistencyError,
-    ParameterDegeneracyError,
     cotwist_on_generator,
     default_parameters,
-    k_class,
     k_matrix,
     o1_matrix,
     schur_evaluate,
@@ -146,16 +146,19 @@ def test_schur_evaluate_matches_tableau_sum_at_random_points(lam, xs):
     assert schur_evaluate(lam, xs) == schur_value_bruteforce(lam, xs)
 
 
+def k_class(cx, r, params):
+    """Localization values of one complex's K-class, one per fixed point."""
+    return [row[0] for row in autoequiv._fixed_point_values([cx.items()], r, params)]
+
+
 def test_k_class_trivial_bundle():
     ts = (Fraction(2), Fraction(3))
-    vec = k_class(single(label((), 1, 0)), 2, 1, ts)
-    assert vec.values == (1, 1)
+    assert k_class(single(label((), 1, 0)), 1, ts) == [1, 1]
 
 
 def test_k_class_line_bundle():
     ts = (Fraction(2), Fraction(3))
-    vec = k_class(single(label((), 1, 1)), 2, 1, ts)
-    assert vec.values == (Fraction(1, 2), Fraction(1, 3))
+    assert k_class(single(label((), 1, 1)), 1, ts) == [Fraction(1, 2), Fraction(1, 3)]
 
 
 def test_k_class_alternating_sum():
@@ -164,20 +167,36 @@ def test_k_class_alternating_sum():
         (0, label((), 1, 1, v=(1,)), 1),
         (1, label((), 1, 0), 1),
     ])
-    vec = k_class(cx, 2, 1, ts)
-    assert vec.values == (Fraction(3, 2), Fraction(2, 3))
+    assert k_class(cx, 1, ts) == [Fraction(3, 2), Fraction(2, 3)]
 
 
 def test_k_class_rejects_wrong_side():
     with pytest.raises(ValueError):
-        k_class(single(BundleLabel((), 1, 0, side="H")), 2, 1)
+        k_class(single(BundleLabel((), 1, 0, side="H")), 1, default_parameters(2))
 
 
-def test_fixed_point_vector_validation():
-    with pytest.raises(ValueError):
-        FixedPointVector((Fraction(1),), (Fraction(2), Fraction(2)), 2, 1)
-    with pytest.raises(ValueError):
-        FixedPointVector((Fraction(1), Fraction(1)), (Fraction(0), Fraction(2)), 2, 1)
+def random_fractions(d, seed):
+    """d distinct nonzero Fractions with numerators and denominators up to 1000."""
+    rng = random.Random(seed)
+    while True:
+        ys = {Fraction(rng.choice((-1, 1)) * rng.randint(1, 1000), rng.randint(1, 1000))
+              for _ in range(d)}
+        if len(ys) == d:
+            return tuple(ys)
+
+
+def test_basis_determinant_is_a_power_of_the_vandermonde():
+    # the identity behind k_matrix's nonsingular basis block.  Both sides
+    # have degree <= 210 in y here, so at a random point with coordinates
+    # from about 10^6 Fractions a false identity holds with probability
+    # <= 210/10^6 (Schwartz-Zippel); the primes are k_matrix's defaults
+    for d in range(2, 8):
+        for r in range(1, d):
+            for ys in (default_parameters(d), random_fractions(d, 1), random_fractions(d, 2)):
+                matrix = [[schur_evaluate(delta, sigma) for delta in gamma_set(d, r)]
+                          for sigma in combinations(ys, r)]
+                vandermonde = prod(abs(a - b) for a, b in combinations(ys, 2))
+                assert abs(solve_exact(matrix, [])[0]) == vandermonde ** comb(d - 2, r - 1)
 
 
 # --- functor matrices --------------------------------------------------------
@@ -212,23 +231,26 @@ def test_o1_matrix_conjugation():
         assert abs(solve_exact(T, [])[0]) == 1
 
 
-def test_k_matrix_entries_integral_with_random_parameters():
-    from grwin.autoequiv import random_parameters
-    from random import Random
-    params = random_parameters(4, Random(99))
-    assert k_matrix("twist", 4, 2, params) == k_matrix("twist", 4, 2)
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(case=st.sampled_from([(3, 1), (4, 2), (5, 2)]),
+       which=st.sampled_from(["twist", "cotwist"]), data=st.data())
+def test_k_matrix_entries_integral_with_random_parameters(case, which, data):
+    # the matrices do not depend on the localization parameters
+    d, r = case
+    params = data.draw(st.lists(nonzero_fractions, min_size=d, max_size=d, unique=True))
+    assert k_matrix(which, d, r, params) == k_matrix(which, d, r)
 
 
 def test_solve_exact_rejects_singular(monkeypatch):
     assert solve_exact([[1, 1], [1, 1]], [[0, 1]]) == (0, [])
     assert solve_exact([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [])[0] == 0
-    # k_matrix turns a singular basis into a parameter retry signal
-    # every complex takes the value 1 at each of the three fixed points, so
-    # the basis block of the value table is singular
+    # distinct nonzero parameters never make the basis block singular, so in
+    # k_matrix a singular one is a broken invariant: every complex takes the
+    # value 1 at each of the three fixed points here
     monkeypatch.setattr(autoequiv, "_fixed_point_values",
                         lambda complexes, r, params: [[Fraction(1)] * len(complexes)
                                                       for _ in range(3)])
-    with pytest.raises(ParameterDegeneracyError):
+    with pytest.raises(InternalConsistencyError, match=r"twist at \(d,r\)=\(3,1\).*2, 3, 5"):
         k_matrix("twist", 3, 1)
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,11 +90,28 @@ def test_json_round_trips_byte_identically(capsys):
 
 
 def test_identical_argv_gives_identical_bytes(capsys):
-    argv = ["kmatrix", "--which", "cotwist", "--d", "3", "--r", "2",
-            "--json", "--seed", "5"]
+    argv = ["kmatrix", "--which", "cotwist", "--d", "3", "--r", "2", "--json"]
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+def test_seed_is_not_an_option(capsys):
+    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "3", "--r", "2",
+                         "--seed", "5")
+    assert (code, out) == (2, "")
+    assert "--seed" in err and "Traceback" not in err
+
+
+def test_singular_kmatrix_basis_exits_one(capsys, monkeypatch):
+    # the singular value table of test_solve_exact_rejects_singular
+    monkeypatch.setattr(cli.autoequiv, "_fixed_point_values",
+                        lambda complexes, r, params: [[Fraction(1)] * len(complexes)
+                                                      for _ in range(3)])
+    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "3", "--r", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure: twist at (d,r)=(3,1): basis matrix singular")
+    assert "Traceback" not in err
 
 
 def test_kmatrix_text_output(capsys):

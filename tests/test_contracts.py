@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from grwin import autoequiv, characters, resolutions, windows
-from grwin.bundles import GradedComplex
 from grwin.partitions import partitions_of
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "grwin"
@@ -26,7 +25,6 @@ NEEDS_R_AT_MOST_D = {
     "epsilon_sequence": lambda d, r: resolutions.epsilon_sequence((), d, r),
     "pushdown_pi": lambda d, r: resolutions.pushdown_pi((), d, r),
     "pushdown_pi_bruteforce": lambda d, r: resolutions.pushdown_pi_bruteforce((), d, r),
-    "k_class": lambda d, r: autoequiv.k_class(GradedComplex(), d, r),
     "resolution_terms": lambda d, r: characters.resolution_terms((), d, r),
     "euler_character": lambda d, r: characters.euler_character((), d, r, 2),
     "pushforward_character": lambda d, r: characters.pushforward_character((), d, r, 2),
@@ -116,6 +114,14 @@ def test_euler_character_override_checks_rank_and_shapes():
     assert characters.euler_character((), 3, 2, 4, terms=padded) == staircase
 
 
+@pytest.mark.parametrize("term", [(0, (), -1), (0.5, (), 0), (0, (), 1.0),
+                                  (Fraction(1), (), 0)])
+def test_euler_character_override_checks_degree_and_wedge_power(term):
+    # s = -1 would read as the empty column and k = 0.5 as a complex sign
+    with pytest.raises(ValueError, match=r"^override term needs int k, s >= 0"):
+        characters.euler_character((), 3, 2, 3, terms=[term])
+
+
 @pytest.mark.parametrize("bounds", [{"max_height": -1}, {"max_width": -1},
                                     {"max_height": 2, "max_width": -3}])
 def test_partitions_of_rejects_negative_bounds(bounds):
@@ -132,7 +138,6 @@ def test_cauchy_truncated_rejects_a_negative_alphabet():
 TAKES_PARAMETERS = {
     "k_matrix": lambda ts: autoequiv.k_matrix("twist", 4, 2, ts),
     "o1_matrix": lambda ts: autoequiv.o1_matrix(4, 2, ts),
-    "k_class": lambda ts: autoequiv.k_class(GradedComplex(), 4, 2, ts),
 }
 BAD_PARAMETERS = {
     "zero": (2, 3, 0, 7),

@@ -209,8 +209,8 @@ TALL_SHAPES = [p for p in SMALL_SHAPES if height(p) > width(p)]
 @example(lam=(3, 2), mu=(1, 1, 1), max_height=4)
 @example(lam=(2, 2, 1), mu=(2, 1, 1), max_height=5)
 def test_schur_product_with_tall_factor_matches_candidate_loop(lam, mu, max_height):
-    # a mu with more rows than columns is multiplied as lam' * mu' under an
-    # h-column bound, and the conjugated results are sorted back
+    # a mu with more rows than columns grows from LR tableaux like any other;
+    # its first letter may widen row 0 by the whole strip
     expected = schur_product_by_candidates(lam, mu, max_height)
     got = schur_product(lam, mu, max_height)
     assert got == dict(expected)
