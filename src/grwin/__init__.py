@@ -10,7 +10,6 @@ from .autoequiv import (
 from .bott import BwbClass, Dominant, NonRegular, Regular, bwb_cohomology, classify, twisted_action
 from .bundles import BundleLabel, GradedComplex, normalize, rank, relabel_to_x
 from .characters import (
-    SchurBivariate,
     cauchy_truncated,
     euler_character,
     hom_invariant_dimension,
@@ -30,7 +29,7 @@ from .windows import gamma_set, gamma_split, in_window, window_generators
 
 __all__ = [
     "BundleLabel", "BwbClass", "Dominant", "GradedComplex", "NonRegular",
-    "Regular", "SchurBivariate", "StaircaseResult", "add_full_column",
+    "Regular", "StaircaseResult", "add_full_column",
     "bwb_cohomology", "cauchy_truncated", "classify", "complement",
     "cotwist_on_generator", "euler_character", "gamma_set", "gamma_split",
     "hom_invariant_dimension", "in_window", "jshriek_jlower", "k_matrix",

@@ -46,10 +46,6 @@ def inversions(w: tuple[int, ...]) -> int:
                if w[i] > w[j])
 
 
-def rho(r: int) -> tuple[int, ...]:
-    return tuple(range(r, 0, -1))
-
-
 def twisted_action(w: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[int, ...]:
     """w . alpha = w(alpha + rho) - rho."""
     if len(w) != len(alpha):

@@ -1,66 +1,19 @@
 """Truncated two-alphabet symmetric-function arithmetic.
 
-Classes here are exact-integer linear combinations of s_lambda ⊗ s_mu with
-lambda in a d-letter alphabet (the ambient space) and mu in an r-letter
-alphabet (the dual tautological side), truncated by total lambda-degree.
-They serve as the equivariant-character oracle for the staircase
-resolutions and as the engine for invariant Hom-space dimensions.
+A character here is a dict (lambda, mu) -> nonzero integer: the coefficient
+of s_lambda ⊗ s_mu, with lambda in a d-letter alphabet (the ambient space)
+and mu in an r-letter alphabet (the dual tautological side), truncated by
+total lambda-degree.  Characters serve as the equivariant oracle for the
+staircase resolutions; invariant Hom-space dimensions take closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .partitions import (
-    canonical,
-    check_box,
-    complement,
-    height,
-    partitions_of,
-    resolution_terms,
-    size,
-    width,
-)
-from .schur import _schur_product_items, lr_coefficient, schur_dimension, schur_product
+from .partitions import (canonical, check_box, complement, height, partitions_of,
+                         resolution_terms, size, width)
+from .schur import _schur_product_items, lr_coefficient, schur_product
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-@dataclass
-class SchurBivariate:
-    """Finite map (lambda, mu) -> integer with alphabet bounds and a
-    lambda-degree cap; zero coefficients are absent."""
-
-    d: int
-    r: int
-    degree_cap: int
-    coefficients: dict[Key, int] = field(default_factory=dict)
-
-    def add(self, lam: tuple[int, ...], mu: tuple[int, ...], c: int) -> None:
-        if c == 0 or size(lam) > self.degree_cap:
-            return
-        if height(lam) > self.d or height(mu) > self.r:
-            return
-        key = (lam, mu)
-        new = self.coefficients.get(key, 0) + c
-        if new:
-            self.coefficients[key] = new
-        else:
-            self.coefficients.pop(key, None)
-
-    def coefficient(self, lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-        return self.coefficients.get((canonical(lam), canonical(mu)), 0)
-
-    def difference_report(self, other: "SchurBivariate") -> list[dict]:
-        keys = sorted(set(self.coefficients) | set(other.coefficients))
-        out = []
-        for lam, mu in keys:
-            a = self.coefficients.get((lam, mu), 0)
-            b = other.coefficients.get((lam, mu), 0)
-            if a != b:
-                out.append({"lambda": list(lam), "mu": list(mu),
-                            "euler": a, "pushforward": b})
-        return out
 
 
 def _check_degree(D: int) -> None:
@@ -68,21 +21,17 @@ def _check_degree(D: int) -> None:
         raise ValueError("truncation degree must be >= 0")
 
 
-def cauchy_truncated(d: int, r: int, D: int) -> SchurBivariate:
+def cauchy_truncated(d: int, r: int, D: int) -> dict[Key, int]:
     """Character of the symmetric algebra on the tensor product of the two
     alphabets: the diagonal sum of s_lambda ⊗ s_lambda up to degree D."""
     _check_degree(D)
-    out = SchurBivariate(d, r, D)
-    h = min(d, r)
-    for n in range(D + 1):
-        for lam in partitions_of(n, max_height=h):
-            out.add(lam, lam, 1)
-    return out
+    return {(lam, lam): 1 for n in range(D + 1)
+            for lam in partitions_of(n, max_height=min(d, r))}
 
 
 def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
                     terms: list[tuple[int, tuple[int, ...], int]] | None = None
-                    ) -> SchurBivariate:
+                    ) -> dict[Key, int]:
     """Alternating character sum of the resolution's terms over the
     polynomial-ring character, truncated to ambient degree D.
 
@@ -105,20 +54,20 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
             continue  # the exterior power vanishes
         sign = (-1) ** k
         column = (1,) * s
-        for (a, b), c in cauchy.coefficients.items():
+        for a, b in cauchy:  # each with coefficient 1
             if size(a) + s > D:
                 continue
             right = _schur_product_items(b, shape, r)
             for la, cl in _schur_product_items(a, column, d):
                 for mb, cr in right:
-                    new = total.pop((la, mb), 0) + sign * c * cl * cr
+                    new = total.pop((la, mb), 0) + sign * cl * cr
                     if new:
                         total[la, mb] = new
-    return SchurBivariate(d, r, D, total)
+    return total
 
 
 def pushforward_character(delta: tuple[int, ...], d: int, r: int,
-                          D: int) -> SchurBivariate:
+                          D: int) -> dict[Key, int]:
     """Character of the torsion pushforward: sum over both alphabets of
     LR products of delta against the corank-1 side, heights <= r-1."""
     delta = canonical(delta)
@@ -126,13 +75,10 @@ def pushforward_character(delta: tuple[int, ...], d: int, r: int,
     _check_degree(D)
     if height(delta) > r - 1:
         raise ValueError(f"height({delta}) must be <= {r - 1}")
-    out = SchurBivariate(d, r, D)
-    for n in range(D + 1):
-        for lam in partitions_of(n, max_height=r - 1):
-            for mu, c in schur_product(delta, lam, max(r - 1, 1)).items():
-                if height(mu) <= r - 1:
-                    out.add(lam, mu, c)
-    return out
+    # at r = 1 both factors are empty, so a one-letter product stays at height 0
+    return {(lam, mu): c for n in range(D + 1)
+            for lam in partitions_of(n, max_height=r - 1)
+            for mu, c in schur_product(delta, lam, max(r - 1, 1)).items()}
 
 
 def verify_exactness(delta: tuple[int, ...], d: int, r: int, D: int) -> bool:
@@ -142,28 +88,31 @@ def verify_exactness(delta: tuple[int, ...], d: int, r: int, D: int) -> bool:
 
 
 def exactness_report(delta: tuple[int, ...], d: int, r: int, D: int) -> list[dict]:
-    return euler_character(delta, d, r, D).difference_report(
-        pushforward_character(delta, d, r, D))
-
-
-def _sl_invariants(lam: tuple[int, ...], s: int, d: int) -> int:
-    """dim of SL-invariants in S^lam V ⊗ wedge^s V: LR pairings against
-    full m x d rectangles."""
-    total_boxes = size(lam) + s
-    if total_boxes % d:
-        return 0
-    m = total_boxes // d
-    return lr_coefficient(lam, (1,) * s, (m,) * d)
+    """The coefficients where the two characters differ, sorted by key."""
+    euler = euler_character(delta, d, r, D)
+    push = pushforward_character(delta, d, r, D)
+    rows = [(key, euler.get(key, 0), push.get(key, 0))
+            for key in sorted(euler.keys() | push.keys())]
+    return [{"lambda": list(lam), "mu": list(mu), "euler": a, "pushforward": b}
+            for (lam, mu), a, b in rows if a != b]
 
 
 def hom_invariant_dimension(case: str, delta: tuple[int, ...], d: int, r: int,
                             D: int) -> int:
     """Dimension of an invariant mapping space on the correspondence chart,
-    by double-Cauchy expansion and invariant pairings up to degree D.
+    truncated at degree D.
 
     Cases: 'self' (endomorphisms of an ambient Schur power), 'tautological'
     (maps from the corank-1 power into it), 'eta' (maps from the dual
     corank-1 power into the top staircase term, SL-equivariantly).
+
+    The double-Cauchy sums close up by Pieri's rule (Macdonald, I.5).
+    'self' and 'tautological' sum c^delta_{delta lam} dim S^lam V, and
+    c^delta_{delta lam} = 0 unless lam = (): both are 1.  'eta' weights
+    c^{lam_hat}_{delta eps_top}, lam_hat = lam + ((d-r)^(r-1)), by the
+    SL-invariants of S^lam V ⊗ wedge^s_top V: one when (m^d)/lam is a
+    vertical strip, else none.  height(lam) < r <= d forces m = 1 and
+    lam = (1^a), a = d - s_top (m = 0 needs s_top = 0, but step 1 adds a box).
     """
     delta = canonical(delta)
     check_box(d, r)
@@ -172,34 +121,15 @@ def hom_invariant_dimension(case: str, delta: tuple[int, ...], d: int, r: int,
         top = r if case == "self" else r - 1
         if height(delta) > top:
             raise ValueError(f"height({delta}) must be <= {top}")
-        return _pairing_dimension(delta, d, r, D)
+        return 1
     if case == "eta":
         if height(delta) >= r or width(delta) != d - r + 1:
             raise ValueError(
                 f"{delta} must have height < {r} and width exactly {d - r + 1}")
         _, top, s_top = resolution_terms(delta, d, r)[-1]
-        eps_top = complement(top, d - r + 1, r)
-        rect = (d - r,) * (r - 1)
-        total = 0
-        for n in range(D + 1):
-            for lam in partitions_of(n, max_height=r - 1):
-                lam_hat = canonical(rect[i] + (lam[i] if i < len(lam) else 0)
-                                    for i in range(r - 1))
-                pairing = lr_coefficient(delta, eps_top, lam_hat)
-                if pairing:
-                    total += pairing * _sl_invariants(lam, s_top, d)
-        return total
+        a = d - s_top
+        if not 0 <= a <= min(D, r - 1):
+            return 0
+        lam_hat = canonical((d - r + 1,) * a + (d - r,) * (r - 1 - a))
+        return lr_coefficient(delta, complement(top, d - r + 1, r), lam_hat)
     raise ValueError(f"unknown case {case!r}")
-
-
-def _pairing_dimension(delta: tuple[int, ...], d: int, r: int, D: int) -> int:
-    # c^delta_{delta lam} = 0 unless lam = (), so this is 1 whatever the input
-    # both Cauchy factors contract: the corank-1 pairing matches the two
-    # expansion indices, the ambient pairing then weights by dim S^lam V
-    total = 0
-    for n in range(D + 1):
-        for lam in partitions_of(n, max_height=max(r - 1, 0)):
-            c = lr_coefficient(delta, lam, delta)
-            if c:
-                total += c * schur_dimension(lam, d)
-    return total

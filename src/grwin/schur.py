@@ -22,6 +22,7 @@ from .partitions import canonical, conjugate, contains, height, size, width
 def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...],
                    nu: tuple[int, ...]) -> int:
     """The coefficient of s_nu in s_lam * s_mu."""
+    lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
     if size(lam) + size(mu) != size(nu) or not contains(nu, lam):
         return 0
     return dict(_schur_product_items(lam, mu, height(nu))).get(nu, 0)
@@ -154,6 +155,7 @@ def schur_dimension(lam: tuple[int, ...], n: int) -> int:
     """Number of semistandard tableaux of shape lam with entries in 1..n."""
     if n < 0:
         raise ValueError("alphabet size must be >= 0")
+    lam = canonical(lam)
     if not lam:
         return 1
     if height(lam) > n:

@@ -192,3 +192,60 @@ def solve_fraction_gauss_jordan(matrix, columns):
             if i != col and f:
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return det, [[a[i][n + j] for i in range(n)] for j in range(len(columns))]
+
+
+def _sl_invariants_by_rectangles(lam, s, d):
+    """dim of SL-invariants in S^lam V ⊗ wedge^s V: LR pairings against
+    full m x d rectangles."""
+    from grwin.partitions import size
+    from grwin.schur import lr_coefficient
+    total_boxes = size(lam) + s
+    if total_boxes % d:
+        return 0
+    m = total_boxes // d
+    return lr_coefficient(lam, (1,) * s, (m,) * d)
+
+
+def hom_dimension_by_enumeration(case, delta, d, r, D):
+    """hom_invariant_dimension by its double-Cauchy expansion: every
+    partition lam up to degree D is paired, most of them to zero.  The
+    validation and its messages are the library's."""
+    from grwin.partitions import (
+        canonical, check_box, complement, height, partitions_of,
+        resolution_terms, width,
+    )
+    from grwin.schur import lr_coefficient, schur_dimension
+    delta = canonical(delta)
+    check_box(d, r)
+    if D < 0:
+        raise ValueError("truncation degree must be >= 0")
+    if case in ("self", "tautological"):
+        top = r if case == "self" else r - 1
+        if height(delta) > top:
+            raise ValueError(f"height({delta}) must be <= {top}")
+        # the corank-1 pairing matches the two expansion indices, the
+        # ambient pairing then weights by dim S^lam V
+        total = 0
+        for n in range(D + 1):
+            for lam in partitions_of(n, max_height=max(r - 1, 0)):
+                c = lr_coefficient(delta, lam, delta)
+                if c:
+                    total += c * schur_dimension(lam, d)
+        return total
+    if case == "eta":
+        if height(delta) >= r or width(delta) != d - r + 1:
+            raise ValueError(
+                f"{delta} must have height < {r} and width exactly {d - r + 1}")
+        _, top, s_top = resolution_terms(delta, d, r)[-1]
+        eps_top = complement(top, d - r + 1, r)
+        rect = (d - r,) * (r - 1)
+        total = 0
+        for n in range(D + 1):
+            for lam in partitions_of(n, max_height=r - 1):
+                lam_hat = canonical(rect[i] + (lam[i] if i < len(lam) else 0)
+                                    for i in range(r - 1))
+                pairing = lr_coefficient(delta, eps_top, lam_hat)
+                if pairing:
+                    total += pairing * _sl_invariants_by_rectangles(lam, s_top, d)
+        return total
+    raise ValueError(f"unknown case {case!r}")

@@ -64,7 +64,7 @@ WIDER_DIGESTS = {
 
 def digest(character):
     rows = sorted([list(lam), list(mu), c]
-                  for (lam, mu), c in character.coefficients.items())
+                  for (lam, mu), c in character.items())
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
 
 

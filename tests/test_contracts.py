@@ -1,7 +1,8 @@
 """Contracts that span modules: the (d, r) validation every public entry
 point shares, the localization-parameter validation of the K-theory entry
 points, the truncation degree of the character entry points, the partition
-bounds and Euler-character overrides they pass on, and source scans that keep `assert` out of the library and caches out of the K-matrix
+bounds and Euler-character overrides they pass on, the shapes the cached
+Schur helpers accept, and source scans that keep `assert` out of the library and caches out of the K-matrix
 engine and the character oracle."""
 
 import ast
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from grwin import autoequiv, characters, resolutions, windows
+from grwin import autoequiv, characters, resolutions, schur, windows
 from grwin.partitions import partitions_of
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "grwin"
@@ -132,6 +133,30 @@ def test_partitions_of_rejects_negative_bounds(bounds):
 def test_cauchy_truncated_rejects_a_negative_alphabet():
     with pytest.raises(ValueError, match=r"^partition bounds must be >= 0"):
         characters.cauchy_truncated(3, -1, 4)
+
+
+# a trailing zero row names the same partition, so the cached Schur helpers
+# canonicalize their shapes as schur_product does
+SAME_PARTITION = {
+    "lr_trailing_zero_outer": (schur.lr_coefficient, ((1,), (), (1, 0)), 1),
+    "lr_trailing_zero_inner": (schur.lr_coefficient, ((1, 0), (1,), (2,)), 1),
+    "dimension_trailing_zero": (schur.schur_dimension, ((1, 0), 1), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_PARTITION))
+def test_cached_schur_helpers_read_trailing_zeros_as_the_same_shape(name):
+    fn, args, expected = SAME_PARTITION[name]
+    assert fn(*args) == expected
+
+
+@pytest.mark.parametrize("call", [lambda: schur.schur_dimension((1, 2), 3),
+                                  lambda: schur.lr_coefficient((1, 2), (), (2, 1)),
+                                  lambda: schur.schur_product((1, 2), (), 3)],
+                         ids=["schur_dimension", "lr_coefficient", "schur_product"])
+def test_schur_helpers_reject_increasing_rows(call):
+    with pytest.raises(ValueError, match=r"^row lengths must be non-increasing"):
+        call()
 
 
 # entry point -> call with localization parameters at (d, r) = (4, 2)
