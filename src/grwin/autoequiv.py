@@ -2,9 +2,8 @@
 
 The up-shift fixes narrow generators and replaces full-width ones by the
 positive part of their staircase resolution; the down-shift is its O(1)
-conjugate.  K-theory matrices come from torus fixed-point localization:
-each distinct label is evaluated once per fixed point, by Jacobi-Trudi over
-one h table, and one fraction-free integer elimination solves the matrix.
+conjugate.  K-theory matrices come from torus fixed-point localization in
+integers, solved modulo one prime, certified exactly, with Bareiss as fallback.
 """
 
 from __future__ import annotations
@@ -87,59 +86,70 @@ def _parameters(params: Sequence[Fraction] | None, d: int) -> tuple[Fraction, ..
 def _h_table(xs: Sequence[Fraction], top: int) -> tuple[int, list[int]]:
     """(den, h) with den the common denominator of xs and h[k] = h_k(den*xs)
     = den^k h_k(xs) for k <= top: complete homogeneous values, in integers."""
-    den = lcm(*(x.denominator for x in xs))
+    (ints,), den = _integer_rows([xs])
     h = [1] + [0] * top
-    for x in xs:
-        p = x.numerator * (den // x.denominator)
+    for p in ints:
         for k in range(1, top + 1):
             h[k] += p * h[k - 1]
     return den, h
 
 
-def _schur_value(lam: tuple[int, ...], den: int, h: list[int]) -> Fraction:
-    """s_lam at the alphabet of an h table: det(h_{lam_i - i + j}) / den^|lam|."""
-    n = len(lam)
-    return Fraction(_eliminate([[h[part - i + j] if part >= i - j else 0 for j in range(n)]
-                                for i, part in enumerate(lam)], n), den ** size(lam))
+def _jacobi_trudi(lam: tuple[int, ...], h: list[int]) -> int:
+    """det(h_{lam_i - i + j}) over an integer h table (Macdonald, I.3)."""
+    return _eliminate([[h[part - i + j] if part >= i - j else 0 for j in range(len(lam))]
+                       for i, part in enumerate(lam)], len(lam))
 
 
 def schur_evaluate(lam: tuple[int, ...], xs: Sequence[Fraction]) -> Fraction:
-    """Exact Schur polynomial value by the Jacobi-Trudi determinant
-    s_lam = det(h_{lam_i - i + j}) (Macdonald, I.3)."""
+    """Exact Schur polynomial value by the Jacobi-Trudi determinant."""
     lam = canonical(lam)
-    return _schur_value(lam, *_h_table(xs, width(lam) + height(lam) - 1))
+    den, h = _h_table(xs, width(lam) + height(lam) - 1)
+    return Fraction(_jacobi_trudi(lam, h), den ** size(lam))
 
 
 def _fixed_point_values(complexes: Sequence[Iterable[tuple[int, BundleLabel, int]]],
                         r: int, params: tuple[Fraction, ...]) -> list[list[Fraction]]:
-    """Values of complexes, as (degree, label, mult) terms, at each fixed
-    point (lexicographic r-subset of params): one row per point.  Each
-    complex folds into its K-class; each distinct label is evaluated once
-    per point from that point's h table, and its V factor once in all."""
-    classes = []
+    """Values of complexes, as (degree, label, mult) terms, at each fixed point
+    (lexicographic r-subset of params), one row per point, each summed in integers
+    over den^(max |shape|) times the lcm of its det-twist and V factors' denominators."""
+    labels: dict[BundleLabel, int] = {}  # each distinct label's index
+    classes: list[list[tuple[int, int]]] = []
     for items in complexes:
         net: dict[BundleLabel, int] = {}
         for degree, label, mult in items:
             if label.side != "S" or label.taut_rank != r or label.bracket_twist:
                 raise ValueError(f"localization needs ambient-side labels, got {label}")
             net[label] = net.get(label, 0) + (-1) ** degree * mult
-        classes.append({label: c for label, c in net.items() if c})
-    labels = list(dict.fromkeys(label for cls in classes for label in cls))
+        classes.append([(labels.setdefault(lb, len(labels)), c) for lb, c in net.items() if c])
     v_factor = {v: schur_evaluate(v, params) for v in {lb.v_shape for lb in labels}}
-    top = max((width(lb.schur) + height(lb.schur) - 1 for lb in labels), default=0)
+    shapes = {lb.schur for lb in labels}
+    big = max(map(size, shapes), default=0)  # >= width + height - 1, the h table's top
+    pairs = list({(lb.det_twist, lb.v_shape) for lb in labels})
     rows = []
     for sigma in combinations(params, r):
-        den, h = _h_table([1 / t for t in sigma], top)
+        den, h = _h_table([1 / t for t in sigma], big)
         det = prod(sigma)
-        value = {lb: _schur_value(lb.schur, den, h) * det ** -lb.det_twist
-                 * v_factor[lb.v_shape] for lb in labels}
-        rows.append([sum((c * value[lb] for lb, c in cls.items()), Fraction(0))
-                     for cls in classes])
+        (ints,), scale = _integer_rows([[det ** -t * v_factor[v] for t, v in pairs]])
+        factor = dict(zip(pairs, ints))
+        scale *= den ** big
+        jt = {lam: _jacobi_trudi(lam, h) * den ** (big - size(lam)) for lam in shapes}
+        value = [jt[lb.schur] * factor[lb.det_twist, lb.v_shape] for lb in labels]
+        rows.append([Fraction(sum(c * value[i] for i, c in cls), scale) for cls in classes])
     return rows
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
+
+PRIME = 2 ** 61 - 1
+
+
+def _integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> tuple[list[list[int]], int]:
+    """Rows scaled to integers by the lcm of their denominators; the product of the lcms."""
+    rows = list(rows)
+    dens = [lcm(*(x.denominator for x in row)) for row in rows]
+    return ([[x.numerator * (den // x.denominator) for x in row] for row, den in zip(rows, dens)],
+            prod(dens))
 
 
 def _eliminate(a: list[list[int]], n: int) -> int:
@@ -165,6 +175,27 @@ def _eliminate(a: list[list[int]], n: int) -> int:
     return sign * prev
 
 
+def _solve_modular(rows: list[list[int]], n: int) -> list[list[int]] | None:
+    """X with B X = Y for integer rows [B | Y], from one Gauss-Jordan pass modulo PRIME and
+    symmetric residues; None if a pivot vanishes mod PRIME or B X = Y fails exactly."""
+    p = PRIME
+    a = [[x % p for x in row] for row in rows]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return None
+        a[k], a[pivot] = a[pivot], a[k]
+        inv = pow(a[k][k], -1, p)
+        a[k][k + 1:] = tail = [x * inv % p for x in a[k][k + 1:]]
+        for i, row in enumerate(a):
+            if i != k and (f := row[k]):
+                row[k + 1:] = [(x - f * y) % p for x, y in zip(row[k + 1:], tail)]
+    x = [[v - p if v > p // 2 else v for v in row[n:]] for row in a]
+    nonzero = [[(k, v) for k, v in enumerate(col) if v] for col in zip(*x)]
+    return x if all(sum(row[k] * v for k, v in col) == y
+                    for row in rows for col, y in zip(nonzero, row[n:])) else None
+
+
 def solve_exact(matrix: Sequence[Sequence[Fraction | int]],
                 columns: Sequence[Sequence[Fraction | int]]
                 ) -> tuple[Fraction, list[list[Fraction]]]:
@@ -172,12 +203,7 @@ def solve_exact(matrix: Sequence[Sequence[Fraction | int]],
     singular.  Each row of [matrix | columns] is scaled to integers by the
     lcm of its denominators, then one fraction-free pass solves them all."""
     n = len(matrix)
-    rows, scale = [], 1
-    for i, row in enumerate(matrix):
-        entries = [Fraction(x) for x in row] + [Fraction(col[i]) for col in columns]
-        den = lcm(*(x.denominator for x in entries))
-        scale *= den
-        rows.append([x.numerator * (den // x.denominator) for x in entries])
+    rows, scale = _integer_rows([*row, *ys] for row, *ys in zip(matrix, *columns, strict=True))
     det = _eliminate(rows, n)
     if det == 0:
         return Fraction(0), []
@@ -203,31 +229,35 @@ def k_matrix(which: str, d: int, r: int,
     Vandermonde^C(d-1, r-1) (Sylvester-Franke); each pair i < j divides
     C(d-2, r-2) of the a_rho.  So |det| = prod_{i<j} |y_i - y_j|^m with
     m = C(d-2, r-1), nonzero for distinct nonzero t: a zero det is a bug.
+
+    It is solved modulo PRIME, which divides no det or row scale at default
+    parameters: nonzero pivots mod PRIME make it nonsingular over Q, so a lifted
+    X with B X = Y exactly is the unique integral solution.  Else Bareiss decides.
     """
     params = _parameters(params, d)
     if which not in ("twist", "cotwist", "identity"):
         raise ValueError(f"unknown functor {which!r}")
-    basis_labels = window_generators(d, r, -1 if which == "cotwist" else 0)
+    basis = [[(0, lb, 1)] for lb in window_generators(d, r, -1 if which == "cotwist" else 0)]
     if which == "identity":
-        images = [[(0, lb, 1)] for lb in basis_labels]
+        images = basis
     else:
         image = twist_on_generator if which == "twist" else cotwist_on_generator
         images = [image(delta, d, r).expand_multiplicities(d).items()
                   for delta in gamma_set(d, r)]
-    n = len(basis_labels)
-    rows = _fixed_point_values([[(0, lb, 1)] for lb in basis_labels] + images, r, params)
-    det, cols = solve_exact([row[:n] for row in rows],
-                            [[row[j] for row in rows] for j in range(n, n + len(images))])
+    n = len(basis)
+    rows, _ = _integer_rows(_fixed_point_values(basis + images, r, params))
+    if (solution := _solve_modular(rows, n)) is not None:
+        return solution
+    det, cols = solve_exact([row[:n] for row in rows], [*zip(*rows)][n:])
     if det == 0:
         raise InternalConsistencyError(
             f"{which} at (d,r)=({d},{r}): basis matrix singular at parameters "
             f"({', '.join(map(str, params))})")
     for delta, x in zip(gamma_set(d, r), cols):
-        if any(val.denominator != 1 for val in x):
-            raise InternalConsistencyError(
-                f"{which} image of {delta} at (d,r)=({d},{r}): "
-                f"expected integral coordinates, got {x}")
-    return [[int(cols[j][i]) for j in range(len(cols))] for i in range(len(cols))]
+        if bad := next(((i, v) for i, v in enumerate(x) if v.denominator != 1), None):
+            raise InternalConsistencyError(f"{which} image of {delta} at (d,r)=({d},{r}): "
+                                           "coordinate {} is {}, not an integer".format(*bad))
+    return [[int(x[i]) for x in cols] for i in range(n)]
 
 
 def o1_matrix(d: int, r: int,

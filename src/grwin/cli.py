@@ -78,9 +78,9 @@ def _emit_complex(cx: GradedComplex, args) -> int:
     return 0
 
 
-# C(9,4): the largest K-matrix basis computed by default; (9,4) twist takes
-# about 40 s on a 2-core x86_64 host, and (10,5) has 252 generators
-MAX_BASIS = 126
+# C(10,5): the largest K-matrix basis computed by default; (10,5) takes 8 to
+# 10 s cold on a 2-core x86_64 host, and (11,5) has 462 generators
+MAX_BASIS = 252
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--max-basis", type=int, default=MAX_BASIS, metavar="N",
                    help=f"refuse a basis of more than N = C(d,r) generators "
-                        f"(default {MAX_BASIS})")
+                        f"(default {MAX_BASIS} = C(10,5))")
     _add_common(p)
 
     p = subs.add_parser("verify-exactness", help="character oracle for a resolution")

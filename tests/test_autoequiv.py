@@ -175,6 +175,24 @@ def test_k_class_rejects_wrong_side():
         k_class(single(BundleLabel((), 1, 0, side="H")), 1, default_parameters(2))
 
 
+complex_terms = st.lists(st.tuples(st.integers(0, 2), shapes.filter(lambda lam: len(lam) < 3),
+                                   st.integers(-3, 3), shapes, st.integers(1, 3)), max_size=4)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(complexes=st.lists(complex_terms, min_size=1, max_size=3),
+       params=st.lists(nonzero_fractions, min_size=4, max_size=4, unique=True))
+def test_fixed_point_values_match_fraction_localization(complexes, params):
+    # a K-matrix cannot see a wrong row scale, since each row of B X = Y may
+    # be scaled freely, so every value is pinned here against Fractions
+    complexes = [[(k, label(lam, 3, t, v), m) for k, lam, t, v, m in cx] for cx in complexes]
+    expected = [[sum(((-1) ** k * m * schur_value_bruteforce(lb.schur, [1 / t for t in sigma])
+                      * prod(sigma) ** -lb.det_twist * schur_value_bruteforce(lb.v_shape, params)
+                      for k, lb, m in cx), Fraction(0)) for cx in complexes]
+                for sigma in combinations(params, 3)]
+    assert autoequiv._fixed_point_values(complexes, 3, tuple(params)) == expected
+
+
 def random_fractions(d, seed):
     """d distinct nonzero Fractions with numerators and denominators up to 1000."""
     rng = random.Random(seed)
@@ -252,6 +270,17 @@ def test_solve_exact_rejects_singular(monkeypatch):
                                                       for _ in range(3)])
     with pytest.raises(InternalConsistencyError, match=r"twist at \(d,r\)=\(3,1\).*2, 3, 5"):
         k_matrix("twist", 3, 1)
+
+
+def test_non_integral_image_names_the_coordinate(monkeypatch):
+    # the basis takes the values I at the two fixed points, and the image of
+    # (1,) takes 1/2 at the second one
+    monkeypatch.setattr(autoequiv, "_fixed_point_values",
+                        lambda complexes, r, params: [[1, 0, 1, 0], [0, 1, 0, Fraction(1, 2)]])
+    with pytest.raises(InternalConsistencyError) as err:
+        k_matrix("twist", 2, 1)
+    assert str(err.value) == \
+        "twist image of (1,) at (d,r)=(2,1): coordinate 1 is 1/2, not an integer"
 
 
 def test_solver_round_trip():

@@ -124,9 +124,9 @@ def test_kmatrix_refuses_a_basis_above_the_limit(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("k_matrix ran on a refused basis")
     monkeypatch.setattr(cli.autoequiv, "k_matrix", never)
-    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "10", "--r", "5")
+    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "11", "--r", "5")
     assert (code, out) == (2, "")
-    assert "C(10,5) = 252" in err and "--max-basis" in err
+    assert "C(11,5) = 462" in err and "--max-basis" in err
     assert "Traceback" not in err
     code, _, err = run(capsys, "kmatrix", "--which", "identity", "--d", "4", "--r", "2",
                        "--max-basis", "5")
@@ -139,8 +139,8 @@ def test_kmatrix_max_basis_raises_the_limit(capsys, monkeypatch):
     assert run(capsys, *argv)[0] == 0
     # above the default limit, a stand-in engine keeps the case small
     monkeypatch.setattr(cli.autoequiv, "k_matrix", lambda *args: [[1]])
-    code, out, _ = run(capsys, "kmatrix", "--which", "twist", "--d", "10", "--r", "5",
-                       "--max-basis", "252")
+    code, out, _ = run(capsys, "kmatrix", "--which", "twist", "--d", "11", "--r", "5",
+                       "--max-basis", "462")
     assert (code, out) == (0, "   1\ndeterminant: 1\n")
 
 

@@ -1,8 +1,10 @@
-"""Every functor matrix with d <= 7, pinned bit for bit.
+"""Every functor matrix with d <= 7, and those at (8,4), pinned bit for bit.
 
 The digests are sha256 of the compact JSON of each matrix, recorded from
 the Fraction Gauss-Jordan engine that the integer one replaced; a change
-to localization or elimination that moves any entry fails here.
+to localization or elimination that moves any entry fails here.  The
+modular solve is checked here to answer alone, and to hand every case it
+cannot certify to the Bareiss fallback.
 """
 
 import hashlib
@@ -10,6 +12,7 @@ import json
 
 import pytest
 
+from grwin import autoequiv
 from grwin.autoequiv import k_matrix, o1_matrix
 
 DIGESTS = {
@@ -98,6 +101,15 @@ DIGESTS = {
     "identity:7,6": "3eb16c08e2da376388c01585111bb38109af90297609656bab73cb1c2b18db8b",
     "o1:7,6": "cb7735f6cb81382382d2b9af727e8fcf32a373ee872fe32357a2fa27f7a147eb",
 }
+# (9,4) takes seconds, so it stays out of the suite; its digests are
+# 03cc2d8f3cfc872810ea8251176da86944fbb79dbcd46c9ac07f49198b7110d4 for twist
+# and cotwist, 4cac2854cd1423484041b021a121d96a1659fd4ee417dfd50c708685f7ef5e8c
+# for identity
+EIGHT_FOUR = {
+    "twist": "640327ecda58d7d279979536f6d8c6731e66975b869d7111f63a087a877057e5",
+    "cotwist": "640327ecda58d7d279979536f6d8c6731e66975b869d7111f63a087a877057e5",
+    "identity": "499d7c721e0228308705d8c18127ef526352a39e5a264c07fbbd2bb8b6af0f4b",
+}
 BOXES = sorted({tuple(map(int, key.split(":")[1].split(","))) for key in DIGESTS})
 
 
@@ -114,3 +126,34 @@ def test_k_matrices_match_pinned_digests(d, r):
     for which in ("twist", "cotwist", "identity"):
         assert digest(k_matrix(which, d, r)) == DIGESTS[f"{which}:{d},{r}"], which
     assert digest(o1_matrix(d, r)) == DIGESTS[f"o1:{d},{r}"]
+
+
+def test_k_matrices_match_pinned_digests_at_eight_four():
+    for which, pin in EIGHT_FOUR.items():
+        assert digest(k_matrix(which, 8, 4)) == pin, which
+
+
+def test_modular_solve_answers_without_the_fallback(monkeypatch):
+    def never(*args):
+        raise AssertionError("k_matrix fell back to the Bareiss elimination")
+    monkeypatch.setattr(autoequiv, "solve_exact", never)
+    for d, r in BOXES:
+        if d <= 6:
+            for which in ("twist", "cotwist", "identity"):
+                assert digest(k_matrix(which, d, r)) == DIGESTS[f"{which}:{d},{r}"], which
+
+
+@pytest.mark.parametrize("prime", [3, 5, 13])
+def test_a_failed_certificate_falls_back_to_bareiss(monkeypatch, prime):
+    # modulo 3 or 5 pivots vanish; modulo 13 entries up to 10 at (5,2) wrap
+    # around in the symmetric lift, which only the exact check can catch
+    fallbacks = []
+    solve_exact = autoequiv.solve_exact
+    monkeypatch.setattr(autoequiv, "PRIME", prime)
+    monkeypatch.setattr(autoequiv, "solve_exact",
+                        lambda *args: fallbacks.append(args) or solve_exact(*args))
+    for d, r in BOXES:
+        if d <= 5:
+            for which in ("twist", "cotwist", "identity"):
+                assert digest(k_matrix(which, d, r)) == DIGESTS[f"{which}:{d},{r}"], which
+    assert fallbacks
