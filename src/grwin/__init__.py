@@ -1,12 +1,6 @@
 """Exact window-shift calculus on Grassmannian flop models."""
 
-from .autoequiv import (
-    cotwist_on_generator,
-    k_matrix,
-    o1_matrix,
-    tensor_twist,
-    twist_on_generator,
-)
+from .autoequiv import cotwist_on_generator, k_matrix, o1_matrix, twist_on_generator
 from .bott import BwbClass, Dominant, NonRegular, Regular, bwb_cohomology, classify, twisted_action
 from .bundles import BundleLabel, GradedComplex, normalize, rank, relabel_to_x
 from .characters import (
@@ -16,27 +10,24 @@ from .characters import (
     pushforward_character,
     verify_exactness,
 )
-from .partitions import StaircaseResult, add_full_column, complement, staircase, strip
+from .partitions import add_full_column, complement, staircase, strip
 from .resolutions import (
     jshriek_jlower,
     pushdown_pi,
-    pushdown_pi_bruteforce,
     theorem_resolution,
     unstable_resolution_twisted,
 )
-from .schur import lr_coefficient, pieri_filtration, schur_dimension, schur_product
+from .schur import lr_coefficient, schur_dimension, schur_product
 from .windows import gamma_set, gamma_split, in_window, window_generators
 
 __all__ = [
     "BundleLabel", "BwbClass", "Dominant", "GradedComplex", "NonRegular",
-    "Regular", "StaircaseResult", "add_full_column",
-    "bwb_cohomology", "cauchy_truncated", "classify", "complement",
-    "cotwist_on_generator", "euler_character", "gamma_set", "gamma_split",
-    "hom_invariant_dimension", "in_window", "jshriek_jlower", "k_matrix",
-    "lr_coefficient", "normalize", "o1_matrix", "pieri_filtration",
-    "pushdown_pi", "pushdown_pi_bruteforce", "pushforward_character", "rank",
-    "relabel_to_x", "schur_dimension", "schur_product", "staircase", "strip",
-    "tensor_twist", "theorem_resolution", "twist_on_generator",
-    "twisted_action", "unstable_resolution_twisted", "verify_exactness",
-    "window_generators",
+    "Regular", "add_full_column", "bwb_cohomology", "cauchy_truncated",
+    "classify", "complement", "cotwist_on_generator", "euler_character",
+    "gamma_set", "gamma_split", "hom_invariant_dimension", "in_window",
+    "jshriek_jlower", "k_matrix", "lr_coefficient", "normalize", "o1_matrix",
+    "pushdown_pi", "pushforward_character", "rank", "relabel_to_x",
+    "schur_dimension", "schur_product", "staircase", "strip",
+    "theorem_resolution", "twist_on_generator", "twisted_action",
+    "unstable_resolution_twisted", "verify_exactness", "window_generators",
 ]

@@ -37,7 +37,7 @@ def twist_on_generator(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:
     delta = _check_generator(delta, d, r)
     if width(delta) < d - r:
         return GradedComplex.from_items([(0, normalize(delta, 1, r), 1)])
-    return tensor_twist(unstable_resolution_twisted(delta, d, r), 1)
+    return unstable_resolution_twisted(delta, d, r).tensor_det(1)
 
 
 def cotwist_on_generator(delta: tuple[int, ...], d: int, n: int) -> GradedComplex:
@@ -57,11 +57,6 @@ def cotwist_on_generator(delta: tuple[int, ...], d: int, n: int) -> GradedComple
         hat = strip(dk, "first-row")
         items.append((K - k, normalize(hat, -1, n, v_shape=_wedge(sk, d)), 1))
     return GradedComplex.from_items(items)
-
-
-def tensor_twist(cx: GradedComplex, m: int) -> GradedComplex:
-    """Tensor every label by O(m); degrees unchanged."""
-    return cx.tensor_det(m)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def format_label(label: BundleLabel) -> str:
     return out
 
 
-def format_complex(cx: GradedComplex, underline: bool = True) -> str:
+def format_complex(cx: GradedComplex) -> str:
     """Arrow-joined terms in ascending degree; a caret line marks degree 0."""
     if not len(cx):
         return "0"
@@ -62,7 +62,7 @@ def format_complex(cx: GradedComplex, underline: bool = True) -> str:
         parts.append(chunk)
         offset += len(chunk) + len(" -> ")
     line = " -> ".join(parts)
-    if underline and zero_span is not None:
+    if zero_span is not None:
         start, length = zero_span
         return line + "\n" + " " * start + "^" * length
     return line
@@ -172,33 +172,31 @@ def cmd_windows(args) -> int:
 
 def cmd_staircase(args) -> int:
     seed = parse_partition(args.delta)
-    chain = staircase(seed, args.r, args.K)
+    steps = staircase(seed, args.r, args.K)[1:]
     if args.json:
         doc = {"seed": list(seed), "height_param": args.r,
-               "steps": [{"k": k + 1, "delta": list(dk), "s": sk}
-                         for k, (dk, sk) in enumerate(chain.steps)]}
+               "steps": [{"k": k, "delta": list(dk), "s": sk} for k, dk, sk in steps]}
         print(bundles.dumps(doc, pretty=args.pretty))
         return 0
-    for k, (dk, sk) in enumerate(chain.steps):
-        print(f"k={k + 1}  delta={format_partition(dk) or '()'}  s={sk}")
+    for k, dk, sk in steps:
+        print(f"k={k}  delta={format_partition(dk) or '()'}  s={sk}")
         if args.pretty:
             print(ascii_diagram(dk))
     return 0
 
 
 def cmd_resolve(args) -> int:
+    delta = parse_partition(args.delta)
     if args.twisted:
-        return _emit_complex(resolutions.unstable_resolution_twisted(
-            parse_partition(args.delta), args.d, args.r), args)
-    cx, coker = resolutions.theorem_resolution(
-        parse_partition(args.delta), args.d, args.r)
+        return _emit_complex(resolutions.unstable_resolution_twisted(delta, args.d, args.r), args)
+    cx = resolutions.theorem_resolution(delta, args.d, args.r)
     if args.json:
         doc = {"complex": bundles.complex_to_json(cx),
-               "cokernel": {"delta": list(coker.delta), "h_rank": coker.h_rank}}
+               "cokernel": {"delta": list(delta), "h_rank": args.r - 1}}
         print(bundles.dumps(doc, pretty=args.pretty))
         return 0
     print(format_complex(cx))
-    print(f"cokernel: {coker}")
+    print(f"cokernel: push of S^({format_partition(delta)}) of the rank-{args.r - 1} dual bundle")
     return 0
 
 

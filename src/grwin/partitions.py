@@ -6,7 +6,6 @@ zeros trimmed).  All functions treat them as immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -95,26 +94,6 @@ def strip(delta: tuple[int, ...], what: str) -> tuple[int, ...]:
     raise ValueError(f"unknown strip mode {what!r}")
 
 
-@dataclass(frozen=True)
-class StaircaseResult:
-    """Column-filling sequence: steps[k-1] = (delta_k, s_k) for k = 1..K."""
-
-    seed: tuple[int, ...]
-    height_param: int
-    steps: tuple[tuple[tuple[int, ...], int], ...]
-
-    def delta(self, k: int) -> tuple[int, ...]:
-        """delta_k, with delta_0 = seed."""
-        return self.seed if k == 0 else self.steps[k - 1][0]
-
-    def s(self, k: int) -> int:
-        """Boxes added up to step k (s_0 = 0)."""
-        return 0 if k == 0 else self.steps[k - 1][1]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
 def _fill_column(rows: tuple[int, ...], col: int, target: int) -> tuple[int, ...]:
     # grow column `col` to height `target`: rows 1..target get >= col boxes
     padded = list(rows) + [0] * max(0, target - len(rows))
@@ -123,8 +102,10 @@ def _fill_column(rows: tuple[int, ...], col: int, target: int) -> tuple[int, ...
     return canonical(padded)
 
 
-def staircase(seed: tuple[int, ...], r: int, K: int) -> StaircaseResult:
-    """Run the column-filling procedure for K steps.
+def staircase(seed: tuple[int, ...], r: int,
+              K: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """The column-filling procedure as (k, delta_k, s_k) for k = 0..K,
+    starting from (0, seed, 0).
 
     Step 1 fills column 1 to height r; step k fills column k to one more
     than the height of column k-1 of the seed.  s_k is the total number of
@@ -135,13 +116,13 @@ def staircase(seed: tuple[int, ...], r: int, K: int) -> StaircaseResult:
         raise ValueError(f"seed height {height(seed)} must be < {r}")
     if K < 1:
         raise ValueError("step count must be >= 1")
-    steps = []
+    steps = [(0, seed, 0)]
     cur = seed
     for k in range(1, K + 1):
         target = r if k == 1 else column_height(seed, k - 1) + 1
         cur = _fill_column(cur, k, target)
-        steps.append((cur, size(cur) - size(seed)))
-    return StaircaseResult(seed=seed, height_param=r, steps=tuple(steps))
+        steps.append((k, cur, size(cur) - size(seed)))
+    return steps
 
 
 def resolution_terms(delta: tuple[int, ...], d: int,
@@ -154,33 +135,19 @@ def resolution_terms(delta: tuple[int, ...], d: int,
         raise ValueError(f"height({delta}) must be < {r}")
     if width(delta) > d - r + 1:
         raise ValueError(f"width({delta}) must be <= {d - r + 1}")
-    K = d - r + 1
-    chain = staircase(delta, r, K)
-    return [(k, chain.delta(k), chain.s(k)) for k in range(K + 1)]
-
-
-def staircase_closed_form(seed: tuple[int, ...], r: int, k: int) -> tuple[int, ...]:
-    """Independent closed form for delta_k: insert k below the rows taller
-    than column k and add one box to every deeper row."""
-    if height(seed) >= r:
-        raise ValueError(f"seed height {height(seed)} must be < {r}")
-    h_k = column_height(seed, k)
-    padded = seed + (0,) * (r - 1 - len(seed))
-    return canonical(padded[:h_k] + (k,) + tuple(x + 1 for x in padded[h_k:]))
+    return staircase(delta, r, d - r + 1)
 
 
 def partitions_in_box(w: int, h: int) -> list[tuple[int, ...]]:
-    """All partitions with width <= w and height <= h."""
+    """All partitions with width <= w and height <= h, each prefix before
+    its extensions, larger next rows first."""
     out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], maxrow: int, rows_left: int) -> None:
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
         out.append(prefix)
-        if rows_left == 0:
-            return
-        for x in range(maxrow, 0, -1):
-            rec(prefix + (x,), x, rows_left - 1)
-
-    rec((), w, h)
+        if len(prefix) < h:
+            stack.extend(prefix + (x,) for x in range(1, (prefix[-1] if prefix else w) + 1))
     return out
 
 

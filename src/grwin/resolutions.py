@@ -14,9 +14,7 @@ sight (det V trivialized).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .bundles import BundleLabel, GradedComplex, from_nondual, is_zero_schur, normalize
+from .bundles import GradedComplex, from_nondual, is_zero_schur, normalize
 from .partitions import (
     canonical,
     check_box,
@@ -26,23 +24,10 @@ from .partitions import (
     strip,
     width,
 )
-from .schur import pieri_filtration
 
 
 class InternalConsistencyError(AssertionError):
     """A construction or solve produced data the theory forbids."""
-
-
-@dataclass(frozen=True)
-class TorsionCokernel:
-    """Symbolic tag for the torsion cokernel sheaf; carries no rank data."""
-
-    delta: tuple[int, ...]
-    h_rank: int
-
-    def __str__(self) -> str:
-        rows = ",".join(str(x) for x in self.delta)
-        return f"push of S^({rows}) of the rank-{self.h_rank} dual bundle"
 
 
 def _wedge(s: int, d: int) -> tuple[int, ...]:
@@ -52,17 +37,14 @@ def _wedge(s: int, d: int) -> tuple[int, ...]:
     return () if s in (0, d) else (1,) * s
 
 
-def theorem_resolution(delta: tuple[int, ...], d: int,
-                       r: int) -> tuple[GradedComplex, TorsionCokernel]:
+def theorem_resolution(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:
     """The length-K free resolution attached to a seed diagram.
 
     Terms: S^{delta_k}S^dual ⊗ wedge^{s_k}V in degree -k for k = 1..K and
     the seed Schur power in degree 0, with K = d-r+1.
     """
-    terms = resolution_terms(delta, d, r)
-    items = [(-k, normalize(dk, 0, r, v_shape=_wedge(sk, d)), 1)
-             for k, dk, sk in terms]
-    return GradedComplex.from_items(items), TorsionCokernel(terms[0][1], r - 1)
+    return GradedComplex.from_items([(-k, normalize(dk, 0, r, v_shape=_wedge(sk, d)), 1)
+                                     for k, dk, sk in resolution_terms(delta, d, r)])
 
 
 def unstable_resolution_twisted(delta_target: tuple[int, ...], d: int,
@@ -110,27 +92,6 @@ def jshriek_jlower(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:
     return GradedComplex.from_items(items)
 
 
-def epsilon_sequence(delta: tuple[int, ...], d: int, r: int) -> list[tuple[int, ...]]:
-    """The complement diagrams eps_0..eps_K of the staircase (for tests)."""
-    return [complement(dk, d - r + 1, r) for _, dk, _ in resolution_terms(delta, d, r)]
-
-
-def _h_label(alpha: tuple[int, ...], rank_h: int, det_power: int = 0) -> BundleLabel:
-    # S^alpha H ⊗ (det H^dual)^{det_power}, in canonical dual form
-    return from_nondual(alpha, rank_h, side="H", extra_twist=det_power)
-
-
-def _check_pushdown_args(gamma: tuple[int, ...], d: int, r: int, locus: str) -> None:
-    if locus not in ("stack", "open"):
-        raise ValueError(f"locus must be 'stack' or 'open', got {locus!r}")
-    check_box(d, r)
-    if height(gamma) > r:
-        raise ValueError(f"height({gamma}) must be <= {r}")
-    if width(gamma) > d - r + 1:
-        raise ValueError(
-            f"width({gamma}) > {d - r + 1} is outside the pushforward rules")
-
-
 def pushdown_pi(gamma: tuple[int, ...], d: int, r: int,
                 locus: str = "stack") -> GradedComplex:
     """Closed-form pushdown of a Schur power of the rank-r bundle to the
@@ -141,30 +102,20 @@ def pushdown_pi(gamma: tuple[int, ...], d: int, r: int,
     piece, det-twisted, in degree d-r.
     """
     gamma = canonical(gamma)
-    _check_pushdown_args(gamma, d, r, locus)
+    if locus not in ("stack", "open"):
+        raise ValueError(f"locus must be 'stack' or 'open', got {locus!r}")
+    check_box(d, r)
+    if height(gamma) > r:
+        raise ValueError(f"height({gamma}) must be <= {r}")
+    if width(gamma) > d - r + 1:
+        raise ValueError(f"width({gamma}) > {d - r + 1} is outside the pushforward rules")
     rank_h = r - 1
     items = []
     if not is_zero_schur(gamma, rank_h):
-        items.append((0, _h_label(gamma, rank_h), 1))
+        items.append((0, from_nondual(gamma, rank_h, side="H"), 1))
     if locus == "open" and width(gamma) == d - r + 1:
         tail = strip(gamma, "first-row")
         if not is_zero_schur(tail, rank_h):
-            items.append((d - r, _h_label(tail, rank_h, det_power=1), 1))
-    return GradedComplex.from_items(items)
-
-
-def pushdown_pi_bruteforce(gamma: tuple[int, ...], d: int, r: int,
-                           locus: str = "stack") -> GradedComplex:
-    """Oracle: expand through the corank-1 filtration and push each
-    determinant-power piece down by the per-power rules."""
-    gamma = canonical(gamma)
-    _check_pushdown_args(gamma, d, r, locus)
-    rank_h = r - 1
-    items = []
-    for (alpha, t), mult in pieri_filtration(gamma, rank_h).items():
-        if t == 0:
-            items.append((0, _h_label(alpha, rank_h), mult))
-        elif locus == "open" and t == d - r + 1:
-            items.append((d - r, _h_label(alpha, rank_h, det_power=1), mult))
-        # all other powers push down to zero on their locus
+            # S^tail H ⊗ det H^dual, in canonical dual form
+            items.append((d - r, from_nondual(tail, rank_h, side="H", extra_twist=1), 1))
     return GradedComplex.from_items(items)

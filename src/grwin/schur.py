@@ -118,38 +118,6 @@ def schur_product(lam: tuple[int, ...], mu: tuple[int, ...],
     return dict(_schur_product_items(canonical(lam), canonical(mu), max_height))
 
 
-def pieri_filtration(gamma: tuple[int, ...],
-                     rank_H: int) -> dict[tuple[tuple[int, ...], int], int]:
-    """Graded pieces (alpha, t) of a Schur power under a corank-1 sub-bundle.
-
-    Pieces are pairs with gamma/alpha a horizontal strip of size t and
-    height(alpha) <= rank_H; each occurs with multiplicity one.
-    """
-    if height(gamma) > rank_H + 1:
-        raise ValueError(
-            f"height({gamma}) exceeds {rank_H + 1}; no filtration of this shape")
-    pieces: dict[tuple[tuple[int, ...], int], int] = {}
-    padded = gamma + (0,) * (rank_H + 1 - len(gamma))
-
-    def rec(i: int, alpha: tuple[int, ...]) -> None:
-        if i == rank_H:
-            a = canonical(alpha)
-            pieces[(a, size(gamma) - size(a))] = 1
-            return
-        lo, hi = padded[i + 1], padded[i]
-        prev = alpha[-1] if alpha else None
-        for x in range(lo, hi + 1):
-            if prev is not None and x > prev:
-                continue
-            rec(i + 1, alpha + (x,))
-
-    if rank_H == 0:
-        pieces[((), size(gamma))] = 1
-    else:
-        rec(0, ())
-    return pieces
-
-
 @cache
 def schur_dimension(lam: tuple[int, ...], n: int) -> int:
     """Number of semistandard tableaux of shape lam with entries in 1..n."""

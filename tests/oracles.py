@@ -249,3 +249,69 @@ def hom_dimension_by_enumeration(case, delta, d, r, D):
                     total += pairing * _sl_invariants_by_rectangles(lam, s_top, d)
         return total
     raise ValueError(f"unknown case {case!r}")
+
+
+def staircase_closed_form(seed, r, k):
+    """Independent closed form for delta_k of the staircase: insert k below
+    the rows taller than column k and add one box to every deeper row."""
+    from grwin.partitions import canonical, column_height, height
+    if height(seed) >= r:
+        raise ValueError(f"seed height {height(seed)} must be < {r}")
+    h_k = column_height(seed, k)
+    padded = seed + (0,) * (r - 1 - len(seed))
+    return canonical(padded[:h_k] + (k,) + tuple(x + 1 for x in padded[h_k:]))
+
+
+def epsilon_sequence(delta, d, r):
+    """The complement diagrams eps_0..eps_K of the staircase of delta."""
+    from grwin.partitions import complement, resolution_terms
+    return [complement(dk, d - r + 1, r) for _, dk, _ in resolution_terms(delta, d, r)]
+
+
+def pieri_filtration(gamma, rank_H):
+    """Graded pieces (alpha, t) of a Schur power under a corank-1 sub-bundle.
+
+    Pieces are pairs with gamma/alpha a horizontal strip of size t and
+    height(alpha) <= rank_H; each occurs with multiplicity one.
+    """
+    from grwin.partitions import canonical, height, size
+    if height(gamma) > rank_H + 1:
+        raise ValueError(
+            f"height({gamma}) exceeds {rank_H + 1}; no filtration of this shape")
+    pieces = {}
+    padded = gamma + (0,) * (rank_H + 1 - len(gamma))
+
+    def rec(i, alpha):
+        if i == rank_H:
+            a = canonical(alpha)
+            pieces[(a, size(gamma) - size(a))] = 1
+            return
+        lo, hi = padded[i + 1], padded[i]
+        prev = alpha[-1] if alpha else None
+        for x in range(lo, hi + 1):
+            if prev is not None and x > prev:
+                continue
+            rec(i + 1, alpha + (x,))
+
+    if rank_H == 0:
+        pieces[((), size(gamma))] = 1
+    else:
+        rec(0, ())
+    return pieces
+
+
+def pushdown_pi_bruteforce(gamma, d, r, locus="stack"):
+    """The pushdown of S^gamma of the rank-r bundle to the corank-1 base,
+    through the filtration: each determinant-power piece pushes down by
+    the per-power rules."""
+    from grwin.bundles import GradedComplex, from_nondual
+    rank_h = r - 1
+    items = []
+    for (alpha, t), mult in pieri_filtration(gamma, rank_h).items():
+        if t == 0:
+            items.append((0, from_nondual(alpha, rank_h, side="H"), mult))
+        elif locus == "open" and t == d - r + 1:
+            # S^alpha H ⊗ det H^dual, in canonical dual form
+            items.append((d - r, from_nondual(alpha, rank_h, side="H", extra_twist=1), mult))
+        # all other powers push down to zero on their locus
+    return GradedComplex.from_items(items)

@@ -8,14 +8,19 @@ import random
 import time
 from math import comb
 
-from oracles import classify_bruteforce, int_matmul
+from oracles import (
+    classify_bruteforce,
+    epsilon_sequence,
+    int_matmul,
+    pushdown_pi_bruteforce,
+    staircase_closed_form,
+)
 
 from grwin.autoequiv import (
     cotwist_on_generator,
     k_matrix,
     o1_matrix,
     solve_exact,
-    tensor_twist,
     twist_on_generator,
 )
 from grwin.bott import Dominant, NonRegular, Regular, bwb_cohomology, classify
@@ -32,17 +37,10 @@ from grwin.partitions import (
     height,
     partitions_in_box,
     staircase,
-    staircase_closed_form,
     strip,
     width,
 )
-from grwin.resolutions import (
-    epsilon_sequence,
-    pushdown_pi,
-    pushdown_pi_bruteforce,
-    theorem_resolution,
-    unstable_resolution_twisted,
-)
+from grwin.resolutions import pushdown_pi, theorem_resolution, unstable_resolution_twisted
 from grwin.windows import gamma_set, gamma_split
 
 
@@ -118,14 +116,14 @@ def test_criterion_02_golden_d4_r2_suite():
 
 def test_criterion_03_resolution_figures():
     t0 = time.monotonic()
-    cx, _ = theorem_resolution((), 4, 2)
+    cx = theorem_resolution((), 4, 2)
     assert cx == complex_of(
         (-3, label((2,), 2, 1), 1),
         (-2, label((1,), 2, 1, v=(1, 1, 1)), 1),
         (-1, label((), 2, 1, v=(1, 1)), 1),
         (0, label((), 2, 0), 1),
     )
-    cx, _ = theorem_resolution((1,), 4, 2)
+    cx = theorem_resolution((1,), 4, 2)
     assert cx == complex_of(
         (-3, label((1,), 2, 2), 1),
         (-2, label((), 2, 2, v=(1, 1, 1)), 1),
@@ -181,7 +179,7 @@ def test_criterion_05_borel_weil_bott():
             assert shape == delta and i == l
         else:
             chain = staircase(delta, r, k)
-            assert shape == chain.delta(k) and chain.s(k) == i
+            assert shape == chain[k][1] and chain[k][2] == i
         done += 1
     _finish(5, "classifier oracle, figure row, staircase linkage", t0, 30)
 
@@ -196,16 +194,16 @@ def test_criterion_06_staircase_closed_form_and_remarks():
         seed = rng.choice(partitions_in_box(d - r + 1, r - 1))
         chain = staircase(seed, r, K)
         for k in range(1, K + 1):
-            assert chain.delta(k) == staircase_closed_form(seed, r, k)
-            assert height(chain.delta(k)) == r
-            assert width(chain.delta(k)) <= d - r + 1
+            assert chain[k][1] == staircase_closed_form(seed, r, k)
+            assert height(chain[k][1]) == r
+            assert width(chain[k][1]) <= d - r + 1
         if width(seed) < d - r + 1:
-            assert chain.s(K) == d
-            assert all(width(chain.delta(k)) < d - r + 1 for k in range(K))
-            assert width(chain.delta(K)) == d - r + 1
-            assert strip(strip(chain.delta(K), "first-row"), "first-column") == seed
+            assert chain[K][2] == d
+            assert all(width(chain[k][1]) < d - r + 1 for k in range(K))
+            assert width(chain[K][1]) == d - r + 1
+            assert strip(strip(chain[K][1], "first-row"), "first-column") == seed
         else:
-            assert all(width(chain.delta(k)) == d - r + 1 for k in range(K + 1))
+            assert all(width(chain[k][1]) == d - r + 1 for k in range(K + 1))
         eps = epsilon_sequence(seed, d, r)
         assert width(eps[0]) == d - r + 1
         assert all(width(e) < d - r + 1 for e in eps[1:])
@@ -222,7 +220,7 @@ def test_criterion_07_conjugation_identity():
     for d in range(2, 7):
         for n in range(1, d):
             for delta in gamma_set(d, n):
-                assert tensor_twist(cotwist_on_generator(delta, d, n), 1) == \
+                assert cotwist_on_generator(delta, d, n).tensor_det(1) == \
                     twist_on_generator(delta, d, n), (d, n, delta)
                 cases += 1
     assert cases == sum(comb(d, n) for d in range(2, 7) for n in range(1, d))

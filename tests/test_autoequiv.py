@@ -17,7 +17,6 @@ from grwin.autoequiv import (
     o1_matrix,
     schur_evaluate,
     solve_exact,
-    tensor_twist,
     twist_on_generator,
 )
 from grwin.bundles import BundleLabel, GradedComplex
@@ -92,14 +91,14 @@ def test_cotwist_corrected_third_complex():
 
 def test_tensor_twist_basics():
     c = single(label((), 2, 0))
-    assert tensor_twist(c, 1) == single(label((), 2, 1))
-    assert tensor_twist(c, 0) == c
+    assert c.tensor_det(1) == single(label((), 2, 1))
+    assert c.tensor_det(0) == c
 
 
 def test_tensor_twist_conjugates_cotwist_into_twist():
     for d, n in [(2, 1), (3, 2), (4, 2), (5, 3)]:
         for delta in gamma_set(d, n):
-            assert tensor_twist(cotwist_on_generator(delta, d, n), 1) == \
+            assert cotwist_on_generator(delta, d, n).tensor_det(1) == \
                 twist_on_generator(delta, d, n)
 
 

@@ -109,8 +109,8 @@ def test_bwb_staircase_linkage():
             assert shape == delta
         else:
             chain = staircase(delta, r, k)
-            assert shape == chain.delta(k)
-            assert chain.s(k) == i
+            assert shape == chain[k][1]
+            assert chain[k][2] == i
         checked += 1
 
 

@@ -164,6 +164,40 @@ def test_staircase_pretty_draws_diagrams(capsys):
     assert "□" in out
 
 
+# full stdout of the staircase and resolve printers, byte for byte
+GOLDEN = {
+    ("staircase", "3,1", "3", "2"): "k=1  delta=3,1,1  s=1\nk=2  delta=3,2,2  s=3\n",
+    ("staircase", "3,1", "3", "2", "--pretty"):
+        "k=1  delta=3,1,1  s=1\n□□□\n□\n□\nk=2  delta=3,2,2  s=3\n□□□\n□□\n□□\n",
+    ("staircase", "3,1", "3", "2", "--json"):
+        '{"seed":[3,1],"height_param":3,"steps":[{"k":1,"delta":[3,1,1],"s":1},'
+        '{"k":2,"delta":[3,2,2],"s":3}]}\n',
+    ("resolve", "1", "--d", "4", "--r", "2"):
+        "S∨(2) -> O(2)⊗∧^3V -> O(1)⊗V -> S∨\n"
+        "                                ^^\n"
+        "cokernel: push of S^(1) of the rank-1 dual bundle\n",
+    ("resolve", "1", "--d", "4", "--r", "2", "--json"):
+        '{"complex":[{"degree":-3,"terms":[{"schur":[1],"twist":2,"side":"S","v_shape":[],'
+        '"rank":2,"multiplicity":1}]},{"degree":-2,"terms":[{"schur":[],"twist":2,"side":"S",'
+        '"v_shape":[1,1,1],"rank":2,"multiplicity":1}]},{"degree":-1,"terms":[{"schur":[],'
+        '"twist":1,"side":"S","v_shape":[1],"rank":2,"multiplicity":1}]},{"degree":0,"terms":'
+        '[{"schur":[1],"twist":0,"side":"S","v_shape":[],"rank":2,"multiplicity":1}]}],'
+        '"cokernel":{"delta":[1],"h_rank":1}}\n',
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_staircase_and_resolve_golden(capsys, argv):
+    assert run(capsys, *argv) == (0, GOLDEN[argv], "")
+
+
+def test_windows_in_a_tall_box_has_no_recursion_limit(capsys):
+    # one window generator per partition in the 1 x 1000 box
+    code, out, err = run(capsys, "windows", "1001", "1000", "0")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1001
+
+
 def test_bwb_outputs(capsys):
     _, out, _ = run(capsys, "bwb", "3,1", "4", "3")
     assert out == "regular l=1: H^1 has shape (3,3,2)\n"

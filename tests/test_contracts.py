@@ -1,9 +1,10 @@
-"""Contracts that span modules: the (d, r) validation every public entry
-point shares, the localization-parameter validation of the K-theory entry
-points, the truncation degree of the character entry points, the partition
-bounds and Euler-character overrides they pass on, the shapes the cached
-Schur helpers accept, and source scans that keep `assert` out of the library and caches out of the K-matrix
-engine and the character oracle."""
+"""Contracts that span modules: the package exports, the (d, r) validation
+every public entry point shares, the localization-parameter validation of
+the K-theory entry points, the truncation degree of the character entry
+points, the partition bounds and Euler-character overrides they pass on,
+the shapes the cached Schur helpers accept, and source scans that keep
+`assert` out of the library and caches out of the K-matrix engine and the
+character oracle."""
 
 import ast
 from fractions import Fraction
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import grwin
 from grwin import autoequiv, characters, resolutions, schur, windows
 from grwin.partitions import partitions_of
 
@@ -23,9 +25,7 @@ NEEDS_R_AT_MOST_D = {
     "gamma_split": lambda d, r: windows.gamma_split(d, r),
     "theorem_resolution": lambda d, r: resolutions.theorem_resolution((), d, r),
     "jshriek_jlower": lambda d, r: resolutions.jshriek_jlower((), d, r),
-    "epsilon_sequence": lambda d, r: resolutions.epsilon_sequence((), d, r),
     "pushdown_pi": lambda d, r: resolutions.pushdown_pi((), d, r),
-    "pushdown_pi_bruteforce": lambda d, r: resolutions.pushdown_pi_bruteforce((), d, r),
     "resolution_terms": lambda d, r: characters.resolution_terms((), d, r),
     "euler_character": lambda d, r: characters.euler_character((), d, r, 2),
     "pushforward_character": lambda d, r: characters.pushforward_character((), d, r, 2),
@@ -65,6 +65,11 @@ def test_entry_points_accept_r_equal_d_where_allowed():
     for name, call in NEEDS_R_AT_MOST_D.items():
         if name != "hom_eta":  # eta needs a seed of width d-r+1 = 1
             call(3, 3)
+
+
+def test_exports_resolve_once():
+    assert len(grwin.__all__) == len(set(grwin.__all__))
+    assert [name for name in grwin.__all__ if not hasattr(grwin, name)] == []
 
 
 def test_library_has_no_assert_statements():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import conjugate_by_cells
+from oracles import conjugate_by_cells, staircase_closed_form
 
 from grwin.partitions import (
     add_full_column,
@@ -19,7 +19,6 @@ from grwin.partitions import (
     partitions_of,
     size,
     staircase,
-    staircase_closed_form,
     strip,
     width,
 )
@@ -86,19 +85,16 @@ def test_strip():
 
 
 def test_staircase_eagon_northcott_seed():
-    chain = staircase((), 2, 3)
-    assert chain.steps == (((1, 1), 2), ((2, 1), 3), ((3, 1), 4))
+    assert staircase((), 2, 3) == [(0, (), 0), (1, (1, 1), 2), (2, (2, 1), 3), (3, (3, 1), 4)]
 
 
 def test_staircase_buchsbaum_rim_seed():
-    chain = staircase((1,), 2, 3)
-    assert chain.steps == (((1, 1), 1), ((2, 2), 3), ((3, 2), 4))
+    assert staircase((1,), 2, 3) == [(0, (1,), 0), (1, (1, 1), 1), (2, (2, 2), 3), (3, (3, 2), 4)]
 
 
 def test_staircase_taller_seed():
     # expected values from the closed form, computed independently
-    chain = staircase((3, 1), 3, 2)
-    assert chain.steps == (((3, 1, 1), 1), ((3, 2, 2), 3))
+    assert staircase((3, 1), 3, 2) == [(0, (3, 1), 0), (1, (3, 1, 1), 1), (2, (3, 2, 2), 3)]
     assert staircase_closed_form((3, 1), 3, 1) == (3, 1, 1)
     assert staircase_closed_form((3, 1), 3, 2) == (3, 2, 2)
 
@@ -116,9 +112,9 @@ def test_staircase_s_strictly_increasing_and_sizes():
         chain = staircase(seed, r, 8)
         last = 0
         for k in range(1, 9):
-            assert size(chain.delta(k)) == size(seed) + chain.s(k)
-            assert chain.s(k) > last
-            last = chain.s(k)
+            assert size(chain[k][1]) == size(seed) + chain[k][2]
+            assert chain[k][2] > last
+            last = chain[k][2]
 
 
 def test_staircase_matches_closed_form():
@@ -128,7 +124,7 @@ def test_staircase_matches_closed_form():
         seed = rng.choice(partitions_in_box(8, r - 1))
         chain = staircase(seed, r, 8)
         for k in range(1, 9):
-            assert chain.delta(k) == staircase_closed_form(seed, r, k)
+            assert chain[k][1] == staircase_closed_form(seed, r, k)
 
 
 def test_recovery_properties_for_resolution_range():
@@ -143,15 +139,15 @@ def test_recovery_properties_for_resolution_range():
         seed = rng.choice(seeds)
         chain = staircase(seed, r, K)
         for k in range(1, K + 1):
-            assert height(chain.delta(k)) == r
-            assert width(chain.delta(k)) <= d - r + 1
+            assert height(chain[k][1]) == r
+            assert width(chain[k][1]) <= d - r + 1
         if width(seed) < d - r + 1:
-            assert chain.s(K) == d
-            assert width(chain.delta(K)) == d - r + 1
-            recovered = strip(strip(chain.delta(K), "first-row"), "first-column")
+            assert chain[K][2] == d
+            assert width(chain[K][1]) == d - r + 1
+            recovered = strip(strip(chain[K][1], "first-row"), "first-column")
             assert recovered == seed
         else:
-            assert all(width(chain.delta(k)) == d - r + 1 for k in range(K + 1))
+            assert all(width(chain[k][1]) == d - r + 1 for k in range(K + 1))
 
 
 def test_column_height():

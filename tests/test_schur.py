@@ -6,12 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     is_horizontal_strip,
     lr_coefficient_by_filling,
+    pieri_filtration,
     schur_product_by_candidates,
     ssyt_count,
 )
 
 from grwin.partitions import canonical, height, partitions_of, size, width
-from grwin.schur import lr_coefficient, pieri_filtration, schur_dimension, schur_product
+from grwin.schur import lr_coefficient, schur_dimension, schur_product
 
 
 def test_lr_single_skew_box():
