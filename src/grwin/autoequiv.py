@@ -2,8 +2,8 @@
 
 The up-shift fixes narrow generators and replaces full-width ones by the
 positive part of their staircase resolution; the down-shift is its O(1)
-conjugate.  K-theory matrices come from torus fixed-point localization in
-integers, solved modulo one prime, certified exactly, with Bareiss as fallback.
+conjugate.  Shift matrices: fixed-point localization in integers, solved modulo one
+prime, certified exactly, Bareiss as fallback; the O(1) matrix: Kapranov duality and Bott.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from itertools import combinations, count, islice
 from math import lcm, prod
 from typing import Iterable, Sequence
 
+from .bott import euler_characteristic
 from .bundles import BundleLabel, GradedComplex, normalize
 from .partitions import canonical, check_box, height, resolution_terms, size, strip, width
 from .resolutions import InternalConsistencyError, _wedge, unstable_resolution_twisted
@@ -255,14 +256,30 @@ def k_matrix(which: str, d: int, r: int,
     return [[int(x[i]) for x in cols] for i in range(n)]
 
 
-def o1_matrix(d: int, r: int,
-              params: Sequence[Fraction] | None = None) -> list[list[int]]:
-    """Matrix of tensoring by O(1) on plain K-theory in the Kapranov basis.
+def kapranov_coordinates(labels: Sequence[BundleLabel], d: int, r: int, k: int) -> list[list[int]]:
+    """Coordinates of plain labels' classes in window k's basis, one column per label.
 
-    Narrow generators absorb the twist as an extra full column; full-width
-    ones expand through the exactness of their twisted staircase resolution
-    tensored by O(1).  Those are exactly the up-shift images, so this is the
-    twist matrix.  Window shifts act trivially on plain K-theory, so it is
-    also the conjugating matrix for the twist/cotwist matrices.
+    Kapranov's dual collection (Invent. Math. 92, 1988) pairs the basis with
+    chi(S^alpha S ⊗ S^{beta'} Q^dual) = (-1)^|alpha| [alpha = beta], so coordinate
+    beta of E = S^gamma S^dual(t) is (-1)^|beta| chi(S^gamma S ⊗ S^{beta'} Q^dual ⊗
+    (det S)^(t-k)): Bott on GL(d) at (-beta'_{d-r}, ..., -beta'_1, gamma + t - k).
     """
-    return k_matrix("twist", d, r, params)
+    check_box(d, r, strict=True)
+    tails = []
+    for lb in labels:
+        if lb.side != "S" or lb.taut_rank != r or lb.bracket_twist or lb.v_shape:
+            raise ValueError(f"coordinates need plain ambient-side labels, got {lb}")
+        tails.append(tuple(x + lb.det_twist - k for x in lb.schur + (0,) * (r - len(lb.schur))))
+    heads = [((-1) ** size(beta), tuple(-sum(x > j for x in beta) for j in reversed(range(d - r))))
+             for beta in gamma_set(d, r)]
+    return [[sign * euler_characteristic(head + tail) for tail in tails] for sign, head in heads]
+
+
+def o1_matrix(d: int, r: int) -> list[list[int]]:
+    """Matrix of tensoring by O(1) on plain K-theory in the Kapranov basis: the
+    window-0 coordinates of each S^delta S^dual(1), with no staircase or solve.
+    Window shifts act on plain K-theory as O(1), so it must equal the twist matrix:
+    the independent check behind T M_cotwist = M_twist T.
+    """
+    check_box(d, r, strict=True)
+    return kapranov_coordinates([normalize(delta, 1, r) for delta in gamma_set(d, r)], d, r, 0)

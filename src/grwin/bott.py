@@ -1,4 +1,5 @@
-"""Twisted Weyl action on GL(r) weights and the cohomology classifier.
+"""Twisted Weyl action on GL(r) weights, the cohomology classifier, and Euler
+characteristics by Bott's theorem (Weyman, Cohomology of Vector Bundles, ch. 4).
 
 Weights are integer tuples of length r.  Permutations are tuples p acting
 by (p.v)[i] = v[p[i]], so slot p[i] of the input lands in slot i.
@@ -9,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import canonical, height
+from .schur import schur_dimension
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,16 @@ def classify(alpha: tuple[int, ...]) -> BwbClass:
         return Dominant()
     w = tuple(sorted(range(r), key=lambda i: -shifted[i]))
     return Regular(w=w, length=inversions(w), dominant_rep=twisted_action(w, alpha))
+
+
+def euler_characteristic(weight: tuple[int, ...]) -> int:
+    """Euler characteristic of the homogeneous bundle of a GL(n) weight on a
+    flag variety, n = len(weight), by Bott: 0 for a non-regular weight, else
+    (-1)^length times the Weyl dimension of the dominant representative."""
+    if isinstance(cls := classify(weight), NonRegular):
+        return 0
+    sign, rep = (1, weight) if isinstance(cls, Dominant) else ((-1) ** cls.length, cls.dominant_rep)
+    return sign * schur_dimension(canonical(x - min(rep, default=0) for x in rep), len(rep))
 
 
 def bwb_cohomology(delta: tuple[int, ...], i: int,

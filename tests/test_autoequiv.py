@@ -8,21 +8,24 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import int_matmul, schur_value_bruteforce, solve_fraction_gauss_jordan
 
-from grwin import autoequiv
+from test_kmatrix_digests import DIGESTS, digest
+
+from grwin import autoequiv, partitions, resolutions
 from grwin.autoequiv import (
     InternalConsistencyError,
     cotwist_on_generator,
     default_parameters,
     k_matrix,
+    kapranov_coordinates,
     o1_matrix,
     schur_evaluate,
     solve_exact,
     twist_on_generator,
 )
 from grwin.bundles import BundleLabel, GradedComplex
-from grwin.partitions import width
+from grwin.partitions import resolution_terms, width
 from grwin.resolutions import unstable_resolution_twisted
-from grwin.windows import gamma_set, gamma_split, in_window
+from grwin.windows import gamma_set, gamma_split, in_window, window_generators
 
 
 def label(schur, rank, twist, v=()):
@@ -256,6 +259,75 @@ def test_k_matrix_entries_integral_with_random_parameters(case, which, data):
     d, r = case
     params = data.draw(st.lists(nonzero_fractions, min_size=d, max_size=d, unique=True))
     assert k_matrix(which, d, r, params) == k_matrix(which, d, r)
+
+
+def test_kapranov_coordinates_of_a_window_basis_are_the_identity():
+    for d in range(2, 7):
+        for r in range(1, d):
+            n = len(gamma_set(d, r))
+            for k in (0, -1):
+                assert kapranov_coordinates(window_generators(d, r, k), d, r, k) == \
+                    [[int(i == j) for j in range(n)] for i in range(n)], (d, r, k)
+
+
+def shift_matrix_by_pairing(which, d, r):
+    """The shift matrix with each image's class summed from the Kapranov
+    coordinates of its labels, in place of the localization solve."""
+    image, k = (twist_on_generator, 0) if which == "twist" else (cotwist_on_generator, -1)
+    columns = []
+    for delta in gamma_set(d, r):
+        items = list(image(delta, d, r).expand_multiplicities(d).items())
+        coordinates = kapranov_coordinates([lb for _, lb, _ in items], d, r, k)
+        columns.append([sum((-1) ** degree * mult * x for (degree, _, mult), x in zip(items, row))
+                        for row in coordinates])
+    return [list(row) for row in zip(*columns)]
+
+
+@pytest.mark.parametrize("d,r", [(5, 2), (6, 3), (8, 4)])
+def test_kapranov_coordinates_reproduce_the_shift_matrices(d, r):
+    for which in ("twist", "cotwist"):
+        assert shift_matrix_by_pairing(which, d, r) == k_matrix(which, d, r), which
+
+
+@pytest.mark.parametrize("lb", [BundleLabel((), 2, 0, side="H"),
+                                BundleLabel((), 2, 0, bracket_twist=1),
+                                BundleLabel((), 2, 0, v_shape=(1,)), BundleLabel((), 1, 0)],
+                         ids=["H-side", "bracket", "V-factor", "rank"])
+def test_kapranov_coordinates_reject_labels_that_are_not_plain(lb):
+    with pytest.raises(ValueError, match=r"^coordinates need plain ambient-side labels"):
+        kapranov_coordinates([lb], 4, 2, 0)
+
+
+def test_o1_matrix_shares_no_code_with_the_staircase_or_the_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the O(1) matrix reached the staircase or the localization solve")
+    for module, name in [(partitions, "staircase"), (partitions, "resolution_terms"),
+                         (resolutions, "resolution_terms"), (autoequiv, "resolution_terms"),
+                         (resolutions, "unstable_resolution_twisted"),
+                         (autoequiv, "unstable_resolution_twisted"),
+                         (autoequiv, "_fixed_point_values"), (autoequiv, "_solve_modular"),
+                         (autoequiv, "solve_exact")]:
+        monkeypatch.setattr(module, name, refuse)
+    for d, r in [(d, r) for d in range(2, 7) for r in range(1, d)]:
+        assert digest(o1_matrix(d, r)) == DIGESTS[f"o1:{d},{r}"], (d, r)
+
+
+def staircase_with_s1_off_by_one(delta, d, r):
+    terms = resolution_terms(delta, d, r)
+    k, dk, sk = terms[1]
+    return [terms[0], (k, dk, sk + 1), *terms[2:]]
+
+
+def test_a_mutated_staircase_breaks_the_twist_and_the_conjugation(monkeypatch):
+    # the twist and cotwist images read the staircase through these two names
+    monkeypatch.setattr(resolutions, "resolution_terms", staircase_with_s1_off_by_one)
+    monkeypatch.setattr(autoequiv, "resolution_terms", staircase_with_s1_off_by_one)
+    # not at (3,1): its one full-width generator has s_1 = 1, and wedge^2 V has
+    # the dimension of V, so the mutation leaves every K-class as it was
+    for d, r in [(2, 1), (3, 2), (4, 2), (4, 3)]:
+        T, mt, mc = o1_matrix(d, r), k_matrix("twist", d, r), k_matrix("cotwist", d, r)
+        assert T != mt, (d, r)
+        assert int_matmul(T, mc) != int_matmul(mt, T), (d, r)
 
 
 def test_solve_exact_rejects_singular(monkeypatch):

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from oracles import classify_bruteforce, dominant_sorters, identity_perm
+from oracles import classify_bruteforce, dominant_sorters, identity_perm, ssyt_count
 
 from grwin.bott import (
     Dominant,
@@ -12,10 +12,12 @@ from grwin.bott import (
     bwb_cohomology,
     classify,
     compose,
+    euler_characteristic,
     inversions,
     twisted_action,
 )
 from grwin.partitions import partitions_in_box, staircase
+from grwin.schur import schur_dimension
 
 
 def test_twisted_action_identity():
@@ -126,3 +128,36 @@ def test_bwb_unique_contribution_per_offset():
                 hits.setdefault(i - result[0], []).append(i)
         for k, sources in hits.items():
             assert len(sources) == 1, (delta, r, k, sources)
+
+
+def test_euler_characteristic_of_a_dominant_weight_is_its_dimension():
+    assert euler_characteristic((3, 1, 0)) == schur_dimension((3, 1), 3) == 15
+    # a dominant weight with negative entries is a partition twisted by det
+    assert euler_characteristic((1, -1, -2)) == schur_dimension((3, 1), 3)
+    assert euler_characteristic(()) == 1
+
+
+def test_euler_characteristic_vanishes_on_a_non_regular_weight():
+    assert classify((3, 1, 2)) == NonRegular()
+    assert euler_characteristic((3, 1, 2)) == 0
+
+
+def test_euler_characteristic_of_a_regular_weight_is_a_signed_dimension():
+    # (3,1,3) has length 1 and dominant representative (3,2,2) = (1,0,0) + 2
+    assert euler_characteristic((3, 1, 3)) == -schur_dimension((1,), 3) == -3
+    # on P^1 = GL(2)/B the weight (n, 0) is O(n), and chi(O(n)) = n + 1
+    assert [euler_characteristic((n, 0)) for n in range(-5, 5)] == list(range(-4, 6))
+
+
+def test_euler_characteristic_matches_bruteforce_classifier():
+    rng = random.Random(59)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        alpha = tuple(rng.randint(-3, 3) for _ in range(n))
+        cls = classify_bruteforce(alpha)
+        if isinstance(cls, NonRegular):
+            expected = 0
+        else:
+            sign, rep = (1, alpha) if cls == Dominant() else ((-1) ** cls.length, cls.dominant_rep)
+            expected = sign * ssyt_count([x - rep[-1] for x in rep], n)
+        assert euler_characteristic(alpha) == expected, alpha

@@ -1,7 +1,9 @@
+import json
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grwin.autoequiv import twist_on_generator
 from grwin.bundles import (
@@ -127,6 +129,35 @@ def test_complex_json_round_trip_is_bit_exact():
     text = dumps(doc)
     assert complex_from_json(doc) == cx
     assert dumps(complex_to_json(complex_from_json(doc))) == text
+
+
+@st.composite
+def complexes(draw):
+    """Random complexes over one tautological rank: canonical S- and H-side
+    labels, with V factors and bracket twists, in degrees -3..3."""
+    rank = draw(st.integers(0, 4))
+
+    def label():
+        side = draw(st.sampled_from("SH"))
+        rows = draw(st.lists(st.integers(1, 4), max_size=max(rank - 1, 0)))
+        v_rows = draw(st.lists(st.integers(1, 3), max_size=3))
+        return BundleLabel(schur=tuple(sorted(rows, reverse=True)), taut_rank=rank,
+                           det_twist=draw(st.integers(-3, 3)) if rank else 0, side=side,
+                           v_shape=tuple(sorted(v_rows, reverse=True)),
+                           bracket_twist=draw(st.integers(-2, 2)) if side == "S" else 0)
+
+    return GradedComplex.from_items(
+        [(draw(st.integers(-3, 3)), label(), draw(st.integers(1, 3)))
+         for _ in range(draw(st.integers(0, 6)))])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(complexes())
+def test_complex_json_round_trip_on_random_complexes(cx):
+    doc = complex_to_json(cx)
+    assert complex_from_json(doc) == cx
+    assert complex_from_json(json.loads(dumps(doc))) == cx
+    assert dumps(complex_to_json(complex_from_json(doc))) == dumps(doc)
 
 
 def test_tensor_det_and_shift():

@@ -167,7 +167,6 @@ def test_schur_helpers_reject_increasing_rows(call):
 # entry point -> call with localization parameters at (d, r) = (4, 2)
 TAKES_PARAMETERS = {
     "k_matrix": lambda ts: autoequiv.k_matrix("twist", 4, 2, ts),
-    "o1_matrix": lambda ts: autoequiv.o1_matrix(4, 2, ts),
 }
 BAD_PARAMETERS = {
     "zero": (2, 3, 0, 7),
