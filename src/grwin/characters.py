@@ -5,6 +5,8 @@ of s_lambda ⊗ s_mu, with lambda in a d-letter alphabet (the ambient space)
 and mu in an r-letter alphabet (the dual tautological side), truncated by
 total lambda-degree.  Characters serve as the equivariant oracle for the
 staircase resolutions; invariant Hom-space dimensions take closed forms.
+Euler characters are determinant-periodic, E[alpha, beta] = E[alpha - (1^r),
+beta - (1^r)] for alpha_r >= 2 (see euler_character): such keys are copied.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
     """Alternating character sum of the resolution's terms over the
     polynomial-ring character, truncated to ambient degree D.
 
+    Lemma: for alpha_r >= 2, lam -> lam - (1^r) is a bijection from the lam
+    with alpha/lam a vertical s-strip (all have lam_r >= 1) onto those of
+    alpha - (1^r), and s_lam s_mu = (y_1...y_r) s_{lam - (1^r)} s_mu in r
+    letters, so E[alpha, beta] = E[alpha - (1^r), beta - (1^r)] for any terms.
+    Only lam = core + (m^r), height(core) < r, m <= 1 are summed; keys with
+    alpha_r >= 2 (lacking m = 2) are skipped and filled in by translation.
     A terms override supports tamper tests; the default is the staircase.
     """
     check_box(d, r)
@@ -45,24 +53,33 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
         for k, _, s in terms:
             if not (isinstance(k, int) and isinstance(s, int) and s >= 0):
                 raise ValueError(f"override term needs int k, s >= 0: got {k!r}, {s!r}")
-    cauchy = cauchy_truncated(d, r, D)
-    # every shape is canonical and 0 < r <= d, so the products are read
-    # straight from the cache that schur_product fills
+    _check_degree(D)
+
+    def lift(p: tuple[int, ...], t: int) -> tuple[int, ...]:
+        return tuple([x + t for x in p + (0,) * (r - len(p))])  # p + (t^r), canonical if t > 0
+    cores = [partitions_of(n, max_height=r - 1) for n in range(D + 1)]  # by size
+    # shapes are canonical and 0 < r <= d: products come straight from the cache
     total: dict[Key, int] = {}
     for k, shape, s in terms:
         if s > d:
             continue  # the exterior power vanishes
         sign = (-1) ** k
-        column = (1,) * s
-        for a, b in cauchy:  # each with coefficient 1
-            if size(a) + s > D:
-                continue
-            right = _schur_product_items(b, shape, r)
-            for la, cl in _schur_product_items(a, column, d):
-                for mb, cr in right:
-                    new = total.pop((la, mb), 0) + sign * cl * cr
-                    if new:
-                        total[la, mb] = new
+        c = shape[-1] if len(shape) == r else 0  # s_shape = (y_1...y_r)^c s_reduced
+        reduced = tuple(x - c for x in shape if x > c)
+        for n in range(D - s + 1):
+            for core in cores[n]:
+                right = _schur_product_items(core, reduced, r)
+                for m in range(1 + (n + r + s <= D)):  # lam = core + (m^r)
+                    taut = [(lift(mb, m + c), cr) for mb, cr in right] if m + c else right
+                    for la, cl in _schur_product_items(lift(core, 1) if m else core, (1,) * s, d):
+                        if len(la) < r or la[r - 1] < 2:
+                            for mb, cr in taut:
+                                total[la, mb] = total.get((la, mb), 0) + sign * cl * cr
+    total = {key: v for key, v in total.items() if v}
+    for (la, mb), v in list(total.items()):
+        if len(la) >= r and la[r - 1] == 1:
+            for t in range(1, (D - size(la)) // r + 1):
+                total[lift(la[:r], t) + la[r:], lift(mb, t)] = v
     return total
 
 

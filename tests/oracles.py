@@ -315,3 +315,39 @@ def pushdown_pi_bruteforce(gamma, d, r, locus="stack"):
             items.append((d - r, from_nondual(alpha, rank_h, side="H", extra_twist=1), mult))
         # all other powers push down to zero on their locus
     return GradedComplex.from_items(items)
+
+
+def euler_character_by_cauchy(delta, d, r, D, terms=None):
+    """euler_character by the full Cauchy sum: every lambda of height <= r
+    and |lambda| <= D is multiplied into every term, with no determinant
+    translation.  The validation and its messages are the library's."""
+    from grwin.characters import cauchy_truncated
+    from grwin.partitions import canonical, check_box, resolution_terms, size
+    from grwin.schur import _schur_product_items
+    check_box(d, r)
+    if terms is None:
+        terms = resolution_terms(delta, d, r)
+    else:
+        terms = [(k, canonical(shape), s) for k, shape, s in terms]
+        for k, _, s in terms:
+            if not (isinstance(k, int) and isinstance(s, int) and s >= 0):
+                raise ValueError(f"override term needs int k, s >= 0: got {k!r}, {s!r}")
+    cauchy = cauchy_truncated(d, r, D)
+    # every shape is canonical and 0 < r <= d, so the products are read
+    # straight from the cache that schur_product fills
+    total = {}
+    for k, shape, s in terms:
+        if s > d:
+            continue  # the exterior power vanishes
+        sign = (-1) ** k
+        column = (1,) * s
+        for a, b in cauchy:  # each with coefficient 1
+            if size(a) + s > D:
+                continue
+            right = _schur_product_items(b, shape, r)
+            for la, cl in _schur_product_items(a, column, d):
+                for mb, cr in right:
+                    new = total.pop((la, mb), 0) + sign * cl * cr
+                    if new:
+                        total[la, mb] = new
+    return total

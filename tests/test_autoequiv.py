@@ -121,6 +121,23 @@ def test_outputs_stay_in_target_windows():
                 assert in_window(lb, d, n, -1)
 
 
+def test_twist_and_cotwist_images_keep_the_generator_rank():
+    # an autoequivalence preserves K-classes, so the alternating rank sum of
+    # each image is the rank of S^delta of the rank-r bundle
+    from grwin.schur import schur_dimension
+    checked = 0
+    for d in range(2, 10):
+        for r in range(1, d):
+            for delta in gamma_set(d, r):
+                rank = schur_dimension(delta, r)
+                assert twist_on_generator(delta, d, r).alternating_rank_sum(d) == rank, \
+                    ("twist", d, r, delta)
+                assert cotwist_on_generator(delta, d, r).alternating_rank_sum(d) == rank, \
+                    ("cotwist", d, r, delta)
+                checked += 1
+    assert checked == 1004
+
+
 def test_narrow_generators_are_fixed():
     for d, n in [(4, 2), (5, 2), (6, 3)]:
         for delta in gamma_split(d, n)[0]:

@@ -13,7 +13,7 @@ from grwin.characters import (
     verify_exactness,
 )
 from grwin.partitions import canonical, partitions_in_box, size
-from oracles import hom_dimension_by_enumeration
+from oracles import euler_character_by_cauchy, hom_dimension_by_enumeration
 
 
 def test_cauchy_degree_one():
@@ -194,3 +194,43 @@ def test_exactness_at_stable_degree_and_one_box_perturbation_caught(seed):
     bad = terms[:1] + [(k, moved, s)] + terms[2:]
     assert euler_character(delta, d, r, D, terms=bad) != \
         pushforward_character(delta, d, r, D)
+
+
+def test_euler_key_filled_in_by_translation_matches_the_cauchy_sum():
+    # ((2,2),(3,1)) has two boxes in row r = 2, so only the translate of
+    # ((1,1),(2,)) puts it there; exact characters have no such key
+    terms = [(0, (1,), 1), (1, (1, 1), 2), (2, (2, 1), 3)]
+    e = euler_character((), 3, 2, 4, terms=terms)
+    assert e[(2, 2), (3, 1)] == 1
+    assert e == euler_character_by_cauchy((), 3, 2, 4, terms=terms)
+
+
+@st.composite
+def euler_cases(draw):
+    """(delta, d, r, D, terms): a staircase or one term of it changed by a
+    one-box move, s +- 1 or a random shape (up to r + 1 rows)."""
+    d = draw(st.integers(1, 8))
+    r = draw(st.integers(1, d))
+    D = draw(st.integers(0, 18))
+    delta = draw(st.sampled_from(partitions_in_box(d - r + 1, r - 1)))
+    terms = resolution_terms(delta, d, r)
+    i = draw(st.integers(0, len(terms) - 1))
+    k, shape, s = terms[i]
+    change = draw(st.sampled_from(["none", "move", "s+1", "s-1", "random"]))
+    if change == "move" and len(shape) > 1:
+        # the last box of the bottom row goes to the top row
+        shape = canonical((shape[0] + 1,) + shape[1:-1] + (shape[-1] - 1,))
+    elif change in ("s+1", "s-1"):
+        s = max(s + (1 if change == "s+1" else -1), 0)
+    elif change == "random":
+        rows = draw(st.lists(st.integers(0, 4), max_size=r + 1))
+        shape = canonical(sorted(rows, reverse=True))
+    return delta, d, r, D, terms[:i] + [(k, shape, s)] + terms[i + 1:]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(case=euler_cases())
+def test_euler_character_matches_the_full_cauchy_sum(case):
+    delta, d, r, D, terms = case
+    assert euler_character(delta, d, r, D, terms=terms) == \
+        euler_character_by_cauchy(delta, d, r, D, terms=terms)

@@ -53,6 +53,40 @@ def test_verify_exactness_exit_one_on_failure(capsys, monkeypatch):
     assert out == "NOT exact\n"
 
 
+def test_verify_exactness_json_success_is_unchanged(capsys):
+    for flag in (["--report", "json"], ["--json"]):
+        code, out, _ = run(capsys, "verify-exactness", "--d", "4", "--r", "2",
+                           "--delta", "1", "--degree", "4", *flag)
+        assert (code, out) == (0, '{"ok":true,"diffs":[]}\n')
+
+
+def test_verify_exactness_failure_report_names_degree_and_terms(capsys, monkeypatch):
+    from grwin import characters
+    real = characters.pushforward_character
+
+    def planted(delta, d, r, D):
+        # the degree-4 key sorts first, so the lowest degree is not the first row
+        out = real(delta, d, r, D)
+        for key in [((1, 1, 1, 1), (1,)), ((2, 1), (1,))]:
+            out[key] = out.get(key, 0) + 5
+        return out
+
+    monkeypatch.setattr(characters, "pushforward_character", planted)
+    terms = [[k, list(shape), s] for k, shape, s in characters.resolution_terms((1,), 4, 2)]
+    for flag in (["--report", "json"], ["--json"]):
+        code, out, _ = run(capsys, "verify-exactness", "--d", "4", "--r", "2",
+                           "--delta", "1", "--degree", "4", *flag)
+        assert code == 1
+        assert json.loads(out) == {
+            "ok": False,
+            "diffs": [{"lambda": [1, 1, 1, 1], "mu": [1], "euler": 0, "pushforward": 5},
+                      {"lambda": [2, 1], "mu": [1], "euler": 0, "pushforward": 5}],
+            "lowest_degree": 3,
+            "terms": terms,
+        }
+        assert list(json.loads(out)) == ["ok", "diffs", "lowest_degree", "terms"]
+
+
 def test_verify_exactness_negative_degree_exits_two(capsys):
     code, out, err = run(capsys, "verify-exactness", "--d", "4", "--r", "2",
                          "--delta", "", "--degree", "-1")

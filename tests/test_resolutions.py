@@ -58,7 +58,8 @@ def test_resolution_rejects_out_of_range_seeds():
 
 def test_resolution_alternating_rank_sum_vanishes():
     # the cokernel is torsion, so the bundle ranks must cancel
-    params_list = [(3, 2), (4, 2), (4, 3), (5, 3), (6, 3)]
+    params_list = [(3, 2), (4, 2), (4, 3), (5, 3), (6, 3),
+                   (7, 3), (7, 4), (8, 3), (8, 4), (9, 4), (9, 5)]
     for d, r in params_list:
         for delta in partitions_in_box(min(3, d - r + 1), min(3, r - 1)):
             cx = theorem_resolution(delta, d, r)
