@@ -7,13 +7,17 @@ total lambda-degree.  Characters serve as the equivariant oracle for the
 staircase resolutions; invariant Hom-space dimensions take closed forms.
 Euler characters are determinant-periodic, E[alpha, beta] = E[alpha - (1^r),
 beta - (1^r)] for alpha_r >= 2 (see euler_character): such keys are copied.
+Products come from per-call LR filling tables (schur.lr_fillings), applied
+to every core through stencils on integer-coded keys.
 """
 
 from __future__ import annotations
 
+from operator import le
+
 from .partitions import (canonical, check_box, complement, height, partitions_of,
-                         resolution_terms, size, width)
-from .schur import _schur_product_items, lr_coefficient, schur_product
+                         resolution_terms, width)
+from .schur import _gaps, lr_coefficient, lr_fillings, lr_products
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -43,6 +47,12 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
     letters, so E[alpha, beta] = E[alpha - (1^r), beta - (1^r)] for any terms.
     Only lam = core + (m^r), height(core) < r, m <= 1 are summed; keys with
     alpha_r >= 2 (lacking m = 2) are skipped and filled in by translation.
+    Each term builds two filling tables once: (1^s) in d rows and its shape
+    less its c full columns in r rows.  Cores whose gaps agree up to the
+    largest need share a stencil per m, the merged (offset, coefficient)
+    pairs of the fitting left and right fillings.  A key is an integer with
+    alpha's d rows and then beta's r as digits in a radix above every part
+    (|alpha| <= D, beta_1 <= D + shape_1 + 1), so offsets add without carry.
     A terms override supports tamper tests; the default is the staircase.
     """
     check_box(d, r)
@@ -55,32 +65,59 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
                 raise ValueError(f"override term needs int k, s >= 0: got {k!r}, {s!r}")
     _check_degree(D)
 
-    def lift(p: tuple[int, ...], t: int) -> tuple[int, ...]:
-        return tuple([x + t for x in p + (0,) * (r - len(p))])  # p + (t^r), canonical if t > 0
-    cores = [partitions_of(n, max_height=r - 1) for n in range(D + 1)]  # by size
-    # shapes are canonical and 0 < r <= d: products come straight from the cache
-    total: dict[Key, int] = {}
+    digit = (D + 1 + max((shape[0] for _, shape, _ in terms if shape), default=0)).bit_length()
+
+    def code(p: tuple[int, ...], row: int = 0) -> int:
+        return sum(x << digit * (row + i) for i, x in enumerate(p))
+    ones, both = code((1,) * r), 1 + (1 << digit * d)  # a core or (1^r) on both sides
+    # by size: each core padded to r rows, its key on both sides, and its gaps
+    cores = [[(p, code(p) * both, _gaps(p, r)) for p in (q + (0,) * (r - len(q))
+              for q in partitions_of(n, max_height=r - 1))] for n in range(D + 1)]
+    total: dict[int, int] = {}
     for k, shape, s in terms:
         if s > d:
             continue  # the exterior power vanishes
-        sign = (-1) ** k
         c = shape[-1] if len(shape) == r else 0  # s_shape = (y_1...y_r)^c s_reduced
-        reduced = tuple(x - c for x in shape if x > c)
+        left = [(needs, adds[r - 1], code(adds), (-1) ** k * n)
+                for (needs, adds), n in lr_fillings((1,) * s, d).items()]
+        right = [(needs, code(adds, d) + (c * ones << digit * d), n) for (needs, adds), n
+                 in lr_fillings(tuple(x - c for x in shape if x > c), r).items()]
+        cap = max((x for needs, *_ in left + right for x in needs), default=0)
+        stencils: dict = {}  # (capped gaps, m) -> [(offset, coefficient)]
         for n in range(D - s + 1):
-            for core in cores[n]:
-                right = _schur_product_items(core, reduced, r)
+            for rows, base, room in cores[n]:
+                capped = tuple(min(x, cap) for x in room)
                 for m in range(1 + (n + r + s <= D)):  # lam = core + (m^r)
-                    taut = [(lift(mb, m + c), cr) for mb, cr in right] if m + c else right
-                    for la, cl in _schur_product_items(lift(core, 1) if m else core, (1,) * s, d):
-                        if len(la) < r or la[r - 1] < 2:
-                            for mb, cr in taut:
-                                total[la, mb] = total.get((la, mb), 0) + sign * cl * cr
-    total = {key: v for key, v in total.items() if v}
-    for (la, mb), v in list(total.items()):
-        if len(la) >= r and la[r - 1] == 1:
-            for t in range(1, (D - size(la)) // r + 1):
-                total[lift(la[:r], t) + la[r:], lift(mb, t)] = v
-    return total
+                    if (capped, m) not in stencils:
+                        stencils[capped, m] = _stencil(left, right, rows, m, d, ones * both)
+                    for offset, v in stencils[capped, m]:
+                        total[base + offset] = total.get(base + offset, 0) + v
+    out: dict[Key, int] = {}
+    mask, shifts = (1 << digit) - 1, range(0, digit * (d + r), digit)
+    for key, v in total.items():
+        if v:
+            rows = [key >> i & mask for i in shifts]
+            la = tuple(x for x in rows[:d] if x)
+            out[la, tuple(x for x in rows[d:] if x)] = v
+            if rows[r - 1] == 1:  # alpha_r = 1: copied up by (t^r) on both sides
+                for t in range(1, (D - sum(la)) // r + 1):
+                    out[tuple(x + t for x in la[:r]) + la[r:], tuple(x + t for x in rows[d:])] = v
+    return out
+
+
+def _stencil(left: list, right: list, rows: tuple[int, ...], m: int, d: int,
+             step: int) -> list[tuple[int, int]]:
+    """The merged (offset, coefficient) pairs of the left fillings that fit
+    lam = core + (m^r) in d rows (alpha_r >= 2 comes by translation) and the
+    right ones that fit core in r rows, for a core with the gaps of rows."""
+    lam_gaps, core_gaps = _gaps(tuple(x + m for x in rows), d), _gaps(rows, len(rows))
+    fits = [(b, cr) for needs, b, cr in right if all(map(le, needs, core_gaps))]
+    merged: dict[int, int] = {}
+    for needs, top, a, cl in left:
+        if m + top < 2 and all(map(le, needs, lam_gaps)):
+            for b, cr in fits:
+                merged[a + m * step + b] = merged.get(a + m * step + b, 0) + cl * cr
+    return [(offset, v) for offset, v in merged.items() if v]
 
 
 def pushforward_character(delta: tuple[int, ...], d: int, r: int,
@@ -92,10 +129,10 @@ def pushforward_character(delta: tuple[int, ...], d: int, r: int,
     _check_degree(D)
     if height(delta) > r - 1:
         raise ValueError(f"height({delta}) must be <= {r - 1}")
-    # at r = 1 both factors are empty, so a one-letter product stays at height 0
+    table = lr_fillings(delta, r - 1)
     return {(lam, mu): c for n in range(D + 1)
             for lam in partitions_of(n, max_height=r - 1)
-            for mu, c in schur_product(delta, lam, max(r - 1, 1)).items()}
+            for mu, c in lr_products(table, lam, r - 1)}
 
 
 def verify_exactness(delta: tuple[int, ...], d: int, r: int, D: int) -> bool:

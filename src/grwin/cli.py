@@ -251,16 +251,16 @@ def cmd_kmatrix(args) -> int:
 
 def cmd_verify_exactness(args) -> int:
     delta = parse_partition(args.delta)
-    ok = characters.verify_exactness(delta, args.d, args.r, args.degree)
-    if args.report == "json" or args.json:
-        doc = {"ok": ok, "diffs": []}
-        if not ok:  # where it broke: the lowest ambient degree and the (k, delta_k, s_k)
-            doc["diffs"] = diffs = characters.exactness_report(delta, args.d, args.r, args.degree)
+    if args.report == "json" or args.json:  # both characters once: exact iff no diffs
+        diffs = characters.exactness_report(delta, args.d, args.r, args.degree)
+        doc = {"ok": not diffs, "diffs": diffs}
+        if diffs:  # where it broke: the lowest ambient degree and the (k, delta_k, s_k)
             doc["lowest_degree"] = min(sum(row["lambda"]) for row in diffs)
             doc["terms"] = characters.resolution_terms(delta, args.d, args.r)
         print(bundles.dumps(doc, pretty=args.pretty))
-    else:
-        print("exact" if ok else "NOT exact")
+        return 1 if diffs else 0
+    ok = characters.verify_exactness(delta, args.d, args.r, args.degree)
+    print("exact" if ok else "NOT exact")
     return 0 if ok else 1
 
 

@@ -1,21 +1,24 @@
-"""Littlewood-Richardson and Pieri combinatorics, Schur functor dimensions.
+"""Littlewood-Richardson combinatorics and Schur functor dimensions.
 
 A product s_lam * s_mu in h letters (Macdonald, Symmetric Functions and Hall
-Polynomials, I.3, I.5, I.9) first strips the common full columns, as
-s_{lam + (m^h)} = (x_1...x_h)^m s_lam.  When the smaller factor is then a
-single column, s_lam * e_s is the sum of lam plus a vertical strip of s boxes
-(Pieri), each once.  Otherwise the product grows from LR tableaux: letter v
-of mu fills a horizontal strip of mu_v boxes, and the v's in rows <= i never
-outnumber the (v-1)'s in rows < i.  Shapes past the bound are pruned as
-reached; tableaux with equal shape and last strip are merged.
-An LR coefficient is read off the product at the height of its shape.
+Polynomials, I.9) is read off one table of the LR fillings of content mu on
+skew shapes of at most h rows.  A filling puts b[i][v] letters v in row i;
+the v's in rows <= i never outnumber the (v-1)'s in rows < i (the ballot,
+which also keeps letter v below row v), and row i fits under lam iff the gap
+lam_{i-1} - lam_i is at least its need, max_v (sum_{u<=v} b[i][u] -
+sum_{u<v} b[i-1][u]).  Neither depends on lam, so one table
+{(needs, adds): count} serves every lam: s_lam * s_mu is the sum of
+s_{lam+adds} over the entries whose needs fit lam's gaps.  For mu = (1^s)
+(Pieri) the fillings are the s-subsets of rows, and row i needs 1 where it
+gains a box and row i-1 does not.  An LR coefficient is read off a product.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from operator import add, le, sub
 
-from .partitions import canonical, conjugate, contains, height, size, width
+from .partitions import canonical, conjugate, contains, height, size
 
 
 @cache
@@ -28,55 +31,65 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...],
     return dict(_schur_product_items(lam, mu, height(nu))).get(nu, 0)
 
 
-def _add_strips(shape: tuple[int, ...], last: tuple[int, ...], boxes: int,
-                slack: int, max_height: int
-                ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every way to add a horizontal strip of `boxes` boxes to shape within
-    max_height rows, as (new shape, boxes per row).
+def lr_fillings(mu: tuple[int, ...], h: int, room: tuple[int, ...] | None = None
+                ) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """The LR fillings of content mu (canonical) within h rows, letter by
+    letter, as {(needs, adds): count}: adds[i] boxes go into row i, which
+    needs a gap of needs[i] above it (needs[0] = 0).  Given room, the gaps of
+    one lam, only the fillings that fit lam, with needs left out."""
+    if len(mu) > h:
+        return {}
+    one_lam, room = room is not None, room or (size(mu),) * h  # gaps of |mu| never bind
+    zero, below = (0,) * h, [sum(room[i + 1:]) for i in range(h)]
+    # (boxes per row so far, needs so far, the last letter's boxes per row) -> fillings
+    level = {(zero, () if one_lam else zero, zero): 1}
+    for v, boxes in enumerate(mu):
+        grown: dict = {}
+        for (adds, needs, last), count in level.items():
+            strips: list[tuple[int, ...]] = []
 
-    The running count of new boxes through row i may exceed the running
-    count of `last` through row i-1 by at most `slack` (the ballot
-    condition; the first letter passes slack = boxes and no `last`).
-    """
-    out = []
-    top = min(len(shape) + 1, max_height)
-    # the rows below row i take at most shape[i] - floor boxes of the strip
-    floor = shape[top - 1] if top <= len(shape) else 0
+            def grow(i: int, left: int, slack: int, row: tuple[int, ...]) -> None:
+                # at most the room under row i-1 of lam + adds and the ballot slack (the v's
+                # in rows <= i never outnumber the (v-1)'s in rows < i); at least what the
+                # rows below cannot take, their room telescoping to below[i] + adds[i] - adds[-1]
+                if not left:
+                    strips.append(row + zero[i:])
+                    return
+                top = min(left, slack, room[i] + adds[i - 1] - adds[i] if i else left)
+                for b in range(max(left - below[i] - adds[i] + adds[-1], 0), top + 1):
+                    grow(i + 1, left - b, slack - b + last[i], row + (b,))
 
-    def grow(i: int, left: int, slack: int, rows: tuple[int, ...],
-             per_row: tuple[int, ...]) -> None:
-        if not left:
-            out.append((rows + shape[i:], per_row))
-            return
-        old = shape[i] if i < len(shape) else 0
-        room = shape[i - 1] - old if i else left
-        below = last[i] if i < len(last) else 0
-        for a in range(min(left, room, slack), max(0, left - old + floor) - 1, -1):
-            grow(i + 1, left - a, slack - a + below,
-                 rows + (old + a,) if old + a else rows, per_row + (a,))
-
-    grow(0, boxes, slack, (), ())
-    return out
+            grow(0, boxes, 0 if v else boxes, ())
+            for row in strips:
+                new = tuple(map(add, adds, row))  # row i's letters <= v against row i-1's < v
+                key = (new, needs if one_lam else
+                       (0,) + tuple(map(max, needs[1:], map(sub, new[1:], adds))), row)
+                grown[key] = grown.get(key, 0) + count
+        level = grown
+    table: dict = {}
+    for (adds, needs, _), count in level.items():
+        table[needs, adds] = table.get((needs, adds), 0) + count
+    return table
 
 
-def _add_vertical_strips(shape: tuple[int, ...], boxes: int,
-                         max_height: int) -> list[tuple[int, ...]]:
-    """Every shape plus a vertical strip of `boxes` boxes (at most one per
-    row) within max_height rows, lexicographically descending."""
-    out = []
+def _gaps(lam: tuple[int, ...], h: int) -> tuple[int, ...]:
+    """(0, lam_0 - lam_1, ..., lam_{h-2} - lam_{h-1}), lam padded to h rows:
+    the room each row leaves the row below, against a filling's needs."""
+    rows = lam + (0,) * (h - len(lam))
+    return (0,) + tuple(map(sub, rows, rows[1:]))
 
-    def grow(i: int, left: int, rows: tuple[int, ...]) -> None:
-        if not left:
-            out.append(rows + shape[i:])
-        elif i + left <= max_height:
-            old = shape[i] if i < len(shape) else 0
-            if not i or rows[-1] > old:  # a box in row i first: larger shapes first
-                grow(i + 1, left - 1, rows + (old + 1,))
-            if old:  # below an empty row no box can go
-                grow(i + 1, left, rows + (old,))
 
-    grow(0, boxes, ())
-    return out
+def lr_products(table: dict, lam: tuple[int, ...],
+                h: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """s_lam * s_mu as (nu, c) items, lexicographically descending, from the
+    filling table of mu in h >= height(lam) rows."""
+    rows, room = lam + (0,) * (h - len(lam)), _gaps(lam, h)
+    out: dict[tuple[int, ...], int] = {}
+    for (needs, adds), count in table.items():
+        if all(map(le, needs, room)):
+            nu = tuple(x for x in map(add, rows, adds) if x)
+            out[nu] = out.get(nu, 0) + count
+    return tuple(sorted(out.items(), reverse=True))
 
 
 @cache
@@ -84,29 +97,10 @@ def _schur_product_items(lam: tuple[int, ...], mu: tuple[int, ...],
                          max_height: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     if max(len(lam), len(mu)) > max_height:
         return ()
-    if max_height and max_height in (len(lam), len(mu)):
-        # strip the full columns (zero letters have none), put them back on h rows
-        a, b = (p[-1] if len(p) == max_height else 0 for p in (lam, mu))
-        reduced = _schur_product_items(tuple(x - a for x in lam if x > a),
-                                       tuple(x - b for x in mu if x > b), max_height)
-        return tuple((tuple(x + a + b for x in nu + (0,) * (max_height - len(nu))), c)
-                     for nu, c in reduced)
-    if size(lam) < size(mu):
+    if (len(lam), size(lam)) < (len(mu), size(mu)):
         lam, mu = mu, lam  # c^nu_{lam mu} = c^nu_{mu lam}: fewer letters to place
-    if width(mu) == 1:  # s_lam * e_s: each vertical strip once, already sorted
-        return tuple((nu, 1) for nu in _add_vertical_strips(lam, len(mu), max_height))
-    # (shape so far, boxes per row of the last letter) -> number of tableaux
-    tableaux = {(lam, ()): 1}
-    for v, boxes in enumerate(mu):
-        grown: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for (shape, last), count in tableaux.items():
-            for key in _add_strips(shape, last, boxes, 0 if v else boxes, max_height):
-                grown[key] = grown.get(key, 0) + count
-        tableaux = grown
-    product: dict[tuple[int, ...], int] = {}
-    for (shape, _), count in tableaux.items():
-        product[shape] = product.get(shape, 0) + count
-    return tuple(sorted(product.items(), reverse=True))
+    h = min(max_height, len(lam) + len(mu))  # no product reaches further down
+    return lr_products(lr_fillings(mu, h, _gaps(lam, h)), lam, h)
 
 
 def schur_product(lam: tuple[int, ...], mu: tuple[int, ...],

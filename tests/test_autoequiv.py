@@ -121,6 +121,29 @@ def test_outputs_stay_in_target_windows():
                 assert in_window(lb, d, n, -1)
 
 
+@st.composite
+def wide_generators(draw):
+    """(delta, d, n) with 7 <= d <= 9 and delta a generator of the index box,
+    narrow or full width (where the route check applies) with even odds."""
+    d = draw(st.integers(7, 9))
+    n = draw(st.integers(1, d - 1))
+    return draw(st.sampled_from(gamma_split(d, n)[draw(st.integers(0, 1))])), d, n
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=wide_generators())
+def test_twist_cotwist_route_and_windows_for_seven_to_nine(case):
+    # twist = cotwist (x) O(1), the down-shift route is the twisted
+    # resolution, and each image lies in its target window (k = 0 and -1)
+    delta, d, n = case
+    twist, cotwist = twist_on_generator(delta, d, n), cotwist_on_generator(delta, d, n)
+    assert cotwist.tensor_det(1) == twist
+    if width(delta) == d - n:
+        assert cotwist == unstable_resolution_twisted(delta, d, n)
+    assert all(in_window(lb, d, n, 0) for _, lb, _m in twist.items())
+    assert all(in_window(lb, d, n, -1) for _, lb, _m in cotwist.items())
+
+
 def test_twist_and_cotwist_images_keep_the_generator_rank():
     # an autoequivalence preserves K-classes, so the alternating rank sum of
     # each image is the rank of S^delta of the rank-r bundle

@@ -1,5 +1,6 @@
-"""Euler and pushforward characters of every seed in four boxes, and of a
-few seeds in three wider ones, pinned bit for bit.
+"""Euler and pushforward characters of every seed in four boxes, of a few
+seeds in three wider ones, and of a few seeds above the stable degree,
+pinned bit for bit.
 
 Each digest is the sha256 of the compact JSON of the sorted
 [lambda, mu, coefficient] rows of a character, recorded from the
@@ -79,6 +80,22 @@ def parse_key(pin):
 
 
 WIDER_CASES = [parse_key(pin) for pin in WIDER_DIGESTS]
+# "d,r:delta:D" at D = stable + r and stable + 2r, recorded from the products
+# grown from LR tableaux, before the filling tables replaced them
+ABOVE_STABLE_DIGESTS = {
+    "6,3:2,1:18": "0208063cc451b7abebbe3c149615dddcd6bd6fde42d0d6d67b068470815bc108",
+    "6,3:2,1:21": "46ee91f8910b868e0111fe1669f08cd5053b3723e28984258407847f2eec78da",
+    "6,3:4,3:22": "a1206166936061e091d92445f794075e158f1187d11e7b151f8f029a1aef7835",
+    "6,3:4,3:25": "0f5b9f2ba385da79ba218699f40dfcb40c0c7d4af1a77c63b017a6b524c9fc38",
+    "7,3:3,1:22": "970c6372f88fc987311a3479376a6cb512a280b9e9f6365f314f3707f7ffd2cd",
+    "7,3:3,1:25": "5ed8b2807d2cf13cb34242d8ad4e3e0ac0df4e0f32881d87f9dfa187e33813eb",
+    "7,3:5,2:25": "3c855cbe26dc2f5ac4a78737a1c952c9ec9512e3f97afa241fe9784d2e9ab576",
+    "7,3:5,2:28": "8046a4db458ed85523504302a1f7b0731d20e3fb95bc5adedee75dcb1851c323",
+    "8,4::24": "c41573147ad06dc8b54a304244131bf19383c7f87c55127a16b0605a977cfacf",
+    "8,4::28": "e934c128f9bf5b40442a70cee3d368ddc5667bf7ca7eb026038bab7901f8bd3f",
+    "8,4:3,3,3:33": "c0f45593bdb7d466b6914892b9aaff53a4c73d29a6e02619655edabb26fe40b3",
+    "8,4:3,3,3:37": "1fb89f431b0f03838c28a385d3ea594b2ac6aac144f556e953ccebefbad4df99",
+}
 
 
 def test_pins_cover_every_seed_of_the_four_boxes():
@@ -92,3 +109,18 @@ def test_characters_match_pinned_digests(d, r, delta):
     pinned = {**DIGESTS, **WIDER_DIGESTS}[key(d, r, delta)]
     assert digest(euler_character(delta, d, r, D)) == pinned
     assert digest(pushforward_character(delta, d, r, D)) == pinned
+
+
+def test_above_stable_pins_sit_at_stable_plus_r_and_plus_2r():
+    for pin in ABOVE_STABLE_DIGESTS:
+        box, _, D = pin.rpartition(":")
+        d, r, delta = parse_key(box)
+        assert int(D) - size(delta) - r * (d - r + 1) in (r, 2 * r)
+
+
+@pytest.mark.parametrize("pin", sorted(ABOVE_STABLE_DIGESTS))
+def test_characters_above_the_stable_degree_match_pinned_digests(pin):
+    box, _, D = pin.rpartition(":")
+    d, r, delta = parse_key(box)
+    assert digest(euler_character(delta, d, r, int(D))) == ABOVE_STABLE_DIGESTS[pin]
+    assert digest(pushforward_character(delta, d, r, int(D))) == ABOVE_STABLE_DIGESTS[pin]

@@ -205,6 +205,17 @@ def test_euler_key_filled_in_by_translation_matches_the_cauchy_sum():
     assert e == euler_character_by_cauchy((), 3, 2, 4, terms=terms)
 
 
+def test_euler_override_with_parts_above_the_degree_matches_the_cauchy_sum():
+    # beta's parts are not bounded by D: these shapes reach 14 at D = 6, and
+    # (9, 3) sheds three full columns in r = 2 letters, so integer keys need a
+    # radix above D + shape_1 + 1 for their digits to add without carry; a
+    # radix of 16, the next power of two above D + 2, is too small here
+    terms = [(0, (9, 3), 1), (1, (14,), 2), (2, (7, 7), 0)]
+    e = euler_character((), 4, 2, 6, terms=terms)
+    assert max(mb[0] for _, mb in e) >= 16
+    assert e == euler_character_by_cauchy((), 4, 2, 6, terms=terms)
+
+
 @st.composite
 def euler_cases(draw):
     """(delta, d, r, D, terms): a staircase or one term of it changed by a

@@ -12,7 +12,8 @@ from oracles import (
 )
 
 from grwin.partitions import canonical, height, partitions_of, size, width
-from grwin.schur import lr_coefficient, schur_dimension, schur_product
+from grwin.schur import (_gaps, lr_coefficient, lr_fillings, lr_products, schur_dimension,
+                         schur_product)
 
 
 def test_lr_single_skew_box():
@@ -248,3 +249,44 @@ def test_exterior_power_products_match_candidate_loop(case):
     for got in (schur_product(lam, column, h), schur_product(column, lam, h)):
         assert got == dict(expected)
         assert list(got.items()) == expected
+
+
+def test_pieri_filling_table_is_the_row_subsets():
+    # (1,1) in three rows: each 2-subset of rows once; row i needs a gap of 1
+    # where it gains a box and row i-1 does not
+    assert lr_fillings((1, 1), 3) == {((0, 0, 0), (1, 1, 0)): 1,
+                                      ((0, 0, 1), (1, 0, 1)): 1,
+                                      ((0, 1, 0), (0, 1, 1)): 1}
+    assert lr_products(lr_fillings((1, 1), 3), (2, 1), 3) == \
+        (((3, 2), 1), ((3, 1, 1), 1), ((2, 2, 1), 1))
+
+
+COLUMNS = [(1,) * s for s in range(8)]
+
+
+@st.composite
+def filling_cases(draw):
+    """(mu, lam, h): mu of at most 7 boxes, a single column or taller than
+    wide a third of the time each, and lam of at most h rows, each at most 3
+    long, so some lam fill all h rows."""
+    h = draw(st.integers(1, 7))
+    mu = draw(st.sampled_from(draw(st.sampled_from([SMALL_SHAPES, COLUMNS, TALL_SHAPES]))))
+    rows = draw(st.lists(st.integers(0, 3), min_size=h, max_size=h))
+    return mu, canonical(sorted(rows, reverse=True)), h
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=filling_cases())
+@example(case=((), (), 1))
+@example(case=((2, 1), (2, 1), 3))
+@example(case=((1, 1, 1), (3, 3, 3), 3))
+@example(case=((3, 1, 1, 1), (1, 1), 4))
+def test_filling_table_applies_like_the_candidate_loop(case):
+    # the table of mu serves every lam; restricted to lam's gaps it gives the
+    # same products, each as a dict and in lexicographically descending order
+    mu, lam, h = case
+    expected = schur_product_by_candidates(lam, mu, h)
+    for table in (lr_fillings(mu, h), lr_fillings(mu, h, _gaps(lam, h))):
+        got = lr_products(table, lam, h)
+        assert dict(got) == dict(expected)
+        assert list(got) == expected
