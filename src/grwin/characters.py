@@ -13,11 +13,9 @@ to every core through stencils on integer-coded keys.
 
 from __future__ import annotations
 
-from operator import le
-
 from .partitions import (canonical, check_box, complement, height, partitions_of,
                          resolution_terms, width)
-from .schur import _gaps, lr_coefficient, lr_fillings, lr_products
+from .schur import fits, gaps, lr_coefficient, lr_fillings, lr_products
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -71,7 +69,7 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
         return sum(x << digit * (row + i) for i, x in enumerate(p))
     ones, both = code((1,) * r), 1 + (1 << digit * d)  # a core or (1^r) on both sides
     # by size: each core padded to r rows, its key on both sides, and its gaps
-    cores = [[(p, code(p) * both, _gaps(p, r)) for p in (q + (0,) * (r - len(q))
+    cores = [[(p, code(p) * both, gaps(p, r)) for p in (q + (0,) * (r - len(q))
               for q in partitions_of(n, max_height=r - 1))] for n in range(D + 1)]
     total: dict[int, int] = {}
     for k, shape, s in terms:
@@ -110,12 +108,12 @@ def _stencil(left: list, right: list, rows: tuple[int, ...], m: int, d: int,
     """The merged (offset, coefficient) pairs of the left fillings that fit
     lam = core + (m^r) in d rows (alpha_r >= 2 comes by translation) and the
     right ones that fit core in r rows, for a core with the gaps of rows."""
-    lam_gaps, core_gaps = _gaps(tuple(x + m for x in rows), d), _gaps(rows, len(rows))
-    fits = [(b, cr) for needs, b, cr in right if all(map(le, needs, core_gaps))]
+    lam_gaps, core_gaps = gaps(tuple(x + m for x in rows), d), gaps(rows, len(rows))
+    fitting = [(b, cr) for needs, b, cr in right if fits(needs, core_gaps)]
     merged: dict[int, int] = {}
     for needs, top, a, cl in left:
-        if m + top < 2 and all(map(le, needs, lam_gaps)):
-            for b, cr in fits:
+        if m + top < 2 and fits(needs, lam_gaps):
+            for b, cr in fitting:
                 merged[a + m * step + b] = merged.get(a + m * step + b, 0) + cl * cr
     return [(offset, v) for offset, v in merged.items() if v]
 

@@ -8,7 +8,8 @@ which also keeps letter v below row v), and row i fits under lam iff the gap
 lam_{i-1} - lam_i is at least its need, max_v (sum_{u<=v} b[i][u] -
 sum_{u<v} b[i-1][u]).  Neither depends on lam, so one table
 {(needs, adds): count} serves every lam: s_lam * s_mu is the sum of
-s_{lam+adds} over the entries whose needs fit lam's gaps.  For mu = (1^s)
+s_{lam+adds} over the entries whose needs fit lam's gaps; a cached product
+grows only the fillings that fit its lam's gaps.  For mu = (1^s)
 (Pieri) the fillings are the s-subsets of rows, and row i needs 1 where it
 gains a box and row i-1 does not.  An LR coefficient is read off a product.
 """
@@ -36,13 +37,13 @@ def lr_fillings(mu: tuple[int, ...], h: int, room: tuple[int, ...] | None = None
     """The LR fillings of content mu (canonical) within h rows, letter by
     letter, as {(needs, adds): count}: adds[i] boxes go into row i, which
     needs a gap of needs[i] above it (needs[0] = 0).  Given room, the gaps of
-    one lam, only the fillings that fit lam, with needs left out."""
+    one lam, only the fillings that fit lam are grown."""
     if len(mu) > h:
         return {}
-    one_lam, room = room is not None, room or (size(mu),) * h  # gaps of |mu| never bind
+    room = room or (size(mu),) * h  # gaps of |mu| never bind
     zero, below = (0,) * h, [sum(room[i + 1:]) for i in range(h)]
     # (boxes per row so far, needs so far, the last letter's boxes per row) -> fillings
-    level = {(zero, () if one_lam else zero, zero): 1}
+    level = {(zero, zero, zero): 1}
     for v, boxes in enumerate(mu):
         grown: dict = {}
         for (adds, needs, last), count in level.items():
@@ -62,8 +63,7 @@ def lr_fillings(mu: tuple[int, ...], h: int, room: tuple[int, ...] | None = None
             grow(0, boxes, 0 if v else boxes, ())
             for row in strips:
                 new = tuple(map(add, adds, row))  # row i's letters <= v against row i-1's < v
-                key = (new, needs if one_lam else
-                       (0,) + tuple(map(max, needs[1:], map(sub, new[1:], adds))), row)
+                key = (new, (0,) + tuple(map(max, needs[1:], map(sub, new[1:], adds))), row)
                 grown[key] = grown.get(key, 0) + count
         level = grown
     table: dict = {}
@@ -72,21 +72,26 @@ def lr_fillings(mu: tuple[int, ...], h: int, room: tuple[int, ...] | None = None
     return table
 
 
-def _gaps(lam: tuple[int, ...], h: int) -> tuple[int, ...]:
+def gaps(lam: tuple[int, ...], h: int) -> tuple[int, ...]:
     """(0, lam_0 - lam_1, ..., lam_{h-2} - lam_{h-1}), lam padded to h rows:
     the room each row leaves the row below, against a filling's needs."""
     rows = lam + (0,) * (h - len(lam))
     return (0,) + tuple(map(sub, rows, rows[1:]))
 
 
+def fits(needs: tuple[int, ...], room: tuple[int, ...]) -> bool:
+    """Whether a filling with these needs fits under a shape with these gaps."""
+    return all(map(le, needs, room))
+
+
 def lr_products(table: dict, lam: tuple[int, ...],
                 h: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """s_lam * s_mu as (nu, c) items, lexicographically descending, from the
     filling table of mu in h >= height(lam) rows."""
-    rows, room = lam + (0,) * (h - len(lam)), _gaps(lam, h)
+    rows, room = lam + (0,) * (h - len(lam)), gaps(lam, h)
     out: dict[tuple[int, ...], int] = {}
     for (needs, adds), count in table.items():
-        if all(map(le, needs, room)):
+        if fits(needs, room):
             nu = tuple(x for x in map(add, rows, adds) if x)
             out[nu] = out.get(nu, 0) + count
     return tuple(sorted(out.items(), reverse=True))
@@ -100,7 +105,7 @@ def _schur_product_items(lam: tuple[int, ...], mu: tuple[int, ...],
     if (len(lam), size(lam)) < (len(mu), size(mu)):
         lam, mu = mu, lam  # c^nu_{lam mu} = c^nu_{mu lam}: fewer letters to place
     h = min(max_height, len(lam) + len(mu))  # no product reaches further down
-    return lr_products(lr_fillings(mu, h, _gaps(lam, h)), lam, h)
+    return lr_products(lr_fillings(mu, h, gaps(lam, h)), lam, h)
 
 
 def schur_product(lam: tuple[int, ...], mu: tuple[int, ...],
@@ -118,12 +123,7 @@ def schur_dimension(lam: tuple[int, ...], n: int) -> int:
     if n < 0:
         raise ValueError("alphabet size must be >= 0")
     lam = canonical(lam)
-    if not lam:
-        return 1
-    if height(lam) > n:
-        return 0
-    num = 1
-    den = 1
+    num = den = 1  # height > n: row n's first box gives the factor n + 0 - n = 0
     conj = conjugate(lam)
     for i, row in enumerate(lam):
         for j in range(row):

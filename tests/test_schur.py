@@ -12,7 +12,7 @@ from oracles import (
 )
 
 from grwin.partitions import canonical, height, partitions_of, size, width
-from grwin.schur import (_gaps, lr_coefficient, lr_fillings, lr_products, schur_dimension,
+from grwin.schur import (gaps, lr_coefficient, lr_fillings, lr_products, schur_dimension,
                          schur_product)
 
 
@@ -286,7 +286,7 @@ def test_filling_table_applies_like_the_candidate_loop(case):
     # same products, each as a dict and in lexicographically descending order
     mu, lam, h = case
     expected = schur_product_by_candidates(lam, mu, h)
-    for table in (lr_fillings(mu, h), lr_fillings(mu, h, _gaps(lam, h))):
+    for table in (lr_fillings(mu, h), lr_fillings(mu, h, gaps(lam, h))):
         got = lr_products(table, lam, h)
         assert dict(got) == dict(expected)
         assert list(got) == expected
