@@ -2,8 +2,9 @@
 
 The up-shift fixes narrow generators and replaces full-width ones by the
 positive part of their staircase resolution; the down-shift is its O(1)
-conjugate.  Shift matrices: fixed-point localization in integers, solved modulo one
-prime, certified exactly, Bareiss as fallback; the O(1) matrix: Kapranov duality and Bott.
+conjugate.  Shift matrices: fixed-point localization in integers at the first d
+primes, one solve modulo a prime, certified exactly; the O(1) matrix: Kapranov
+duality and Bott.  `determinant` is the Bareiss determinant of an integer matrix.
 """
 
 from __future__ import annotations
@@ -70,15 +71,6 @@ def default_parameters(d: int) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, islice(primes, d)))
 
 
-def _parameters(params: Sequence[Fraction] | None, d: int) -> tuple[Fraction, ...]:
-    """d distinct nonzero localization parameters; the first d primes by default."""
-    params = default_parameters(d) if params is None else tuple(map(Fraction, params))
-    if len(params) != d or len(set(params)) != d or 0 in params:
-        raise ValueError(f"need {d} distinct nonzero localization parameters, "
-                         f"got ({', '.join(map(str, params))})")
-    return params
-
-
 def _h_table(xs: Sequence[Fraction], top: int) -> tuple[int, list[int]]:
     """(den, h) with den the common denominator of xs and h[k] = h_k(den*xs)
     = den^k h_k(xs) for k <= top: complete homogeneous values, in integers."""
@@ -92,44 +84,36 @@ def _h_table(xs: Sequence[Fraction], top: int) -> tuple[int, list[int]]:
 
 def _jacobi_trudi(lam: tuple[int, ...], h: list[int]) -> int:
     """det(h_{lam_i - i + j}) over an integer h table (Macdonald, I.3)."""
-    return _eliminate([[h[part - i + j] if part >= i - j else 0 for j in range(len(lam))]
-                       for i, part in enumerate(lam)], len(lam))
-
-
-def schur_evaluate(lam: tuple[int, ...], xs: Sequence[Fraction]) -> Fraction:
-    """Exact Schur polynomial value by the Jacobi-Trudi determinant."""
-    lam = canonical(lam)
-    den, h = _h_table(xs, width(lam) + height(lam) - 1)
-    return Fraction(_jacobi_trudi(lam, h), den ** size(lam))
+    return determinant([[h[part - i + j] if part >= i - j else 0 for j in range(len(lam))]
+                        for i, part in enumerate(lam)])
 
 
 def _fixed_point_values(complexes: Sequence[Iterable[tuple[int, BundleLabel, int]]],
                         r: int, params: tuple[Fraction, ...]) -> list[list[Fraction]]:
-    """Values of complexes, as (degree, label, mult) terms, at each fixed point
-    (lexicographic r-subset of params), one row per point, each summed in integers
-    over den^(max |shape|) times the lcm of its det-twist and V factors' denominators."""
+    """Values of complexes, as (degree, label, mult) terms of plain labels, at each fixed
+    point (lexicographic r-subset of params), one row per point, each summed in integers
+    over den^(max |shape|) times the lcm of its det twists' denominators."""
     labels: dict[BundleLabel, int] = {}  # each distinct label's index
     classes: list[list[tuple[int, int]]] = []
     for items in complexes:
         net: dict[BundleLabel, int] = {}
         for degree, label, mult in items:
-            if label.side != "S" or label.taut_rank != r or label.bracket_twist:
-                raise ValueError(f"localization needs ambient-side labels, got {label}")
+            if label.side != "S" or label.taut_rank != r or label.bracket_twist or label.v_shape:
+                raise ValueError(f"localization needs plain ambient-side labels, got {label}")
             net[label] = net.get(label, 0) + (-1) ** degree * mult
         classes.append([(labels.setdefault(lb, len(labels)), c) for lb, c in net.items() if c])
-    v_factor = {v: schur_evaluate(v, params) for v in {lb.v_shape for lb in labels}}
     shapes = {lb.schur for lb in labels}
     big = max(map(size, shapes), default=0)  # >= width + height - 1, the h table's top
-    pairs = list({(lb.det_twist, lb.v_shape) for lb in labels})
+    twists = list({lb.det_twist for lb in labels})
     rows = []
     for sigma in combinations(params, r):
         den, h = _h_table([1 / t for t in sigma], big)
         det = prod(sigma)
-        (ints,), scale = _integer_rows([[det ** -t * v_factor[v] for t, v in pairs]])
-        factor = dict(zip(pairs, ints))
+        (ints,), scale = _integer_rows([[det ** -t for t in twists]])
+        factor = dict(zip(twists, ints))
         scale *= den ** big
         jt = {lam: _jacobi_trudi(lam, h) * den ** (big - size(lam)) for lam in shapes}
-        value = [jt[lb.schur] * factor[lb.det_twist, lb.v_shape] for lb in labels]
+        value = [jt[lb.schur] * factor[lb.det_twist] for lb in labels]
         rows.append([Fraction(sum(c * value[i] for i, c in cls), scale) for cls in classes])
     return rows
 
@@ -148,32 +132,29 @@ def _integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> tuple[list[list[i
             prod(dens))
 
 
-def _eliminate(a: list[list[int]], n: int) -> int:
-    """Fraction-free Gauss-Jordan (Bareiss) on integer rows, in place; every
-    division is exact.  Returns the det of the leading n x n block, 0 if it
-    is singular; otherwise the columns right of it end as p*X, with X the
-    solution for those columns and p = a[n-1][n-1] the last pivot."""
+def determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination;
+    every division is exact."""
+    a = [list(row) for row in matrix]
     sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
         if pivot is None:
             return 0
         if pivot != k:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         p, tail = a[k][k], a[k][k + 1:]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i][k + 1:] = [(p * x - f * y) // prev
-                                for x, y in zip(a[i][k + 1:], tail)]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = p
     return sign * prev
 
 
 def _solve_modular(rows: list[list[int]], n: int) -> list[list[int]] | None:
-    """X with B X = Y for integer rows [B | Y], from one Gauss-Jordan pass modulo PRIME and
-    symmetric residues; None if a pivot vanishes mod PRIME or B X = Y fails exactly."""
+    """X with B X = Y modulo PRIME for integer rows [B | Y], in symmetric residues,
+    from one Gauss-Jordan pass; None if a pivot vanishes."""
     p = PRIME
     a = [[x % p for x in row] for row in rows]
     for k in range(n):
@@ -186,34 +167,14 @@ def _solve_modular(rows: list[list[int]], n: int) -> list[list[int]] | None:
         for i, row in enumerate(a):
             if i != k and (f := row[k]):
                 row[k + 1:] = [(x - f * y) % p for x, y in zip(row[k + 1:], tail)]
-    x = [[v - p if v > p // 2 else v for v in row[n:]] for row in a]
-    nonzero = [[(k, v) for k, v in enumerate(col) if v] for col in zip(*x)]
-    return x if all(sum(row[k] * v for k, v in col) == y
-                    for row in rows for col, y in zip(nonzero, row[n:])) else None
-
-
-def solve_exact(matrix: Sequence[Sequence[Fraction | int]],
-                columns: Sequence[Sequence[Fraction | int]]
-                ) -> tuple[Fraction, list[list[Fraction]]]:
-    """(det, solutions) of matrix * x = y, one per column y; (0, []) if
-    singular.  Each row of [matrix | columns] is scaled to integers by the
-    lcm of its denominators, then one fraction-free pass solves them all."""
-    n = len(matrix)
-    rows, scale = _integer_rows([*row, *ys] for row, *ys in zip(matrix, *columns, strict=True))
-    det = _eliminate(rows, n)
-    if det == 0:
-        return Fraction(0), []
-    pivot = rows[-1][n - 1] if n else 1
-    return Fraction(det, scale), [[Fraction(rows[i][n + j], pivot) for i in range(n)]
-                                  for j in range(len(columns))]
+    return [[v - p if v > p // 2 else v for v in row[n:]] for row in a]
 
 
 # ---------------------------------------------------------------------------
 # functor matrices in the Kapranov basis
 
 
-def k_matrix(which: str, d: int, r: int,
-             params: Sequence[Fraction] | None = None) -> list[list[int]]:
+def k_matrix(which: str, d: int, r: int) -> list[list[int]]:
     """Matrix of the shift functor on K-theory: one column per generator,
     coordinates of the image in the target window's generator basis.
 
@@ -226,13 +187,19 @@ def k_matrix(which: str, d: int, r: int,
     C(d-2, r-2) of the a_rho.  So |det| = prod_{i<j} |y_i - y_j|^m with
     m = C(d-2, r-1), nonzero for distinct nonzero t: a zero det is a bug.
 
-    It is solved modulo PRIME, which divides no det or row scale at default
-    parameters: nonzero pivots mod PRIME make it nonsingular over Q, so a lifted
-    X with B X = Y exactly is the unique integral solution.  Else Bareiss decides.
+    It is solved once modulo PRIME at t = the first d primes, with no
+    wraparound.  Each factor |y_i - y_j| = |p_j - p_i| / (p_i p_j) and each
+    row scale is made of primes <= p_d and differences below p_d, so PRIME
+    divides no det or row scale, no pivot vanishes, and the basis is
+    nonsingular over Q.  The coordinates are integers far below PRIME / 2
+    (the largest |entry| is C(d, floor(d/2)) for d <= 8 and 126 at (9,4)), so
+    the symmetric lift recovers them.  The exact check B X = Y certifies every
+    column: a failure raises, naming the generator; no wrong matrix is returned.
     """
-    params = _parameters(params, d)
+    check_box(d, r, strict=True)
     if which not in ("twist", "cotwist", "identity"):
         raise ValueError(f"unknown functor {which!r}")
+    params = default_parameters(d)
     basis = [[(0, lb, 1)] for lb in window_generators(d, r, -1 if which == "cotwist" else 0)]
     if which == "identity":
         images = basis
@@ -242,18 +209,18 @@ def k_matrix(which: str, d: int, r: int,
                   for delta in gamma_set(d, r)]
     n = len(basis)
     rows, _ = _integer_rows(_fixed_point_values(basis + images, r, params))
-    if (solution := _solve_modular(rows, n)) is not None:
-        return solution
-    det, cols = solve_exact([row[:n] for row in rows], [*zip(*rows)][n:])
-    if det == 0:
+    x = _solve_modular(rows, n)
+    if x is None:
         raise InternalConsistencyError(
             f"{which} at (d,r)=({d},{r}): basis matrix singular at parameters "
             f"({', '.join(map(str, params))})")
-    for delta, x in zip(gamma_set(d, r), cols):
-        if bad := next(((i, v) for i, v in enumerate(x) if v.denominator != 1), None):
-            raise InternalConsistencyError(f"{which} image of {delta} at (d,r)=({d},{r}): "
-                                           "coordinate {} is {}, not an integer".format(*bad))
-    return [[int(x[i]) for x in cols] for i in range(n)]
+    for j, (delta, col) in enumerate(zip(gamma_set(d, r), zip(*x))):
+        nonzero = [(k, v) for k, v in enumerate(col) if v]
+        if any(sum(row[k] * v for k, v in nonzero) != row[n + j] for row in rows):
+            raise InternalConsistencyError(
+                f"{which} image of {delta} at (d,r)=({d},{r}): the coordinates lifted "
+                f"from modulo {PRIME} fail B X = Y")
+    return x
 
 
 def kapranov_coordinates(labels: Sequence[BundleLabel], d: int, r: int, k: int) -> list[list[int]]:

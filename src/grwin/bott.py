@@ -37,11 +37,6 @@ def apply_perm(w: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v[w[i]] for i in range(len(w)))
 
 
-def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Composite with apply(compose(p, q), v) == apply(p, apply(q, v))."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
 def inversions(w: tuple[int, ...]) -> int:
     """Coxeter length: inversion count of the one-line word."""
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w))

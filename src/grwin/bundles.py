@@ -90,14 +90,6 @@ def from_nondual(gamma: Iterable[int], taut_rank: int, side: str = "S",
                      taut_rank, side, v_shape, bracket_twist)
 
 
-def to_nondual(label: BundleLabel, w: int) -> tuple[tuple[int, ...], int]:
-    """Inverse of from_nondual: (gamma, leftover det twist) boxed at width w."""
-    if width(label.schur) > w:
-        raise ValueError(f"{label.schur} wider than box width {w}")
-    gamma = complement(label.schur, w, label.taut_rank)
-    return gamma, label.det_twist + w
-
-
 def rank(label: BundleLabel, d: int) -> int:
     """Rank of the labeled bundle, with V of dimension d."""
     return (schur_dimension(label.schur, label.taut_rank)
@@ -159,10 +151,6 @@ class GradedComplex:
             (degree, tuple((replace(lb, det_twist=lb.det_twist + m), mult)
                            for lb, mult in labels))
             for degree, labels in self.terms))
-
-    def shift(self, n: int) -> "GradedComplex":
-        return GradedComplex.from_items(
-            (degree - n, label, mult) for degree, label, mult in self.items())
 
     def expand_multiplicities(self, d: int) -> "GradedComplex":
         """Drop V factors, multiplying each term by its V-dimension."""

@@ -237,15 +237,15 @@ def cmd_kmatrix(args) -> int:
         raise ValueError(f"C({args.d},{args.r}) = {basis} generators is above the limit "
                          f"{args.max_basis}; pass --max-basis {basis} to compute it")
     matrix = autoequiv.k_matrix(args.which, args.d, args.r)
-    det, _ = autoequiv.solve_exact(matrix, [])
+    det = autoequiv.determinant(matrix)
     if args.json:
         doc = {"which": args.which, "d": args.d, "r": args.r,
-               "matrix": [list(row) for row in matrix], "determinant": int(det)}
+               "matrix": [list(row) for row in matrix], "determinant": det}
         print(bundles.dumps(doc, pretty=args.pretty))
         return 0
     for row in matrix:
         print(" ".join(f"{x:4d}" for x in row))
-    print(f"determinant: {int(det)}")
+    print(f"determinant: {det}")
     return 0
 
 

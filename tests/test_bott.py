@@ -11,7 +11,6 @@ from grwin.bott import (
     Regular,
     bwb_cohomology,
     classify,
-    compose,
     euler_characteristic,
     inversions,
     twisted_action,
@@ -33,6 +32,11 @@ def test_twisted_action_swap():
 def test_twisted_action_length_mismatch():
     with pytest.raises(ValueError):
         twisted_action((0, 1), (1, 2, 3))
+
+
+def compose(p, q):
+    """Composite with apply_perm(compose(p, q), v) == apply_perm(p, apply_perm(q, v))."""
+    return tuple(q[p[i]] for i in range(len(p)))
 
 
 def test_twisted_action_group_law():

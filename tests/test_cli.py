@@ -148,6 +148,21 @@ def test_singular_kmatrix_basis_exits_one(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_kmatrix_rejects_a_negative_box(capsys):
+    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "-3", "--r", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: need 0 < r < d, got r=-1, d=-3\n"
+
+
+def test_a_failed_kmatrix_certificate_exits_one(capsys, monkeypatch):
+    # modulo 13 entries up to 10 at (5,2) wrap around in the symmetric lift
+    monkeypatch.setattr(cli.autoequiv, "PRIME", 13)
+    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "5", "--r", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure: twist image of (")
+    assert "Traceback" not in err
+
+
 def test_kmatrix_text_output(capsys):
     code, out, _ = run(capsys, "kmatrix", "--which", "twist", "--d", "2", "--r", "1")
     assert code == 0

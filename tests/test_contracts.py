@@ -164,26 +164,6 @@ def test_schur_helpers_reject_increasing_rows(call):
         call()
 
 
-# entry point -> call with localization parameters at (d, r) = (4, 2)
-TAKES_PARAMETERS = {
-    "k_matrix": lambda ts: autoequiv.k_matrix("twist", 4, 2, ts),
-}
-BAD_PARAMETERS = {
-    "zero": (2, 3, 0, 7),
-    "short": (2, 3, 5),
-    "long": (2, 3, 5, 7, 11),
-    "repeated": (2, 3, Fraction(6, 2), 7),
-}
-
-
-@pytest.mark.parametrize("name", sorted(TAKES_PARAMETERS))
-@pytest.mark.parametrize("case", sorted(BAD_PARAMETERS))
-def test_k_theory_entry_points_reject_bad_parameters(name, case):
-    with pytest.raises(ValueError, match=r"need 4 distinct nonzero localization"):
-        TAKES_PARAMETERS[name](BAD_PARAMETERS[case])
-    TAKES_PARAMETERS[name]((2, 3, 5, 7))  # good parameters, plain ints, succeed
-
-
 def functools_caches(filename):
     caches = {"cache", "lru_cache", "cached_property"}
     return [f"{filename}:{node.lineno}"

@@ -2,9 +2,9 @@
 
 The digests are sha256 of the compact JSON of each matrix, recorded from
 the Fraction Gauss-Jordan engine that the integer one replaced; a change
-to localization or elimination that moves any entry fails here.  The
-modular solve is checked here to answer alone, and to hand every case it
-cannot certify to the Bareiss fallback.
+to localization or elimination that moves any entry fails here.  A modular
+solve that cannot be certified is checked here to raise, never to return a
+wrong matrix.
 """
 
 import hashlib
@@ -13,7 +13,7 @@ import json
 import pytest
 
 from grwin import autoequiv
-from grwin.autoequiv import k_matrix, o1_matrix
+from grwin.autoequiv import InternalConsistencyError, k_matrix, o1_matrix
 
 DIGESTS = {
     "twist:2,1": "fa99f7619c856d65565fad0f189103fc6236f366931671c9e0404594b66a2ed0",
@@ -133,27 +133,25 @@ def test_k_matrices_match_pinned_digests_at_eight_four():
         assert digest(k_matrix(which, 8, 4)) == pin, which
 
 
-def test_modular_solve_answers_without_the_fallback(monkeypatch):
-    def never(*args):
-        raise AssertionError("k_matrix fell back to the Bareiss elimination")
-    monkeypatch.setattr(autoequiv, "solve_exact", never)
-    for d, r in BOXES:
-        if d <= 6:
-            for which in ("twist", "cotwist", "identity"):
-                assert digest(k_matrix(which, d, r)) == DIGESTS[f"{which}:{d},{r}"], which
-
-
 @pytest.mark.parametrize("prime", [3, 5, 13])
-def test_a_failed_certificate_falls_back_to_bareiss(monkeypatch, prime):
+def test_a_failed_certificate_raises(monkeypatch, prime):
     # modulo 3 or 5 pivots vanish; modulo 13 entries up to 10 at (5,2) wrap
-    # around in the symmetric lift, which only the exact check can catch
-    fallbacks = []
-    solve_exact = autoequiv.solve_exact
+    # around in the symmetric lift, which only the exact check can catch.
+    # Each case either gives the pinned matrix or raises
     monkeypatch.setattr(autoequiv, "PRIME", prime)
-    monkeypatch.setattr(autoequiv, "solve_exact",
-                        lambda *args: fallbacks.append(args) or solve_exact(*args))
+    raised = []
     for d, r in BOXES:
         if d <= 5:
             for which in ("twist", "cotwist", "identity"):
-                assert digest(k_matrix(which, d, r)) == DIGESTS[f"{which}:{d},{r}"], which
-    assert fallbacks
+                try:
+                    matrix = k_matrix(which, d, r)
+                except InternalConsistencyError as err:
+                    raised.append(str(err))
+                else:
+                    assert digest(matrix) == DIGESTS[f"{which}:{d},{r}"], (which, d, r)
+    assert raised
+    if prime == 13:
+        assert any(message.startswith(f"{which} image of (") and
+                   message.endswith(") at (d,r)=(5,2): the coordinates lifted from modulo 13 "
+                                    "fail B X = Y")
+                   for message in raised for which in ("twist", "cotwist"))
