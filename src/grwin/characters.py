@@ -45,13 +45,15 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
     letters, so E[alpha, beta] = E[alpha - (1^r), beta - (1^r)] for any terms.
     Only lam = core + (m^r), height(core) < r, m <= 1 are summed; keys with
     alpha_r >= 2 (lacking m = 2) are skipped and filled in by translation.
-    Each term builds two filling tables once: (1^s) in d rows and its shape
-    less its c full columns in r rows.  Cores whose gaps agree up to the
-    largest need share a stencil per m, the merged (offset, coefficient)
-    pairs of the fitting left and right fillings.  A key is an integer with
-    alpha's d rows and then beta's r as digits in a radix above every part
-    (|alpha| <= D, beta_1 <= D + shape_1 + 1), so offsets add without carry.
-    A terms override supports tamper tests; the default is the staircase.
+    Each term builds two filling tables once: (1^s) in d rows under the room
+    every such lam leaves a vertical strip (1 down to row r, 0 below), and
+    its shape less its c full columns in r rows.  Cores whose gaps agree up
+    to the largest need share a stencil per m: the fitting left fillings
+    (distinct offsets, as a strip is its rows) times the fitting right ones
+    merged by offset.  A key is an integer with alpha's d rows and then
+    beta's r as digits in a radix above every part (|alpha| <= D, beta_1 <=
+    D + shape_1 + 1), so offsets add without carry.  A terms override
+    supports tamper tests; the default is the staircase.
     """
     check_box(d, r)
     if terms is None:
@@ -76,8 +78,8 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
         if s > d:
             continue  # the exterior power vanishes
         c = shape[-1] if len(shape) == r else 0  # s_shape = (y_1...y_r)^c s_reduced
-        left = [(needs, adds[r - 1], code(adds), (-1) ** k * n)
-                for (needs, adds), n in lr_fillings((1,) * s, d).items()]
+        left = [(needs, adds[r - 1], code(adds), (-1) ** k * n) for (needs, adds), n
+                in lr_fillings((1,) * s, d, tuple(int(i <= r) for i in range(d))).items()]
         right = [(needs, code(adds, d) + (c * ones << digit * d), n) for (needs, adds), n
                  in lr_fillings(tuple(x - c for x in shape if x > c), r).items()]
         cap = max((x for needs, *_ in left + right for x in needs), default=0)
@@ -105,17 +107,15 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
 
 def _stencil(left: list, right: list, rows: tuple[int, ...], m: int, d: int,
              step: int) -> list[tuple[int, int]]:
-    """The merged (offset, coefficient) pairs of the left fillings that fit
-    lam = core + (m^r) in d rows (alpha_r >= 2 comes by translation) and the
-    right ones that fit core in r rows, for a core with the gaps of rows."""
+    """The (offset, coefficient) pairs of the left fillings that fit lam =
+    rows + (m^r) in d rows with alpha_r < 2 and the right ones that fit rows."""
     lam_gaps, core_gaps = gaps(tuple(x + m for x in rows), d), gaps(rows, len(rows))
-    fitting = [(b, cr) for needs, b, cr in right if fits(needs, core_gaps)]
-    merged: dict[int, int] = {}
-    for needs, top, a, cl in left:
-        if m + top < 2 and fits(needs, lam_gaps):
-            for b, cr in fitting:
-                merged[a + m * step + b] = merged.get(a + m * step + b, 0) + cl * cr
-    return [(offset, v) for offset, v in merged.items() if v]
+    fitting: dict[int, int] = {}
+    for needs, b, cr in right:
+        if fits(needs, core_gaps):
+            fitting[b] = fitting.get(b, 0) + cr
+    return [(a + m * step + b, cl * cr) for needs, top, a, cl in left
+            if m + top < 2 and fits(needs, lam_gaps) for b, cr in fitting.items()]
 
 
 def pushforward_character(delta: tuple[int, ...], d: int, r: int,

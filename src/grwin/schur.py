@@ -3,15 +3,16 @@
 A product s_lam * s_mu in h letters (Macdonald, Symmetric Functions and Hall
 Polynomials, I.9) is read off one table of the LR fillings of content mu on
 skew shapes of at most h rows.  A filling puts b[i][v] letters v in row i;
-the v's in rows <= i never outnumber the (v-1)'s in rows < i (the ballot,
-which also keeps letter v below row v), and row i fits under lam iff the gap
-lam_{i-1} - lam_i is at least its need, max_v (sum_{u<=v} b[i][u] -
-sum_{u<v} b[i-1][u]).  Neither depends on lam, so one table
-{(needs, adds): count} serves every lam: s_lam * s_mu is the sum of
-s_{lam+adds} over the entries whose needs fit lam's gaps; a cached product
-grows only the fillings that fit its lam's gaps.  For mu = (1^s)
-(Pieri) the fillings are the s-subsets of rows, and row i needs 1 where it
-gains a box and row i-1 does not.  An LR coefficient is read off a product.
+the v's in rows <= i never outnumber the (v-1)'s in rows < i (the ballot, so
+each letter starts strictly below the one before and letter v by row
+h - len(mu) + v; Fulton, Young Tableaux, §5), and row i fits under lam iff the
+gap lam_{i-1} - lam_i is at least its need, max_v (sum_{u<=v} b[i][u] -
+sum_{u<v} b[i-1][u]).  Neither depends on lam, so one table {(needs, adds):
+count} serves every lam: s_lam * s_mu sums s_{lam+adds} over the entries
+whose needs fit lam's gaps.  Grown under a room, a bound on the gaps of one
+lam or of many, the table keeps exactly the entries that fit it.  For mu =
+(1^s) the fillings are the s-subsets of rows; row i needs 1 where it gains a
+box and row i-1 does not.  An LR coefficient is read off a product.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ def lr_fillings(mu: tuple[int, ...], h: int, room: tuple[int, ...] | None = None
                 ) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
     """The LR fillings of content mu (canonical) within h rows, letter by
     letter, as {(needs, adds): count}: adds[i] boxes go into row i, which
-    needs a gap of needs[i] above it (needs[0] = 0).  Given room, the gaps of
-    one lam, only the fillings that fit lam are grown."""
-    if len(mu) > h:
-        return {}
+    needs a gap of needs[i] above it (needs[0] = 0).  Given room, any
+    componentwise bound on gaps, exactly the fillings whose needs fit it grow."""
     room = room or (size(mu),) * h  # gaps of |mu| never bind
     zero, below = (0,) * h, [sum(room[i + 1:]) for i in range(h)]
     # (boxes per row so far, needs so far, the last letter's boxes per row) -> fillings
@@ -56,6 +55,8 @@ def lr_fillings(mu: tuple[int, ...], h: int, room: tuple[int, ...] | None = None
                 if not left:
                     strips.append(row + zero[i:])
                     return
+                if left == boxes and i > h - len(mu) + v:
+                    return  # first rows fall strictly: later letters can't fit, none if len(mu) > h
                 top = min(left, slack, room[i] + adds[i - 1] - adds[i] if i else left)
                 for b in range(max(left - below[i] - adds[i] + adds[-1], 0), top + 1):
                     grow(i + 1, left - b, slack - b + last[i], row + (b,))
@@ -63,13 +64,11 @@ def lr_fillings(mu: tuple[int, ...], h: int, room: tuple[int, ...] | None = None
             grow(0, boxes, 0 if v else boxes, ())
             for row in strips:
                 new = tuple(map(add, adds, row))  # row i's letters <= v against row i-1's < v
-                key = (new, (0,) + tuple(map(max, needs[1:], map(sub, new[1:], adds))), row)
+                key = (new, (0,) + tuple(map(max, needs[1:], map(sub, new[1:], adds))),
+                       row if v + 1 < len(mu) else zero)  # only the next letter reads row
                 grown[key] = grown.get(key, 0) + count
         level = grown
-    table: dict = {}
-    for (adds, needs, _), count in level.items():
-        table[needs, adds] = table.get((needs, adds), 0) + count
-    return table
+    return {(needs, adds): count for (adds, needs, _), count in level.items()}
 
 
 def gaps(lam: tuple[int, ...], h: int) -> tuple[int, ...]:

@@ -98,6 +98,25 @@ ABOVE_STABLE_DIGESTS = {
 }
 
 
+# "d,r:delta:D" at the room's edge boxes, at D = stable and stable + 2r:
+# r = 1 (every core is empty) and r = d - 1 (no zero tail under row r),
+# recorded before the Pieri tables were grown under the shared core room
+EDGE_DIGESTS = {
+    "5,1::5": "7856f87a417b4ebd89c914474d5b05b41531be06d81ed97a236506cdcab11817",
+    "5,1::7": "7856f87a417b4ebd89c914474d5b05b41531be06d81ed97a236506cdcab11817",
+    "8,1::8": "7856f87a417b4ebd89c914474d5b05b41531be06d81ed97a236506cdcab11817",
+    "8,1::10": "7856f87a417b4ebd89c914474d5b05b41531be06d81ed97a236506cdcab11817",
+    "6,5:2,1:13": "99ea516d54bd66c72e14dd73786ff2d4a096711a777e903d4e6dfb6677a16be4",
+    "6,5:2,1:23": "fdf2fe4d0c814cb00f33e09533882ad9039f3ea0b812cdd81f3096b3080f1791",
+    "6,5:2,2,1,1:16": "437c8ae7238e637ab84099598ece78f65114bd7f602214c392c7e1763f51b75c",
+    "6,5:2,2,1,1:26": "09c56d601aa0b253cbcff8ab483651019fd5c0f6396125904ecf4ebf1272467a",
+    "7,6::12": "b2a27c88d066d289c38218871a65ae283cb5737d77d9ddb395503ff7e2129955",
+    "7,6::24": "80d1a77c5ef73f67c5dde631c62b9b7d9366ac32a54fee146d68c6dfd6de253d",
+    "7,6:1,1,1:15": "2207a59a6a006e07f943ba65c4c680b3bf8f4f046fa16fd1c4eb6ea2f9bdd8be",
+    "7,6:1,1,1:27": "fbf4c1f117c5aa394de9d2bbef0f421535a1c508fb4150f0547ee7f5fa24356a",
+}
+
+
 def test_pins_cover_every_seed_of_the_four_boxes():
     assert sorted(key(*case) for case in CASES) == sorted(DIGESTS)
 
@@ -118,9 +137,26 @@ def test_above_stable_pins_sit_at_stable_plus_r_and_plus_2r():
         assert int(D) - size(delta) - r * (d - r + 1) in (r, 2 * r)
 
 
-@pytest.mark.parametrize("pin", sorted(ABOVE_STABLE_DIGESTS))
-def test_characters_above_the_stable_degree_match_pinned_digests(pin):
+def test_edge_pins_sit_at_r_1_and_d_minus_1_at_stable_and_plus_2r():
+    for pin in EDGE_DIGESTS:
+        box, _, D = pin.rpartition(":")
+        d, r, delta = parse_key(box)
+        assert r in (1, d - 1)
+        assert int(D) - size(delta) - r * (d - r + 1) in (0, 2 * r)
+
+
+def check_pin(pin, pinned):
     box, _, D = pin.rpartition(":")
     d, r, delta = parse_key(box)
-    assert digest(euler_character(delta, d, r, int(D))) == ABOVE_STABLE_DIGESTS[pin]
-    assert digest(pushforward_character(delta, d, r, int(D))) == ABOVE_STABLE_DIGESTS[pin]
+    assert digest(euler_character(delta, d, r, int(D))) == pinned
+    assert digest(pushforward_character(delta, d, r, int(D))) == pinned
+
+
+@pytest.mark.parametrize("pin", sorted(ABOVE_STABLE_DIGESTS))
+def test_characters_above_the_stable_degree_match_pinned_digests(pin):
+    check_pin(pin, ABOVE_STABLE_DIGESTS[pin])
+
+
+@pytest.mark.parametrize("pin", sorted(EDGE_DIGESTS))
+def test_characters_at_the_room_edge_boxes_match_pinned_digests(pin):
+    check_pin(pin, EDGE_DIGESTS[pin])

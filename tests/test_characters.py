@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grwin.characters import (
     cauchy_truncated,
@@ -241,6 +241,9 @@ def euler_cases(draw):
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(case=euler_cases())
+@example(case=((), 4, 4, 9, [(0, (), 0), (1, (1, 1, 1, 1), 4)]))  # r = d, s = d
+@example(case=((1,), 4, 4, 8, [(0, (1,), 0), (1, (2, 1, 1, 1), 4)]))
+@example(case=((1,), 4, 2, 10, [(0, (1,), 0), (1, (1, 1), 1), (2, (2, 2), 4), (3, (3, 2), 4)]))
 def test_euler_character_matches_the_full_cauchy_sum(case):
     delta, d, r, D, terms = case
     assert euler_character(delta, d, r, D, terms=terms) == \

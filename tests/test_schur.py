@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    enumerate_ssyt,
     is_horizontal_strip,
     lr_coefficient_by_filling,
     pieri_filtration,
@@ -12,8 +13,8 @@ from oracles import (
 )
 
 from grwin.partitions import canonical, height, partitions_of, size, width
-from grwin.schur import (gaps, lr_coefficient, lr_fillings, lr_products, schur_dimension,
-                         schur_product)
+from grwin.schur import (fits, gaps, lr_coefficient, lr_fillings, lr_products,
+                         schur_dimension, schur_product)
 
 
 def test_lr_single_skew_box():
@@ -290,3 +291,33 @@ def test_filling_table_applies_like_the_candidate_loop(case):
         got = lr_products(table, lam, h)
         assert dict(got) == dict(expected)
         assert list(got) == expected
+
+
+@pytest.mark.parametrize("h", range(1, 7))
+def test_filling_table_counts_by_adds_are_kostka_numbers(h):
+    # for lam with every gap large, s_lam * s_mu = sum_w K_{mu,w} s_{lam+w}, so
+    # the fillings with adds w number K_{mu,w}, the tableaux of shape mu and
+    # weight w; a pruned state that could have landed drops one
+    for mu in (p for n in range(7) for p in partitions_of(n)):
+        by_adds: dict = {}
+        for (_, adds), count in lr_fillings(mu, h).items():
+            by_adds[adds] = by_adds.get(adds, 0) + count
+        kostka: dict = {}
+        for tableau in enumerate_ssyt(mu, h):
+            weight = tuple(list(tableau.values()).count(v) for v in range(1, h + 1))
+            kostka[weight] = kostka.get(weight, 0) + 1
+        assert by_adds == kostka, mu
+        assert sum(by_adds.values()) == schur_dimension(mu, h)
+        assert 0 not in by_adds.values()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mu=st.sampled_from([p for n in range(7) for p in partitions_of(n)]),
+       rows=st.lists(st.integers(0, 3), min_size=6, max_size=6), h=st.integers(1, 6))
+@example(mu=(1, 1, 1), rows=[0, 1, 1, 1, 0, 0], h=6)
+@example(mu=(2, 1), rows=[0, 0, 0, 0, 0, 0], h=3)
+def test_filling_table_under_a_room_keeps_exactly_the_fillings_that_fit(mu, rows, h):
+    # any componentwise bound on gaps, not only one lam's gaps
+    room = tuple(rows[:h])
+    assert lr_fillings(mu, h, room) == \
+        {k: c for k, c in lr_fillings(mu, h).items() if fits(k[0], room)}
