@@ -2,15 +2,10 @@
 
 from .autoequiv import cotwist_on_generator, k_matrix, o1_matrix, twist_on_generator
 from .bott import BwbClass, Dominant, NonRegular, Regular, bwb_cohomology, classify, twisted_action
-from .bundles import BundleLabel, GradedComplex, normalize, rank, relabel_to_x
-from .characters import (
-    cauchy_truncated,
-    euler_character,
-    hom_invariant_dimension,
-    pushforward_character,
-    verify_exactness,
-)
-from .partitions import add_full_column, complement, staircase, strip
+from .bundles import BundleLabel, GradedComplex, normalize, rank
+from .characters import (euler_character, hom_invariant_dimension, pushforward_character,
+                         verify_exactness)
+from .partitions import complement, staircase, strip
 from .resolutions import (
     jshriek_jlower,
     pushdown_pi,
@@ -18,16 +13,15 @@ from .resolutions import (
     unstable_resolution_twisted,
 )
 from .schur import lr_coefficient, schur_dimension, schur_product
-from .windows import gamma_set, gamma_split, in_window, window_generators
+from .windows import gamma_set, in_window, window_generators
 
 __all__ = [
     "BundleLabel", "BwbClass", "Dominant", "GradedComplex", "NonRegular",
-    "Regular", "add_full_column", "bwb_cohomology", "cauchy_truncated",
-    "classify", "complement", "cotwist_on_generator", "euler_character",
-    "gamma_set", "gamma_split", "hom_invariant_dimension", "in_window",
+    "Regular", "bwb_cohomology", "classify", "complement", "cotwist_on_generator",
+    "euler_character", "gamma_set", "hom_invariant_dimension", "in_window",
     "jshriek_jlower", "k_matrix", "lr_coefficient", "normalize", "o1_matrix",
-    "pushdown_pi", "pushforward_character", "rank", "relabel_to_x",
-    "schur_dimension", "schur_product", "staircase", "strip",
-    "theorem_resolution", "twist_on_generator", "twisted_action",
-    "unstable_resolution_twisted", "verify_exactness", "window_generators",
+    "pushdown_pi", "pushforward_character", "rank", "schur_dimension",
+    "schur_product", "staircase", "strip", "theorem_resolution",
+    "twist_on_generator", "twisted_action", "unstable_resolution_twisted",
+    "verify_exactness", "window_generators",
 ]

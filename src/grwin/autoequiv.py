@@ -9,10 +9,10 @@ duality and Bott.  `determinant` is the Bareiss determinant of an integer matrix
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations, count, islice
 from math import lcm, prod
-from typing import Iterable, Sequence
 
 from .bott import euler_characteristic
 from .bundles import BundleLabel, GradedComplex, normalize

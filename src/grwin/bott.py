@@ -7,28 +7,37 @@ by (p.v)[i] = v[p[i]], so slot p[i] of the input lands in slot i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .partitions import canonical, height
 from .schur import schur_dimension
 
 
-@dataclass(frozen=True)
-class Dominant:
-    pass
+class _Unit:
+    """A class with one value: equal to instances of its class, hashed as ()."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ or NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
 
 
-@dataclass(frozen=True)
-class Regular:
-    w: tuple[int, ...]
-    length: int
-    dominant_rep: tuple[int, ...]
+class Dominant(_Unit):
+    """The weight is already dominant."""
 
 
-@dataclass(frozen=True)
-class NonRegular:
-    pass
+class NonRegular(_Unit):
+    """The weight plus rho has a repeated entry: all cohomology vanishes."""
 
+
+Regular = namedtuple("Regular", "w length dominant_rep")
+Regular.__doc__ = "The sorting permutation, its length and the dominant representative."
 
 BwbClass = Dominant | Regular | NonRegular
 

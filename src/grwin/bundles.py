@@ -13,35 +13,41 @@ builders drop top exterior powers of V before constructing labels.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator
 
 from .partitions import canonical, complement, height, width
 from .schur import schur_dimension
 
 
-@dataclass(frozen=True, order=True)
-class BundleLabel:
-    schur: tuple[int, ...]
-    taut_rank: int
-    det_twist: int
-    side: str = "S"
-    v_shape: tuple[int, ...] = ()
-    bracket_twist: int = 0
+class BundleLabel(namedtuple("BundleLabel",
+                             "schur taut_rank det_twist side v_shape bracket_twist")):
+    """A canonical label: a tuple of its fields, so equality, hash and order
+    are the field tuple's.  Every construction validates, `_make` and
+    `_replace` included."""
 
-    def __post_init__(self) -> None:
-        if self.side not in ("S", "H"):
-            raise ValueError(f"side must be 'S' or 'H', got {self.side!r}")
-        if self.taut_rank < 0:
+    __slots__ = ()
+
+    def __new__(cls, schur: tuple[int, ...], taut_rank: int, det_twist: int,
+                side: str = "S", v_shape: tuple[int, ...] = (),
+                bracket_twist: int = 0) -> "BundleLabel":
+        if side not in ("S", "H"):
+            raise ValueError(f"side must be 'S' or 'H', got {side!r}")
+        if taut_rank < 0:
             raise ValueError("taut_rank must be non-negative")
-        if self.taut_rank and height(self.schur) >= self.taut_rank:
+        if taut_rank and height(schur) >= taut_rank:
             raise ValueError(
-                f"label not canonical: height({self.schur}) >= rank {self.taut_rank}")
-        if self.taut_rank == 0 and (self.schur or self.det_twist):
+                f"label not canonical: height({schur}) >= rank {taut_rank}")
+        if taut_rank == 0 and (schur or det_twist):
             raise ValueError("rank-0 side carries only the trivial label")
-        if self.side == "H" and self.bracket_twist:
+        if side == "H" and bracket_twist:
             raise ValueError("bracket twist is redundant on the H side")
+        return tuple.__new__(cls, (schur, taut_rank, det_twist, side, v_shape,
+                                   bracket_twist))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "BundleLabel":
+        return cls(*fields)
 
 
 def is_zero_schur(schur: tuple[int, ...], taut_rank: int) -> bool:
@@ -96,18 +102,35 @@ def rank(label: BundleLabel, d: int) -> int:
             * schur_dimension(label.v_shape, d))
 
 
-def relabel_to_x(label: BundleLabel) -> BundleLabel:
-    """Rename an H-side label to the ambient-stack alphabet (H -> S, <k> -> (k))."""
-    if label.side != "H":
-        raise ValueError("relabel_to_x expects an H-side label")
-    return replace(label, side="S")
-
-
-@dataclass(frozen=True)
 class GradedComplex:
-    """Map homological degree -> multiset of labels; no differentials."""
+    """Map homological degree -> multiset of labels; no differentials.
 
-    terms: tuple[tuple[int, tuple[tuple[BundleLabel, int], ...]], ...] = field(default=())
+    `terms` is ((degree, ((label, mult), ...)), ...), both levels sorted;
+    the complex is immutable and compares and hashes by it."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple = ()) -> None:
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"GradedComplex is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __repr__(self) -> str:
+        return f"GradedComplex(terms={self.terms!r})"
+
+    def __reduce__(self):
+        return GradedComplex, (self.terms,)
 
     @staticmethod
     def from_items(items: Iterable[tuple[int, BundleLabel, int]]) -> "GradedComplex":
@@ -148,7 +171,7 @@ class GradedComplex:
         """Tensor by the m-th power of the side determinant line.  A uniform
         det_twist shift is injective and keeps label order: no re-sort."""
         return GradedComplex(tuple(
-            (degree, tuple((replace(lb, det_twist=lb.det_twist + m), mult)
+            (degree, tuple((lb._replace(det_twist=lb.det_twist + m), mult)
                            for lb, mult in labels))
             for degree, labels in self.terms))
 
@@ -158,7 +181,7 @@ class GradedComplex:
         for degree, label, mult in self.items():
             dim = schur_dimension(label.v_shape, d)
             if dim:
-                out.append((degree, replace(label, v_shape=()), mult * dim))
+                out.append((degree, label._replace(v_shape=()), mult * dim))
         return GradedComplex.from_items(out)
 
     def alternating_rank_sum(self, d: int) -> int:

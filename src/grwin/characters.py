@@ -25,14 +25,6 @@ def _check_degree(D: int) -> None:
         raise ValueError("truncation degree must be >= 0")
 
 
-def cauchy_truncated(d: int, r: int, D: int) -> dict[Key, int]:
-    """Character of the symmetric algebra on the tensor product of the two
-    alphabets: the diagonal sum of s_lambda ⊗ s_lambda up to degree D."""
-    _check_degree(D)
-    return {(lam, lam): 1 for n in range(D + 1)
-            for lam in partitions_of(n, max_height=min(d, r))}
-
-
 def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
                     terms: list[tuple[int, tuple[int, ...], int]] | None = None
                     ) -> dict[Key, int]:

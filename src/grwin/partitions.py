@@ -6,7 +6,7 @@ zeros trimmed).  All functions treat them as immutable values.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 
 def canonical(rows: Iterable[int]) -> tuple[int, ...]:
@@ -75,14 +75,6 @@ def complement(gamma: tuple[int, ...], w: int, h: int) -> tuple[int, ...]:
         raise ValueError(f"{gamma} does not fit in a {w}x{h} rectangle")
     padded = gamma + (0,) * (h - len(gamma))
     return canonical(w - padded[h - 1 - i] for i in range(h))
-
-
-def add_full_column(delta: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """Add one column of height r on the left (each of the first r rows +1)."""
-    if height(delta) > r:
-        raise ValueError(f"height({delta}) exceeds column height {r}")
-    padded = delta + (0,) * (r - len(delta))
-    return canonical(x + 1 for x in padded)
 
 
 def strip(delta: tuple[int, ...], what: str) -> tuple[int, ...]:

@@ -20,16 +20,6 @@ def gamma_set(d: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(box, key=lambda p: (size(p), tuple(-x for x in p))))
 
 
-def gamma_split(d: int, r: int) -> tuple[tuple[tuple[int, ...], ...],
-                                         tuple[tuple[int, ...], ...]]:
-    """Split the index set by width: (< d-r, == d-r)."""
-    narrow = []
-    wide = []
-    for p in gamma_set(d, r):
-        (wide if width(p) == d - r else narrow).append(p)
-    return tuple(narrow), tuple(wide)
-
-
 def window_generators(d: int, r: int, k: int) -> list[BundleLabel]:
     """Normalized labels of the k-th window's generating bundles."""
     check_box(d, r, strict=True)

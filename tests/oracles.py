@@ -268,6 +268,31 @@ def epsilon_sequence(delta, d, r):
     return [complement(dk, d - r + 1, r) for _, dk, _ in resolution_terms(delta, d, r)]
 
 
+def add_full_column(delta, r):
+    """Add one column of height r on the left (each of the first r rows +1)."""
+    from grwin.partitions import canonical, height
+    if height(delta) > r:
+        raise ValueError(f"height({delta}) exceeds column height {r}")
+    padded = delta + (0,) * (r - len(delta))
+    return canonical(x + 1 for x in padded)
+
+
+def gamma_split(d, r):
+    """Split the Kapranov index set by width: (< d-r, == d-r)."""
+    from grwin.partitions import width
+    from grwin.windows import gamma_set
+    narrow = tuple(p for p in gamma_set(d, r) if width(p) < d - r)
+    wide = tuple(p for p in gamma_set(d, r) if width(p) == d - r)
+    return narrow, wide
+
+
+def relabel_to_x(label):
+    """Rename an H-side label to the ambient-stack alphabet (H -> S, <k> -> (k))."""
+    if label.side != "H":
+        raise ValueError("relabel_to_x expects an H-side label")
+    return label._replace(side="S")
+
+
 def pieri_filtration(gamma, rank_H):
     """Graded pieces (alpha, t) of a Schur power under a corank-1 sub-bundle.
 
@@ -317,11 +342,20 @@ def pushdown_pi_bruteforce(gamma, d, r, locus="stack"):
     return GradedComplex.from_items(items)
 
 
+def cauchy_truncated(d, r, D):
+    """Character of the symmetric algebra on the tensor product of the two
+    alphabets: the diagonal sum of s_lambda ⊗ s_lambda up to degree D."""
+    from grwin.partitions import partitions_of
+    if D < 0:
+        raise ValueError("truncation degree must be >= 0")
+    return {(lam, lam): 1 for n in range(D + 1)
+            for lam in partitions_of(n, max_height=min(d, r))}
+
+
 def euler_character_by_cauchy(delta, d, r, D, terms=None):
     """euler_character by the full Cauchy sum: every lambda of height <= r
     and |lambda| <= D is multiplied into every term, with no determinant
     translation.  The validation and its messages are the library's."""
-    from grwin.characters import cauchy_truncated
     from grwin.partitions import canonical, check_box, resolution_terms, size
     from grwin.schur import _schur_product_items
     check_box(d, r)

@@ -11,6 +11,7 @@ from math import comb
 from oracles import (
     classify_bruteforce,
     epsilon_sequence,
+    gamma_split,
     int_matmul,
     pushdown_pi_bruteforce,
     staircase_closed_form,
@@ -41,7 +42,7 @@ from grwin.partitions import (
     width,
 )
 from grwin.resolutions import pushdown_pi, theorem_resolution, unstable_resolution_twisted
-from grwin.windows import gamma_set, gamma_split
+from grwin.windows import gamma_set
 
 
 def label(schur, rank, twist, v=()):

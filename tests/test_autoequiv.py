@@ -6,7 +6,7 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import int_matmul, schur_value_bruteforce, solve_fraction_gauss_jordan
+from oracles import gamma_split, int_matmul, schur_value_bruteforce, solve_fraction_gauss_jordan
 
 from test_kmatrix_digests import DIGESTS, digest
 
@@ -24,7 +24,7 @@ from grwin.autoequiv import (
 from grwin.bundles import BundleLabel, GradedComplex
 from grwin.partitions import resolution_terms, width
 from grwin.resolutions import unstable_resolution_twisted
-from grwin.windows import gamma_set, gamma_split, in_window, window_generators
+from grwin.windows import gamma_set, in_window, window_generators
 
 
 def label(schur, rank, twist, v=()):

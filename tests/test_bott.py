@@ -19,6 +19,19 @@ from grwin.partitions import partitions_in_box, staircase
 from grwin.schur import schur_dimension
 
 
+def test_classes_are_values():
+    assert Dominant() == Dominant() and NonRegular() == NonRegular()
+    assert Dominant() != NonRegular() and NonRegular() != Dominant()
+    assert len({Dominant(), Dominant(), NonRegular()}) == 2
+    assert hash(Dominant()) == hash(NonRegular()) == hash(())
+    assert (repr(Dominant()), repr(NonRegular())) == ("Dominant()", "NonRegular()")
+    reg = classify((0, 2))
+    assert repr(reg) == "Regular(w=(1, 0), length=1, dominant_rep=(1, 1))"
+    assert hash(reg) == hash((reg.w, reg.length, reg.dominant_rep))
+    assert reg == Regular(w=(1, 0), length=1, dominant_rep=(1, 1))
+    assert reg != Dominant() and Dominant() != reg and reg != NonRegular()
+
+
 def test_twisted_action_identity():
     assert twisted_action((0, 1, 2), (3, 1, 2)) == (3, 1, 2)
 

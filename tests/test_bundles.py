@@ -1,9 +1,12 @@
+import copy
 import json
+import pickle
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from oracles import relabel_to_x
 
 from grwin.autoequiv import twist_on_generator
 from grwin.bundles import (
@@ -17,7 +20,6 @@ from grwin.bundles import (
     label_to_json,
     normalize,
     rank,
-    relabel_to_x,
 )
 from grwin.partitions import partitions_in_box
 from grwin.windows import gamma_set
@@ -80,6 +82,70 @@ def test_relabel_to_x():
         BundleLabel((), 2, 1, side="S")
     with pytest.raises(ValueError):
         relabel_to_x(BundleLabel((), 2, 0, side="S"))
+
+
+def fields(lb):
+    return (lb.schur, lb.taut_rank, lb.det_twist, lb.side, lb.v_shape, lb.bracket_twist)
+
+
+def test_label_repr_names_every_field():
+    assert repr(BundleLabel((2, 1), 3, -1, side="H", v_shape=(1, 1))) == (
+        "BundleLabel(schur=(2, 1), taut_rank=3, det_twist=-1, side='H', "
+        "v_shape=(1, 1), bracket_twist=0)")
+    assert repr(BundleLabel((), 0, 0, bracket_twist=2)) == (
+        "BundleLabel(schur=(), taut_rank=0, det_twist=0, side='S', "
+        "v_shape=(), bracket_twist=2)")
+
+
+def test_label_hashes_and_sorts_as_its_field_tuple():
+    labels = [BundleLabel((1,), 2, 0), BundleLabel((), 2, 1), BundleLabel((), 2, 0, "H"),
+              BundleLabel((), 2, 0, v_shape=(1,)), BundleLabel((), 2, 0, bracket_twist=-1),
+              BundleLabel((2,), 3, -4), BundleLabel((1, 1), 3, 0), BundleLabel((), 0, 0)]
+    for lb in labels:
+        assert hash(lb) == hash(fields(lb))
+        assert lb == BundleLabel(*fields(lb)) == pickle.loads(pickle.dumps(lb))
+    assert sorted(labels) == sorted(labels, key=fields)
+    assert sorted(labels, reverse=True) == sorted(labels, key=fields, reverse=True)
+
+
+@pytest.mark.parametrize("args, message", [
+    (((), 2, 0, "X"), "side must be"),
+    (((), -1, 0), "taut_rank must be non-negative"),
+    (((1, 1), 2, 0), "not canonical"),
+    (((1,), 0, 0), "rank-0 side"),
+    (((), 0, 3), "rank-0 side"),
+    (((), 2, 0, "H", (), 1), "bracket twist is redundant"),
+])
+def test_every_label_construction_validates(args, message):
+    for build in (lambda: BundleLabel(*args), lambda: BundleLabel._make(args),
+                  lambda: BundleLabel((), 2, 0)._replace(**dict(zip(BundleLabel._fields, args)))):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_tensor_det_validates_the_shifted_labels():
+    trivial = GradedComplex.from_items([(0, BundleLabel((), 0, 0), 1)])
+    assert trivial.tensor_det(0) == trivial
+    with pytest.raises(ValueError, match="rank-0 side"):
+        trivial.tensor_det(1)
+
+
+def test_graded_complex_value_semantics():
+    cx = GradedComplex.from_items([(1, BundleLabel((), 2, 0), 1),
+                                   (0, BundleLabel((1,), 2, 0), 2)])
+    same = GradedComplex(cx.terms)
+    assert cx == same and hash(cx) == hash(same) == hash((cx.terms,))
+    assert cx != cx.tensor_det(1) and cx != cx.terms and cx != GradedComplex()
+    assert len(cx) == 2 and len(GradedComplex()) == 0
+    assert repr(GradedComplex()) == "GradedComplex(terms=())"
+    assert repr(GradedComplex.from_items([(0, BundleLabel((), 1, 2), 3)])) == (
+        "GradedComplex(terms=((0, ((BundleLabel(schur=(), taut_rank=1, det_twist=2, "
+        "side='S', v_shape=(), bracket_twist=0), 3),)),))")
+    with pytest.raises(AttributeError):
+        cx.terms = ()
+    with pytest.raises(AttributeError):
+        del cx.terms
+    assert cx == same == copy.copy(cx) == pickle.loads(pickle.dumps(cx))
 
 
 def test_graded_complex_insertion_order_invariance():
@@ -166,7 +232,7 @@ def test_tensor_det_and_shift():
 
 def _tensor_det_by_resorting(cx, m):
     return GradedComplex.from_items(
-        (degree, replace(label, det_twist=label.det_twist + m), mult)
+        (degree, label._replace(det_twist=label.det_twist + m), mult)
         for degree, label, mult in cx.items())
 
 

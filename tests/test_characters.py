@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grwin.characters import (
-    cauchy_truncated,
     euler_character,
     exactness_report,
     hom_invariant_dimension,
@@ -13,7 +12,12 @@ from grwin.characters import (
     verify_exactness,
 )
 from grwin.partitions import canonical, partitions_in_box, size
-from oracles import euler_character_by_cauchy, hom_dimension_by_enumeration
+from oracles import cauchy_truncated, euler_character_by_cauchy, hom_dimension_by_enumeration
+
+
+def test_cauchy_truncated_rejects_a_negative_alphabet():
+    with pytest.raises(ValueError, match=r"^partition bounds must be >= 0"):
+        cauchy_truncated(3, -1, 4)
 
 
 def test_cauchy_degree_one():

@@ -2,11 +2,15 @@
 every public entry point shares, the localization-parameter validation of
 the K-theory entry points, the truncation degree of the character entry
 points, the partition bounds and Euler-character overrides they pass on,
-the shapes the cached Schur helpers accept, and source scans that keep
-`assert` out of the library and caches out of the K-matrix engine and the
-character oracle."""
+the shapes the cached Schur helpers accept, a cold import that leaves
+`dataclasses` and `inspect` unloaded, and source scans that keep `assert`
+and `dataclasses` out of the library and caches out of the K-matrix engine
+and the character oracle."""
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +26,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "grwin"
 # its diagram, so the error names the rank whatever the diagram
 NEEDS_R_AT_MOST_D = {
     "gamma_set": lambda d, r: windows.gamma_set(d, r),
-    "gamma_split": lambda d, r: windows.gamma_split(d, r),
     "theorem_resolution": lambda d, r: resolutions.theorem_resolution((), d, r),
     "jshriek_jlower": lambda d, r: resolutions.jshriek_jlower((), d, r),
     "pushdown_pi": lambda d, r: resolutions.pushdown_pi((), d, r),
@@ -72,15 +75,38 @@ def test_exports_resolve_once():
     assert [name for name in grwin.__all__ if not hasattr(grwin, name)] == []
 
 
-def test_library_has_no_assert_statements():
-    # `python -O` strips assert statements, so invariants must raise
+def library_nodes(predicate):
     files = sorted(SRC.glob("*.py"))
     assert files
-    found = [f"{path.name}:{node.lineno}"
-             for path in files
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
-    assert found == []
+    return [f"{path.name}:{node.lineno}"
+            for path in files
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if predicate(node)]
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements, so invariants must raise
+    assert library_nodes(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def test_library_does_not_import_dataclasses():
+    # dataclasses pulls inspect, ast, dis and tokenize into every one-shot
+    # grwin process; the value types are tuples and slotted classes instead
+    def imports_dataclasses(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+
+    assert library_nodes(imports_dataclasses) == []
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; before = set(sys.modules); import grwin, grwin.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 # entry point -> call with truncation degree D at (d, r) = (4, 2)
@@ -133,11 +159,6 @@ def test_euler_character_override_checks_degree_and_wedge_power(term):
 def test_partitions_of_rejects_negative_bounds(bounds):
     with pytest.raises(ValueError, match=r"^partition bounds must be >= 0, got -\d$"):
         partitions_of(3, **bounds)
-
-
-def test_cauchy_truncated_rejects_a_negative_alphabet():
-    with pytest.raises(ValueError, match=r"^partition bounds must be >= 0"):
-        characters.cauchy_truncated(3, -1, 4)
 
 
 # a trailing zero row names the same partition, so the cached Schur helpers

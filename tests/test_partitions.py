@@ -3,10 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import conjugate_by_cells, staircase_closed_form
+from oracles import add_full_column, conjugate_by_cells, staircase_closed_form
 
 from grwin.partitions import (
-    add_full_column,
     ascii_diagram,
     canonical,
     column_height,

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import epsilon_sequence, pushdown_pi_bruteforce
+from oracles import epsilon_sequence, gamma_split, pushdown_pi_bruteforce, relabel_to_x
 
 from grwin.bundles import BundleLabel, GradedComplex
 from grwin.partitions import height, partitions_in_box, strip, width
@@ -198,10 +198,9 @@ def test_pushing_jshriek_terms_down_gives_the_cotwist():
     # the derivation chain: push each correspondence-stack term to the
     # corank-1 base and the down-shift complex appears term by term
     from grwin.autoequiv import cotwist_on_generator
-    from grwin.bundles import from_nondual, relabel_to_x
+    from grwin.bundles import from_nondual
     from grwin.partitions import staircase
     from grwin.resolutions import _wedge
-    from grwin.windows import gamma_split
 
     for d, n in [(3, 2), (4, 2), (4, 3), (5, 3)]:
         r = n + 1

