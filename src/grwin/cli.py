@@ -78,8 +78,8 @@ def _emit_complex(cx: GradedComplex, args) -> int:
     return 0
 
 
-# C(10,5): the largest K-matrix basis computed by default; (10,5) takes 8 to
-# 10 s cold on a 2-core x86_64 host, and (11,5) has 462 generators
+# C(10,5): the largest K-matrix basis computed by default; (10,5) takes about
+# 1 s cold on a 2-core x86_64 host, and (11,5) has 462 generators
 MAX_BASIS = 252
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 
 def enumerate_ssyt(shape, n):
@@ -192,6 +193,35 @@ def solve_fraction_gauss_jordan(matrix, columns):
             if i != col and f:
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return det, [[a[i][n + j] for i in range(n)] for j in range(len(columns))]
+
+
+def k_matrix_by_localization(which, d, r, params):
+    """k_matrix by torus fixed points instead of Kapranov coordinates: at each
+    r-subset sigma of the distinct nonzero params, S^lam S^dual(t) takes the
+    value s_lam(1/sigma) det(sigma)^-t; the target window's basis values B
+    and the images' class values Y give the matrix X of B X = Y, solved over
+    Fractions.  The basis is nonsingular there: its determinant is a power of
+    the Vandermonde (test_basis_determinant_is_a_power_of_the_vandermonde)."""
+    from grwin.autoequiv import cotwist_on_generator, twist_on_generator
+    from grwin.windows import gamma_set, window_generators
+    basis = [[(0, lb, 1)] for lb in window_generators(d, r, -1 if which == "cotwist" else 0)]
+    if which == "identity":
+        images = basis
+    else:
+        image = twist_on_generator if which == "twist" else cotwist_on_generator
+        images = [list(image(delta, d, r).expand_multiplicities(d).items())
+                  for delta in gamma_set(d, r)]
+    points = list(combinations(map(Fraction, params), r))
+
+    def values(items):
+        return [sum(((-1) ** k * m * schur_value_bruteforce(lb.schur, [1 / t for t in sigma])
+                     / prod(sigma) ** lb.det_twist for k, lb, m in items), Fraction(0))
+                for sigma in points]
+
+    det, columns = solve_fraction_gauss_jordan(list(zip(*map(values, basis))),
+                                               list(map(values, images)))
+    assert det, f"basis singular at parameters {params}"
+    return [list(row) for row in zip(*columns)]
 
 
 def _sl_invariants_by_rectangles(lam, s, d):

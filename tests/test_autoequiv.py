@@ -6,7 +6,13 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import gamma_split, int_matmul, schur_value_bruteforce, solve_fraction_gauss_jordan
+from oracles import (
+    gamma_split,
+    int_matmul,
+    k_matrix_by_localization,
+    schur_value_bruteforce,
+    solve_fraction_gauss_jordan,
+)
 
 from test_kmatrix_digests import DIGESTS, digest
 
@@ -14,7 +20,6 @@ from grwin import autoequiv, partitions, resolutions
 from grwin.autoequiv import (
     InternalConsistencyError,
     cotwist_on_generator,
-    default_parameters,
     determinant,
     k_matrix,
     kapranov_coordinates,
@@ -170,58 +175,9 @@ def test_narrow_generators_are_fixed():
 # --- localization -----------------------------------------------------------
 
 nonzero_fractions = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
-shapes = st.lists(st.integers(1, 6), max_size=3).map(
-    lambda rows: tuple(sorted(rows, reverse=True))).filter(lambda lam: sum(lam) <= 6)
 
 
-def k_class(cx, r, params):
-    """Localization values of one complex's K-class, one per fixed point."""
-    return [row[0] for row in autoequiv._fixed_point_values([cx.items()], r, params)]
-
-
-def test_k_class_trivial_bundle():
-    ts = (Fraction(2), Fraction(3))
-    assert k_class(single(label((), 1, 0)), 1, ts) == [1, 1]
-
-
-def test_k_class_line_bundle():
-    ts = (Fraction(2), Fraction(3))
-    assert k_class(single(label((), 1, 1)), 1, ts) == [Fraction(1, 2), Fraction(1, 3)]
-
-
-def test_k_class_alternating_sum():
-    ts = (Fraction(2), Fraction(3))
-    cx = GradedComplex.from_items([
-        (0, label((), 1, 1), 2),
-        (1, label((), 1, 0), 1),
-    ])
-    assert k_class(cx, 1, ts) == [0, Fraction(-1, 3)]
-
-
-def test_k_class_rejects_wrong_side():
-    # k_matrix expands V factors before it localizes, so a V-factor label
-    # is refused like an H-side one
-    for lb in (BundleLabel((), 1, 0, side="H"), BundleLabel((), 1, 0, v_shape=(1,))):
-        with pytest.raises(ValueError, match=r"^localization needs plain ambient-side labels"):
-            k_class(single(lb), 1, default_parameters(2))
-
-
-complex_terms = st.lists(st.tuples(st.integers(0, 2), shapes.filter(lambda lam: len(lam) < 3),
-                                   st.integers(-3, 3), st.integers(1, 3)), max_size=4)
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(complexes=st.lists(complex_terms, min_size=1, max_size=3),
-       params=st.lists(nonzero_fractions, min_size=4, max_size=4, unique=True))
-def test_fixed_point_values_match_fraction_localization(complexes, params):
-    # a K-matrix cannot see a wrong row scale, since each row of B X = Y may
-    # be scaled freely, so every value is pinned here against Fractions
-    complexes = [[(k, label(lam, 3, t), m) for k, lam, t, m in cx] for cx in complexes]
-    expected = [[sum(((-1) ** k * m * schur_value_bruteforce(lb.schur, [1 / t for t in sigma])
-                      * prod(sigma) ** -lb.det_twist for k, lb, m in cx), Fraction(0))
-                 for cx in complexes]
-                for sigma in combinations(params, 3)]
-    assert autoequiv._fixed_point_values(complexes, 3, tuple(params)) == expected
+PRIMES = tuple(map(Fraction, (2, 3, 5, 7, 11, 13, 17)))
 
 
 def random_fractions(d, seed):
@@ -235,13 +191,14 @@ def random_fractions(d, seed):
 
 
 def test_basis_determinant_is_a_power_of_the_vandermonde():
-    # the identity behind k_matrix's nonsingular basis block.  Both sides
-    # have degree <= 210 in y here, so at a random point with coordinates
-    # from about 10^6 Fractions a false identity holds with probability
-    # <= 210/10^6 (Schwartz-Zippel); the primes are k_matrix's defaults
+    # the identity behind the nonsingular basis block of the localization
+    # oracle, k_matrix_by_localization.  Both sides have degree <= 210 in y
+    # here, so at a random point with coordinates from about 10^6 Fractions a
+    # false identity holds with probability <= 210/10^6 (Schwartz-Zippel);
+    # the primes are the oracle's points in the tests below
     for d in range(2, 8):
         for r in range(1, d):
-            for ys in (default_parameters(d), random_fractions(d, 1), random_fractions(d, 2)):
+            for ys in (PRIMES[:d], random_fractions(d, 1), random_fractions(d, 2)):
                 matrix = [[schur_value_bruteforce(delta, sigma) for delta in gamma_set(d, r)]
                           for sigma in combinations(ys, r)]
                 vandermonde = prod(abs(a - b) for a, b in combinations(ys, 2))
@@ -285,13 +242,12 @@ def test_o1_matrix_conjugation():
 @given(case=st.sampled_from([(3, 1), (4, 2), (5, 2)]),
        which=st.sampled_from(["twist", "cotwist"]), data=st.data())
 def test_k_matrix_entries_integral_with_random_parameters(case, which, data):
-    # the matrices do not depend on the localization parameters
+    # the localization oracle gives k_matrix, in integers, at any parameters
     d, r = case
     params = data.draw(st.lists(nonzero_fractions, min_size=d, max_size=d, unique=True))
-    expected = k_matrix(which, d, r)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(autoequiv, "default_parameters", lambda d: tuple(params))
-        assert k_matrix(which, d, r) == expected
+    matrix = k_matrix_by_localization(which, d, r, params)
+    assert all(x.denominator == 1 for row in matrix for x in row)
+    assert matrix == k_matrix(which, d, r)
 
 
 def test_kapranov_coordinates_of_a_window_basis_are_the_identity():
@@ -303,23 +259,11 @@ def test_kapranov_coordinates_of_a_window_basis_are_the_identity():
                     [[int(i == j) for j in range(n)] for i in range(n)], (d, r, k)
 
 
-def shift_matrix_by_pairing(which, d, r):
-    """The shift matrix with each image's class summed from the Kapranov
-    coordinates of its labels, in place of the localization solve."""
-    image, k = (twist_on_generator, 0) if which == "twist" else (cotwist_on_generator, -1)
-    columns = []
-    for delta in gamma_set(d, r):
-        items = list(image(delta, d, r).expand_multiplicities(d).items())
-        coordinates = kapranov_coordinates([lb for _, lb, _ in items], d, r, k)
-        columns.append([sum((-1) ** degree * mult * x for (degree, _, mult), x in zip(items, row))
-                        for row in coordinates])
-    return [list(row) for row in zip(*columns)]
-
-
-@pytest.mark.parametrize("d,r", [(5, 2), (6, 3), (8, 4)])
+@pytest.mark.parametrize("d,r", [(5, 2), (6, 3), (7, 2)])
 def test_kapranov_coordinates_reproduce_the_shift_matrices(d, r):
+    # k_matrix sums Kapranov coordinates; the oracle localizes and solves
     for which in ("twist", "cotwist"):
-        assert shift_matrix_by_pairing(which, d, r) == k_matrix(which, d, r), which
+        assert k_matrix(which, d, r) == k_matrix_by_localization(which, d, r, PRIMES[:d]), which
 
 
 @pytest.mark.parametrize("lb", [BundleLabel((), 2, 0, side="H"),
@@ -333,12 +277,11 @@ def test_kapranov_coordinates_reject_labels_that_are_not_plain(lb):
 
 def test_o1_matrix_shares_no_code_with_the_staircase_or_the_solve(monkeypatch):
     def refuse(*args, **kwargs):
-        raise RuntimeError("the O(1) matrix reached the staircase or the localization solve")
+        raise RuntimeError("the O(1) matrix reached the staircase or the determinant")
     for module, name in [(partitions, "staircase"), (partitions, "resolution_terms"),
                          (resolutions, "resolution_terms"), (autoequiv, "resolution_terms"),
                          (resolutions, "unstable_resolution_twisted"),
                          (autoequiv, "unstable_resolution_twisted"),
-                         (autoequiv, "_fixed_point_values"), (autoequiv, "_solve_modular"),
                          (autoequiv, "determinant")]:
         monkeypatch.setattr(module, name, refuse)
     for d, r in [(d, r) for d in range(2, 7) for r in range(1, d)]:
@@ -363,28 +306,9 @@ def test_a_mutated_staircase_breaks_the_twist_and_the_conjugation(monkeypatch):
         assert int_matmul(T, mc) != int_matmul(mt, T), (d, r)
 
 
-def test_solve_exact_rejects_singular(monkeypatch):
+def test_determinant_of_a_singular_matrix_is_zero():
     assert determinant([[1, 1], [1, 1]]) == 0
     assert determinant([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
-    # distinct nonzero parameters never make the basis block singular, so in
-    # k_matrix a singular one is a broken invariant: every complex takes the
-    # value 1 at each of the three fixed points here
-    monkeypatch.setattr(autoequiv, "_fixed_point_values",
-                        lambda complexes, r, params: [[Fraction(1)] * len(complexes)
-                                                      for _ in range(3)])
-    with pytest.raises(InternalConsistencyError, match=r"twist at \(d,r\)=\(3,1\).*2, 3, 5"):
-        k_matrix("twist", 3, 1)
-
-
-def test_non_integral_image_names_the_coordinate(monkeypatch):
-    # the basis takes the values I at the two fixed points, and the image of
-    # (1,) takes 1/2 at the second one, which has no integral lift
-    monkeypatch.setattr(autoequiv, "_fixed_point_values",
-                        lambda complexes, r, params: [[1, 0, 1, 0], [0, 1, 0, Fraction(1, 2)]])
-    with pytest.raises(InternalConsistencyError) as err:
-        k_matrix("twist", 2, 1)
-    assert str(err.value) == ("twist image of (1,) at (d,r)=(2,1): the coordinates lifted "
-                              "from modulo 2305843009213693951 fail B X = Y")
 
 
 def test_solve_exact_row_swap_flips_determinant():
@@ -417,10 +341,6 @@ def integer_matrices(draw):
 def test_solve_exact_matches_fraction_gauss_jordan(matrix):
     # the Bareiss determinant against Gauss-Jordan over Fractions
     assert determinant(matrix) == solve_fraction_gauss_jordan(matrix, [])[0]
-
-
-def test_default_parameters_are_primes():
-    assert default_parameters(4) == (2, 3, 5, 7)
 
 
 def test_internal_consistency_error_is_loud():

@@ -1,12 +1,11 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grwin import cli
+from grwin import cli, resolutions
 from grwin.autoequiv import InternalConsistencyError
 from grwin.bundles import complex_from_json, complex_to_json, dumps
 
@@ -137,29 +136,26 @@ def test_seed_is_not_an_option(capsys):
     assert "--seed" in err and "Traceback" not in err
 
 
-def test_singular_kmatrix_basis_exits_one(capsys, monkeypatch):
-    # the singular value table of test_solve_exact_rejects_singular
-    monkeypatch.setattr(cli.autoequiv, "_fixed_point_values",
-                        lambda complexes, r, params: [[Fraction(1)] * len(complexes)
-                                                      for _ in range(3)])
-    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "3", "--r", "1")
-    assert (code, out) == (1, "")
-    assert err.startswith("verification failure: twist at (d,r)=(3,1): basis matrix singular")
-    assert "Traceback" not in err
-
-
 def test_kmatrix_rejects_a_negative_box(capsys):
     code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "-3", "--r", "-1")
     assert (code, out) == (2, "")
     assert err == "error: need 0 < r < d, got r=-1, d=-3\n"
 
 
-def test_a_failed_kmatrix_certificate_exits_one(capsys, monkeypatch):
-    # modulo 13 entries up to 10 at (5,2) wrap around in the symmetric lift
-    monkeypatch.setattr(cli.autoequiv, "PRIME", 13)
-    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "5", "--r", "2")
+def test_a_broken_twist_image_makes_kmatrix_exit_one(capsys, monkeypatch):
+    # a top staircase term that does not cancel the input breaks an invariant
+    # of the up-shift; kmatrix prints nothing and names the generator
+    real = resolutions.resolution_terms
+
+    def top_row_one_longer(delta, d, r):
+        *rest, (k, top, s) = real(delta, d, r)
+        return [*rest, (k, (top[0] + 1, *top[1:]), s)]
+
+    monkeypatch.setattr(resolutions, "resolution_terms", top_row_one_longer)
+    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "4", "--r", "2")
     assert (code, out) == (1, "")
-    assert err.startswith("verification failure: twist image of (")
+    assert err.startswith("verification failure: (d,r)=(4,2), delta=(")
+    assert "input-cancelling term mismatch" in err
     assert "Traceback" not in err
 
 

@@ -1,11 +1,10 @@
 """Contracts that span modules: the package exports, the (d, r) validation
-every public entry point shares, the localization-parameter validation of
-the K-theory entry points, the truncation degree of the character entry
-points, the partition bounds and Euler-character overrides they pass on,
-the shapes the cached Schur helpers accept, a cold import that leaves
-`dataclasses` and `inspect` unloaded, and source scans that keep `assert`
-and `dataclasses` out of the library and caches out of the K-matrix engine
-and the character oracle."""
+every public entry point shares, the truncation degree of the character
+entry points, the partition bounds and Euler-character overrides they pass
+on, the shapes the cached Schur helpers accept, a cold import that leaves
+`dataclasses`, `inspect`, `fractions` and `decimal` unloaded, and source
+scans that keep `assert` and `dataclasses` out of the library and caches
+out of the K-matrix engine and the character oracle."""
 
 import ast
 import os
@@ -101,8 +100,10 @@ def test_library_does_not_import_dataclasses():
 
 
 def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    # nor fractions, which pulls in decimal: the library computes in integers
     code = ("import sys; before = set(sys.modules); import grwin, grwin.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
+            " & (set(sys.modules) - before)))")
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60)
