@@ -13,12 +13,12 @@ from .resolutions import (
     unstable_resolution_twisted,
 )
 from .schur import lr_coefficient, schur_dimension, schur_product
-from .windows import gamma_set, in_window, window_generators
+from .windows import gamma_set, window_generators
 
 __all__ = [
     "BundleLabel", "BwbClass", "Dominant", "GradedComplex", "NonRegular",
     "Regular", "bwb_cohomology", "classify", "complement", "cotwist_on_generator",
-    "euler_character", "gamma_set", "hom_invariant_dimension", "in_window",
+    "euler_character", "gamma_set", "hom_invariant_dimension",
     "jshriek_jlower", "k_matrix", "lr_coefficient", "normalize", "o1_matrix",
     "pushdown_pi", "pushforward_character", "rank", "schur_dimension",
     "schur_product", "staircase", "strip", "theorem_resolution",

@@ -13,7 +13,7 @@ to every core through stencils on integer-coded keys.
 
 from __future__ import annotations
 
-from .partitions import (canonical, check_box, complement, height, partitions_of,
+from .partitions import (canonical, check_box, complement, height, partitions_in_box,
                          resolution_terms, width)
 from .schur import fits, gaps, lr_coefficient, lr_fillings, lr_products
 
@@ -62,9 +62,11 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
     def code(p: tuple[int, ...], row: int = 0) -> int:
         return sum(x << digit * (row + i) for i, x in enumerate(p))
     ones, both = code((1,) * r), 1 + (1 << digit * d)  # a core or (1^r) on both sides
-    # by size: each core padded to r rows, its key on both sides, and its gaps
-    cores = [[(p, code(p) * both, gaps(p, r)) for p in (q + (0,) * (r - len(q))
-              for q in partitions_of(n, max_height=r - 1))] for n in range(D + 1)]
+    # bucketed by core size n: each core padded to r rows, its key on both sides, and its gaps
+    cores: list[list] = [[] for _ in range(D + 1)]
+    for q in partitions_in_box(D, r - 1, D):
+        p = q + (0,) * (r - len(q))
+        cores[sum(q)].append((p, code(p) * both, gaps(p, r)))
     total: dict[int, int] = {}
     for k, shape, s in terms:
         if s > d:
@@ -120,8 +122,7 @@ def pushforward_character(delta: tuple[int, ...], d: int, r: int,
     if height(delta) > r - 1:
         raise ValueError(f"height({delta}) must be <= {r - 1}")
     table = lr_fillings(delta, r - 1)
-    return {(lam, mu): c for n in range(D + 1)
-            for lam in partitions_of(n, max_height=r - 1)
+    return {(lam, mu): c for lam in partitions_in_box(D, r - 1, D)
             for mu, c in lr_products(table, lam, r - 1)}
 
 

@@ -130,41 +130,22 @@ def resolution_terms(delta: tuple[int, ...], d: int,
     return staircase(delta, r, d - r + 1)
 
 
-def partitions_in_box(w: int, h: int) -> list[tuple[int, ...]]:
-    """All partitions with width <= w and height <= h, each prefix before
-    its extensions, larger next rows first."""
+def partitions_in_box(w: int, h: int, max_size: int | None = None) -> list[tuple[int, ...]]:
+    """All partitions with width <= w, height <= h and at most max_size
+    boxes (default w*h), each prefix before its extensions, larger next
+    rows first."""
+    if max_size is None:
+        max_size = w * h
+    if min(w, h, max_size) < 0:
+        raise ValueError(f"partition bounds must be >= 0, got w={w}, h={h}, max_size={max_size}")
     out: list[tuple[int, ...]] = []
-    stack: list[tuple[int, ...]] = [()]
+    stack: list[tuple[tuple[int, ...], int]] = [((), max_size)]  # (prefix, boxes left)
     while stack:
-        prefix = stack.pop()
+        prefix, room = stack.pop()
         out.append(prefix)
         if len(prefix) < h:
-            stack.extend(prefix + (x,) for x in range(1, (prefix[-1] if prefix else w) + 1))
-    return out
-
-
-def partitions_of(n: int, max_height: int | None = None,
-                  max_width: int | None = None) -> list[tuple[int, ...]]:
-    """All partitions of n, optionally bounded in height and width."""
-    for bound in (max_height, max_width):
-        if bound is not None and bound < 0:
-            raise ValueError(f"partition bounds must be >= 0, got {bound}")
-    if n < 0:
-        return []
-    maxw = n if max_width is None else min(max_width, n)
-    maxh = n if max_height is None else max_height
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, maxrow: int, rows_left: int) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        if rows_left == 0 or maxrow == 0:
-            return
-        for x in range(min(maxrow, remaining), 0, -1):
-            rec(prefix + (x,), remaining - x, x, rows_left - 1)
-
-    rec((), n, maxw, maxh)
+            top = min(prefix[-1] if prefix else w, room)
+            stack.extend([(prefix + (x,), room - x) for x in range(1, top + 1)])
     return out
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import cache
 
 from .bundles import BundleLabel, normalize
-from .partitions import check_box, partitions_in_box, size, width
+from .partitions import check_box, partitions_in_box, size
 
 
 @cache
@@ -25,19 +25,3 @@ def window_generators(d: int, r: int, k: int) -> list[BundleLabel]:
     check_box(d, r, strict=True)
     return [normalize(delta, k, r) for delta in gamma_set(d, r)]
 
-
-def in_window(label: BundleLabel, d: int, r: int, k: int) -> bool:
-    """Membership of a (normalized) label in the k-th window's generator set.
-
-    The V factor is pure multiplicity and is ignored; bracket twists
-    disqualify (those labels live on the correspondence stack).
-    """
-    if label.side != "S" or label.taut_rank != r or label.bracket_twist:
-        return False
-    extra = label.det_twist - k
-    if extra < 0:
-        return False
-    # unfold: candidate diagram = schur plus `extra` full-height columns
-    padded = label.schur + (0,) * (r - len(label.schur))
-    candidate = tuple(x + extra for x in padded) if extra else label.schur
-    return width(candidate) <= d - r

@@ -111,14 +111,20 @@ def lr_coefficient_by_filling(lam, mu, nu):
     return total
 
 
+def partitions_of_size(n, h=None, w=None):
+    """Partitions of n, height <= h and width <= w (default n), lexicographically descending."""
+    from grwin.partitions import partitions_in_box
+    box = partitions_in_box(n if w is None else w, n if h is None else h, n)
+    return [p for p in box if sum(p) == n]
+
+
 def schur_product_by_candidates(lam, mu, max_height):
     """s_lam * s_mu below max_height as (nu, c) items, lexicographically
     descending: every partition nu of |lam| + |mu| in the height/width box,
     kept when its filled LR coefficient is nonzero."""
-    from grwin.partitions import partitions_of
     width = (lam[0] if lam else 0) + (mu[0] if mu else 0)
     items = []
-    for nu in partitions_of(sum(lam) + sum(mu), max_height, width):
+    for nu in partitions_of_size(sum(lam) + sum(mu), max_height, width):
         c = lr_coefficient_by_filling(lam, mu, nu)
         if c:
             items.append((nu, c))
@@ -241,7 +247,7 @@ def hom_dimension_by_enumeration(case, delta, d, r, D):
     partition lam up to degree D is paired, most of them to zero.  The
     validation and its messages are the library's."""
     from grwin.partitions import (
-        canonical, check_box, complement, height, partitions_of,
+        canonical, check_box, complement, height, partitions_in_box,
         resolution_terms, width,
     )
     from grwin.schur import lr_coefficient, schur_dimension
@@ -256,11 +262,10 @@ def hom_dimension_by_enumeration(case, delta, d, r, D):
         # the corank-1 pairing matches the two expansion indices, the
         # ambient pairing then weights by dim S^lam V
         total = 0
-        for n in range(D + 1):
-            for lam in partitions_of(n, max_height=max(r - 1, 0)):
-                c = lr_coefficient(delta, lam, delta)
-                if c:
-                    total += c * schur_dimension(lam, d)
+        for lam in partitions_in_box(D, max(r - 1, 0), D):
+            c = lr_coefficient(delta, lam, delta)
+            if c:
+                total += c * schur_dimension(lam, d)
         return total
     if case == "eta":
         if height(delta) >= r or width(delta) != d - r + 1:
@@ -270,13 +275,12 @@ def hom_dimension_by_enumeration(case, delta, d, r, D):
         eps_top = complement(top, d - r + 1, r)
         rect = (d - r,) * (r - 1)
         total = 0
-        for n in range(D + 1):
-            for lam in partitions_of(n, max_height=r - 1):
-                lam_hat = canonical(rect[i] + (lam[i] if i < len(lam) else 0)
-                                    for i in range(r - 1))
-                pairing = lr_coefficient(delta, eps_top, lam_hat)
-                if pairing:
-                    total += pairing * _sl_invariants_by_rectangles(lam, s_top, d)
+        for lam in partitions_in_box(D, r - 1, D):
+            lam_hat = canonical(rect[i] + (lam[i] if i < len(lam) else 0)
+                                for i in range(r - 1))
+            pairing = lr_coefficient(delta, eps_top, lam_hat)
+            if pairing:
+                total += pairing * _sl_invariants_by_rectangles(lam, s_top, d)
         return total
     raise ValueError(f"unknown case {case!r}")
 
@@ -375,11 +379,10 @@ def pushdown_pi_bruteforce(gamma, d, r, locus="stack"):
 def cauchy_truncated(d, r, D):
     """Character of the symmetric algebra on the tensor product of the two
     alphabets: the diagonal sum of s_lambda ⊗ s_lambda up to degree D."""
-    from grwin.partitions import partitions_of
+    from grwin.partitions import partitions_in_box
     if D < 0:
         raise ValueError("truncation degree must be >= 0")
-    return {(lam, lam): 1 for n in range(D + 1)
-            for lam in partitions_of(n, max_height=min(d, r))}
+    return {(lam, lam): 1 for lam in partitions_in_box(D, min(d, r), D)}
 
 
 def euler_character_by_cauchy(delta, d, r, D, terms=None):

@@ -3,8 +3,9 @@ every public entry point shares, the truncation degree of the character
 entry points, the partition bounds and Euler-character overrides they pass
 on, the shapes the cached Schur helpers accept, a cold import that leaves
 `dataclasses`, `inspect`, `fractions` and `decimal` unloaded, and source
-scans that keep `assert` and `dataclasses` out of the library and caches
-out of the K-matrix engine and the character oracle."""
+scans that keep `assert` and `dataclasses` out of the library, recursion
+out of the partition walks, and caches out of the K-matrix engine and the
+character oracle."""
 
 import ast
 import os
@@ -17,7 +18,7 @@ import pytest
 
 import grwin
 from grwin import autoequiv, characters, resolutions, schur, windows
-from grwin.partitions import partitions_of
+from grwin.partitions import partitions_in_box
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "grwin"
 
@@ -155,11 +156,22 @@ def test_euler_character_override_checks_degree_and_wedge_power(term):
         characters.euler_character((), 3, 2, 3, terms=[term])
 
 
-@pytest.mark.parametrize("bounds", [{"max_height": -1}, {"max_width": -1},
-                                    {"max_height": 2, "max_width": -3}])
+@pytest.mark.parametrize("bounds", [(-1, 2), (2, -1), (2, 2, -3), (-3, -3)])
 def test_partitions_of_rejects_negative_bounds(bounds):
-    with pytest.raises(ValueError, match=r"^partition bounds must be >= 0, got -\d$"):
-        partitions_of(3, **bounds)
+    # width, height and size bound; a negative box must not pass as w*h = 9
+    with pytest.raises(ValueError, match=r"^partition bounds must be >= 0, got w=-?\d, "
+                                         r"h=-?\d, max_size=-?\d$"):
+        partitions_in_box(*bounds)
+
+
+def test_partitions_module_has_no_recursion():
+    # the partition walks keep an explicit stack, so a tall or wide box
+    # cannot reach the interpreter's recursion limit
+    tree = ast.parse((SRC / "partitions.py").read_text())
+    recursive = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == fn.name]
+    assert recursive == []
 
 
 # a trailing zero row names the same partition, so the cached Schur helpers

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,6 @@ from grwin.partitions import (
     height,
     parse_partition,
     partitions_in_box,
-    partitions_of,
     size,
     staircase,
     strip,
@@ -155,20 +155,33 @@ def test_column_height():
     assert column_height((3, 1), 4) == 0
 
 
-def test_partitions_of_bounds():
-    assert set(partitions_of(3)) == {(3,), (2, 1), (1, 1, 1)}
-    assert partitions_of(3, max_height=1) == [(3,)]
-    assert partitions_of(0) == [()]
+def test_partitions_in_box_matches_brute_force_filter():
+    # every non-increasing h-tuple from 0..w, zeros trimmed, kept when small
+    # enough; prefix-first with larger next rows first is the order of the
+    # negated rows, where a prefix sorts before its extensions
+    for w in range(6):
+        for h in range(6):
+            box = [canonical(rows) for rows in combinations_with_replacement(range(w, -1, -1), h)]
+            assert partitions_in_box(w, h) == partitions_in_box(w, h, w * h)
+            for max_size in range(13):
+                expected = sorted((p for p in box if size(p) <= max_size),
+                                  key=lambda p: [-x for x in p])
+                assert partitions_in_box(w, h, max_size) == expected, (w, h, max_size)
+    assert [p for p in partitions_in_box(3, 3, 3) if size(p) == 3] == [(3,), (2, 1), (1, 1, 1)]
+    assert [p for p in partitions_in_box(3, 1, 3) if size(p) == 3] == [(3,)]
     # a zero bound is a bound: only the empty partition fits
-    assert partitions_of(0, max_height=0, max_width=0) == [()]
-    assert partitions_of(3, max_height=0) == partitions_of(3, max_width=0) == []
+    assert partitions_in_box(3, 3, 0) == partitions_in_box(3, 0, 3) == [()]
+    assert partitions_in_box(0, 3, 3) == partitions_in_box(0, 0, 0) == [()]
+
+
+def test_partitions_in_box_walks_a_tall_or_wide_box_without_recursion():
+    assert len(partitions_in_box(1, 5000, 5000)) == len(partitions_in_box(5000, 1, 5000)) == 5001
 
 
 def test_conjugate_matches_cell_count_on_every_small_partition():
-    for n in range(15):
-        for p in partitions_of(n):
-            assert conjugate(p) == conjugate_by_cells(p), p
-            assert conjugate(conjugate(p)) == p
+    for p in partitions_in_box(14, 14, 14):
+        assert conjugate(p) == conjugate_by_cells(p), p
+        assert conjugate(conjugate(p)) == p
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -7,12 +7,13 @@ from oracles import (
     enumerate_ssyt,
     is_horizontal_strip,
     lr_coefficient_by_filling,
+    partitions_of_size,
     pieri_filtration,
     schur_product_by_candidates,
     ssyt_count,
 )
 
-from grwin.partitions import canonical, height, partitions_of, size, width
+from grwin.partitions import canonical, height, size, width
 from grwin.schur import (fits, gaps, lr_coefficient, lr_fillings, lr_products,
                          schur_dimension, schur_product)
 
@@ -39,21 +40,21 @@ def test_lr_known_values():
 
 def test_lr_symmetry():
     rng = random.Random(17)
-    shapes = [p for n in range(9) for p in partitions_of(n, max_height=4)]
+    shapes = [p for n in range(9) for p in partitions_of_size(n, 4)]
     for _ in range(500):
         lam, mu = rng.choice(shapes), rng.choice(shapes)
-        nu = rng.choice(partitions_of(size(lam) + size(mu), max_height=5))
+        nu = rng.choice(partitions_of_size(size(lam) + size(mu), 5))
         assert lr_coefficient(lam, mu, nu) == lr_coefficient(mu, lam, nu)
 
 
 def test_lr_pieri_specialization():
     # against direct horizontal-strip enumeration
     rng = random.Random(23)
-    shapes = [p for n in range(7) for p in partitions_of(n, max_height=3)]
+    shapes = [p for n in range(7) for p in partitions_of_size(n, 3)]
     for _ in range(300):
         lam = rng.choice(shapes)
         t = rng.randint(0, 4)
-        nu = rng.choice(partitions_of(size(lam) + t, max_height=4))
+        nu = rng.choice(partitions_of_size(size(lam) + t, 4))
         expected = 1 if is_horizontal_strip(nu, lam) else 0
         assert lr_coefficient(lam, (t,) if t else (), nu) == expected
 
@@ -73,7 +74,7 @@ def test_schur_product_by_empty():
 
 def test_dimension_multiplicativity():
     rng = random.Random(29)
-    shapes = [p for n in range(6) for p in partitions_of(n, max_height=4)]
+    shapes = [p for n in range(6) for p in partitions_of_size(n, 4)]
     for _ in range(100):
         lam, mu = rng.choice(shapes), rng.choice(shapes)
         n = rng.randint(1, 4)
@@ -102,7 +103,7 @@ def test_pieri_filtration_total_dimension():
     for _ in range(100):
         rank_h = rng.randint(0, 3)
         gamma = rng.choice([p for n in range(7)
-                            for p in partitions_of(n, max_height=rank_h + 1)])
+                            for p in partitions_of_size(n, rank_h + 1)])
         total = sum(schur_dimension(alpha, rank_h)
                     for (alpha, _t) in pieri_filtration(gamma, rank_h))
         assert total == schur_dimension(gamma, rank_h + 1)
@@ -118,7 +119,7 @@ def test_schur_dimension_worked_values():
 
 def test_schur_dimension_against_tableau_enumeration():
     rng = random.Random(37)
-    shapes = [p for n in range(6) for p in partitions_of(n, max_height=3)]
+    shapes = [p for n in range(6) for p in partitions_of_size(n, 3)]
     for _ in range(40):
         lam = rng.choice(shapes)
         n = rng.randint(0, 4)
@@ -132,7 +133,7 @@ def test_schur_dimension_zero_above_alphabet():
 
 # every partition of at most 7 boxes: the empty one, and shapes up to 7 rows
 # tall, so some are taller than the alphabet bound
-SMALL_SHAPES = [p for n in range(8) for p in partitions_of(n)]
+SMALL_SHAPES = [p for n in range(8) for p in partitions_of_size(n)]
 small_shapes = st.sampled_from(SMALL_SHAPES)
 
 
@@ -157,7 +158,7 @@ def test_schur_product_matches_candidate_loop(lam, mu, max_height):
 def test_lr_coefficient_matches_filling(lam, mu, max_height, picks):
     # nu from the product's support, then random nu of the right size
     support = [nu for nu, _ in schur_product_by_candidates(lam, mu, max_height)]
-    others = partitions_of(size(lam) + size(mu))
+    others = partitions_of_size(size(lam) + size(mu))
     for nu in support + [others[i % len(others)] for i in picks]:
         assert lr_coefficient(lam, mu, nu) == lr_coefficient_by_filling(lam, mu, nu), nu
 
@@ -298,7 +299,7 @@ def test_filling_table_counts_by_adds_are_kostka_numbers(h):
     # for lam with every gap large, s_lam * s_mu = sum_w K_{mu,w} s_{lam+w}, so
     # the fillings with adds w number K_{mu,w}, the tableaux of shape mu and
     # weight w; a pruned state that could have landed drops one
-    for mu in (p for n in range(7) for p in partitions_of(n)):
+    for mu in (p for n in range(7) for p in partitions_of_size(n)):
         by_adds: dict = {}
         for (_, adds), count in lr_fillings(mu, h).items():
             by_adds[adds] = by_adds.get(adds, 0) + count
@@ -312,7 +313,7 @@ def test_filling_table_counts_by_adds_are_kostka_numbers(h):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(mu=st.sampled_from([p for n in range(7) for p in partitions_of(n)]),
+@given(mu=st.sampled_from([p for n in range(7) for p in partitions_of_size(n)]),
        rows=st.lists(st.integers(0, 3), min_size=6, max_size=6), h=st.integers(1, 6))
 @example(mu=(1, 1, 1), rows=[0, 1, 1, 1, 0, 0], h=6)
 @example(mu=(2, 1), rows=[0, 0, 0, 0, 0, 0], h=3)

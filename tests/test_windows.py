@@ -5,7 +5,7 @@ import pytest
 from oracles import gamma_split
 
 from grwin.bundles import BundleLabel, normalize
-from grwin.windows import gamma_set, in_window, window_generators
+from grwin.windows import gamma_set, window_generators
 
 
 def test_gamma_set_4_2_order():
@@ -78,27 +78,28 @@ def test_window_generators_need_proper_rank():
 
 
 def test_in_window_examples():
+    # membership is a lookup in the window's generator list
     s_dual_1 = BundleLabel((1,), 2, 1)
-    assert in_window(s_dual_1, 4, 2, 0)
-    assert in_window(s_dual_1, 4, 2, 1)
-    assert not in_window(BundleLabel((), 2, 3), 4, 2, 0)
-
-
-def test_in_window_ignores_v_factor():
-    assert in_window(BundleLabel((1,), 2, 0, v_shape=(1, 1)), 4, 2, 0)
+    assert s_dual_1 in window_generators(4, 2, 0)
+    assert s_dual_1 in window_generators(4, 2, 1)
+    assert BundleLabel((), 2, 3) not in window_generators(4, 2, 0)
 
 
 def test_in_window_rejects_other_sides():
-    assert not in_window(BundleLabel((1,), 2, 0, side="H"), 4, 2, 0)
-    assert not in_window(BundleLabel((1,), 3, 0), 4, 2, 0)
-    assert not in_window(BundleLabel((1,), 2, 0, bracket_twist=1), 4, 2, 0)
+    # the other side, another rank and a bracket twist name no generator
+    window = window_generators(4, 2, 0)
+    assert BundleLabel((1,), 2, 0) in window
+    assert BundleLabel((1,), 2, 0, side="H") not in window
+    assert BundleLabel((1,), 3, 0) not in window
+    assert BundleLabel((1,), 2, 0, bracket_twist=1) not in window
 
 
 def test_window_overlap_by_width():
     # narrow diagrams also generate the previous window, wide ones do not
     for d, r in [(4, 2), (5, 2), (5, 3), (6, 3)]:
         narrow, wide = gamma_split(d, r)
+        window = window_generators(d, r, 0)
         for delta in narrow:
-            assert in_window(normalize(delta, 1, r), d, r, 0)
+            assert normalize(delta, 1, r) in window
         for delta in wide:
-            assert not in_window(normalize(delta, 1, r), d, r, 0)
+            assert normalize(delta, 1, r) not in window
