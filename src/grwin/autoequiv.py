@@ -2,10 +2,11 @@
 
 The up-shift fixes narrow generators and replaces full-width ones by the
 positive part of their staircase resolution; the down-shift is its O(1)
-conjugate.  Every functor matrix comes from one coordinate map,
-`kapranov_coordinates`: Kapranov duality and one Bott Euler characteristic per
-entry.  The shift matrices sum it over each image's class; the O(1) matrix
-reads it off the twisted generators, with no staircase.  `determinant` is the
+conjugate.  The shift matrices are a read-off: every image term is a
+generator of the target window, and those labels are a basis of K-theory, so
+`k_matrix` sums signed multiplicities per label.  The O(1) matrix pairs the
+twisted generators with Kapranov's dual collection, `kapranov_coordinates`, one
+Bott Euler characteristic per entry, with no staircase.  `determinant` is the
 Bareiss determinant of an integer matrix.  Fixed-point localization stays out
 of the library, as the test oracle `k_matrix_by_localization`.
 """
@@ -86,35 +87,34 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def k_matrix(which: str, d: int, r: int) -> list[list[int]]:
-    """Matrix of the shift functor on K-theory: one column per generator,
-    coordinates of the image in the target window's generator basis.
+    """Matrix of the shift functor on K-theory, by read-off.
 
-    Each image's class is {label: sum of (-1)^deg mult} over its expanded
-    terms (V factors enter through their dimensions); for `identity` it is
-    the basis label itself.  Every column is read off one
-    `kapranov_coordinates` call on the distinct labels, in window k = -1 for
-    the cotwist and 0 otherwise, so entries are plain integers.  The test
-    oracle `k_matrix_by_localization` gets the same matrices independently,
-    by fixed-point localization and an exact solve.
+    Every image term is a generator of the target window (k = -1 for the
+    cotwist, 0 for the twist), and those labels are a basis of K(Gr(r,d)), so
+    entry (i, j) sums (-1)^deg mult over the expanded terms of image j labelled
+    by generator i (V factors enter through their dimensions); `identity` is I.
+    A label outside the window raises InternalConsistencyError.  The Kapranov
+    pairing (`o1_matrix`) and the test oracle `k_matrix_by_localization` reach
+    the same matrices independently.
     """
     check_box(d, r, strict=True)
     if which not in ("twist", "cotwist", "identity"):
         raise ValueError(f"unknown functor {which!r}")
-    k = -1 if which == "cotwist" else 0
+    n = len(gamma_set(d, r))
     if which == "identity":
-        classes = [{lb: 1} for lb in window_generators(d, r, k)]
-    else:
-        image = twist_on_generator if which == "twist" else cotwist_on_generator
-        classes = []
-        for delta in gamma_set(d, r):
-            net: dict[BundleLabel, int] = {}
-            for degree, lb, mult in image(delta, d, r).expand_multiplicities(d).items():
-                net[lb] = net.get(lb, 0) + (-1) ** degree * mult
-            classes.append(net)
-    index = {lb: i for i, lb in enumerate(dict.fromkeys(lb for net in classes for lb in net))}
-    coordinates = kapranov_coordinates(list(index), d, r, k)
-    return [[sum(row[index[lb]] * c for lb, c in net.items()) for net in classes]
-            for row in coordinates]
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    k = -1 if which == "cotwist" else 0
+    image = twist_on_generator if which == "twist" else cotwist_on_generator
+    index = {lb: i for i, lb in enumerate(window_generators(d, r, k))}
+    matrix = [[0] * n for _ in range(n)]
+    for j, delta in enumerate(gamma_set(d, r)):
+        for degree, lb, mult in image(delta, d, r).expand_multiplicities(d).items():
+            if lb not in index:
+                raise InternalConsistencyError(
+                    f"(d,r)=({d},{r}), delta={delta}: {which} image term {lb} "
+                    f"is not a generator of window {k}")
+            matrix[index[lb]][j] += (-1) ** degree * mult
+    return matrix
 
 
 def kapranov_coordinates(labels: Sequence[BundleLabel], d: int, r: int, k: int) -> list[list[int]]:

@@ -202,7 +202,7 @@ def solve_fraction_gauss_jordan(matrix, columns):
 
 
 def k_matrix_by_localization(which, d, r, params):
-    """k_matrix by torus fixed points instead of Kapranov coordinates: at each
+    """k_matrix by torus fixed points instead of the read-off: at each
     r-subset sigma of the distinct nonzero params, S^lam S^dual(t) takes the
     value s_lam(1/sigma) det(sigma)^-t; the target window's basis values B
     and the images' class values Y give the matrix X of B X = Y, solved over

@@ -16,7 +16,7 @@ from oracles import (
 
 from test_kmatrix_digests import DIGESTS, digest
 
-from grwin import autoequiv, partitions, resolutions
+from grwin import autoequiv, bott, partitions, resolutions
 from grwin.autoequiv import (
     InternalConsistencyError,
     cotwist_on_generator,
@@ -152,6 +152,32 @@ def test_twist_cotwist_route_and_windows_for_seven_to_nine(case):
     assert all(lb._replace(v_shape=()) in lower for _, lb, _m in cotwist.items())
 
 
+@st.composite
+def full_width_generators(draw):
+    """(delta, d, n) with 10 <= d <= 12 and delta a full-width generator:
+    first row d - n, then n - 1 rows of at most d - n boxes."""
+    d = draw(st.integers(10, 12))
+    n = draw(st.integers(1, d - 1))
+    rows = draw(st.lists(st.integers(0, d - n), min_size=n - 1, max_size=n - 1))
+    return partitions.canonical((d - n, *sorted(rows, reverse=True))), d, n
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(case=full_width_generators())
+def test_image_labels_have_unit_kapranov_coordinates_for_ten_to_twelve(case):
+    # the read-off's premise: each image label's Kapranov coordinates are the
+    # unit vector at its position in the target window (k = 0 and -1)
+    delta, d, n = case
+    for image, k in [(twist_on_generator, 0), (cotwist_on_generator, -1)]:
+        position = {lb: i for i, lb in enumerate(window_generators(d, n, k))}
+        plain = list(dict.fromkeys(lb._replace(v_shape=())
+                                   for _, lb, _m in image(delta, d, n).items()))
+        coordinates = kapranov_coordinates(plain, d, n, k)
+        for j, lb in enumerate(plain):
+            assert [row[j] for row in coordinates] == \
+                [int(i == position[lb]) for i in range(len(position))], (delta, d, n, k, lb)
+
+
 def test_twist_and_cotwist_images_keep_the_generator_rank():
     # an autoequivalence preserves K-classes, so the alternating rank sum of
     # each image is the rank of S^delta of the rank-r bundle
@@ -265,7 +291,7 @@ def test_kapranov_coordinates_of_a_window_basis_are_the_identity():
 
 @pytest.mark.parametrize("d,r", [(5, 2), (6, 3), (7, 2)])
 def test_kapranov_coordinates_reproduce_the_shift_matrices(d, r):
-    # k_matrix sums Kapranov coordinates; the oracle localizes and solves
+    # k_matrix is a read-off of the images; the oracle localizes and solves
     for which in ("twist", "cotwist"):
         assert k_matrix(which, d, r) == k_matrix_by_localization(which, d, r, PRIMES[:d]), which
 
@@ -290,6 +316,32 @@ def test_o1_matrix_shares_no_code_with_the_staircase_or_the_solve(monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     for d, r in [(d, r) for d in range(2, 7) for r in range(1, d)]:
         assert digest(o1_matrix(d, r)) == DIGESTS[f"o1:{d},{r}"], (d, r)
+
+
+def test_k_matrix_is_a_read_off_with_no_pairing(monkeypatch):
+    # criterion 9 compares the read-off with the Kapranov pairing, so the
+    # read-off must reach neither the coordinates nor a Bott Euler characteristic
+    def refuse(*args, **kwargs):
+        raise RuntimeError("k_matrix reached the Kapranov pairing")
+    for module, name in [(autoequiv, "kapranov_coordinates"),
+                         (autoequiv, "euler_characteristic"), (bott, "euler_characteristic")]:
+        monkeypatch.setattr(module, name, refuse)
+    for d, r in [(d, r) for d in range(2, 7) for r in range(1, d)]:
+        for which in ("twist", "cotwist", "identity"):
+            assert digest(k_matrix(which, d, r)) == DIGESTS[f"{which}:{d},{r}"], (which, d, r)
+
+
+def test_an_image_label_outside_the_window_is_an_internal_consistency_error(monkeypatch):
+    # the read-off indexes labels by the target window; images twisted by one
+    # more O(1) keep O(2) in window 0, so the first label with no row is S^dual(2)
+    real = autoequiv.twist_on_generator
+    monkeypatch.setattr(autoequiv, "twist_on_generator",
+                        lambda delta, d, r: real(delta, d, r).tensor_det(1))
+    (_, lb, _), = real((1,), 4, 2).tensor_det(1).items()
+    with pytest.raises(InternalConsistencyError) as exc:
+        k_matrix("twist", 4, 2)
+    assert str(exc.value) == \
+        f"(d,r)=(4,2), delta=(1,): twist image term {lb} is not a generator of window 0"
 
 
 def staircase_with_s1_off_by_one(delta, d, r):

@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grwin import cli, resolutions
+from grwin import autoequiv, cli, resolutions
 from grwin.autoequiv import InternalConsistencyError
 from grwin.bundles import complex_from_json, complex_to_json, dumps
 
@@ -156,6 +156,20 @@ def test_a_broken_twist_image_makes_kmatrix_exit_one(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err.startswith("verification failure: (d,r)=(4,2), delta=(")
     assert "input-cancelling term mismatch" in err
+    assert "Traceback" not in err
+
+
+def test_an_image_label_outside_the_window_makes_kmatrix_exit_one(capsys, monkeypatch):
+    # twisting every up-shift image by one more O(1) moves S^dual(2) out of
+    # window 0; kmatrix prints nothing and names the label
+    real = autoequiv.twist_on_generator
+    monkeypatch.setattr(autoequiv, "twist_on_generator",
+                        lambda delta, d, r: real(delta, d, r).tensor_det(1))
+    (_, lb, _), = real((1,), 4, 2).tensor_det(1).items()
+    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "4", "--r", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure: (d,r)=(4,2), delta=(1,): twist image term ")
+    assert f"{lb} is not a generator of window 0" in err
     assert "Traceback" not in err
 
 

@@ -1,9 +1,11 @@
-"""Every functor matrix with d <= 7, and those at (8,4), pinned bit for bit.
+"""Every functor matrix with d <= 7, and those at (8,4), (9,4) and (10,5),
+pinned bit for bit.
 
-The digests are sha256 of the compact JSON of each matrix, recorded from
-the Fraction Gauss-Jordan engine that the fixed-point localization solve and
-then the Kapranov coordinate map replaced; a change to the images or the
-coordinates that moves any entry fails here.
+The digests are sha256 of the compact JSON of each matrix.  Those up to
+(8,4) were recorded from the Fraction Gauss-Jordan engine, and those at (9,4)
+and (10,5) from the Kapranov coordinate map; the read-off of the images
+reproduces every pin.  A change to the images, the read-off or the Kapranov
+pairing that moves any entry fails here.
 """
 
 import hashlib
@@ -99,14 +101,20 @@ DIGESTS = {
     "identity:7,6": "3eb16c08e2da376388c01585111bb38109af90297609656bab73cb1c2b18db8b",
     "o1:7,6": "cb7735f6cb81382382d2b9af727e8fcf32a373ee872fe32357a2fa27f7a147eb",
 }
-# (9,4) takes seconds, so it stays out of the suite; its digests are
-# 03cc2d8f3cfc872810ea8251176da86944fbb79dbcd46c9ac07f49198b7110d4 for twist
-# and cotwist, 4cac2854cd1423484041b021a121d96a1659fd4ee417dfd50c708685f7ef5e8c
-# for identity
 EIGHT_FOUR = {
     "twist": "640327ecda58d7d279979536f6d8c6731e66975b869d7111f63a087a877057e5",
     "cotwist": "640327ecda58d7d279979536f6d8c6731e66975b869d7111f63a087a877057e5",
     "identity": "499d7c721e0228308705d8c18127ef526352a39e5a264c07fbbd2bb8b6af0f4b",
+}
+LARGE = {
+    "twist:9,4": "03cc2d8f3cfc872810ea8251176da86944fbb79dbcd46c9ac07f49198b7110d4",
+    "cotwist:9,4": "03cc2d8f3cfc872810ea8251176da86944fbb79dbcd46c9ac07f49198b7110d4",
+    "identity:9,4": "4cac2854cd1423484041b021a121d96a1659fd4ee417dfd50c708685f7ef5e8c",
+    "o1:9,4": "03cc2d8f3cfc872810ea8251176da86944fbb79dbcd46c9ac07f49198b7110d4",
+    "twist:10,5": "bbcab3e2a4c1f6ee301058e2b06d47e14bf561a75cce096e955136adc4436a0a",
+    "cotwist:10,5": "bbcab3e2a4c1f6ee301058e2b06d47e14bf561a75cce096e955136adc4436a0a",
+    "identity:10,5": "530cde49bd376aee356be2e861a122bb82cb1d9db5eb3e7834482220b7c27003",
+    "o1:10,5": "bbcab3e2a4c1f6ee301058e2b06d47e14bf561a75cce096e955136adc4436a0a",
 }
 BOXES = sorted({tuple(map(int, key.split(":")[1].split(","))) for key in DIGESTS})
 
@@ -129,3 +137,10 @@ def test_k_matrices_match_pinned_digests(d, r):
 def test_k_matrices_match_pinned_digests_at_eight_four():
     for which, pin in EIGHT_FOUR.items():
         assert digest(k_matrix(which, 8, 4)) == pin, which
+
+
+@pytest.mark.parametrize("d,r", [(9, 4), (10, 5)])
+def test_k_matrices_match_pinned_digests_at_the_largest_default_boxes(d, r):
+    for which in ("twist", "cotwist", "identity"):
+        assert digest(k_matrix(which, d, r)) == LARGE[f"{which}:{d},{r}"], which
+    assert digest(o1_matrix(d, r)) == LARGE[f"o1:{d},{r}"]
