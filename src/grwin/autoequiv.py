@@ -138,9 +138,9 @@ def kapranov_coordinates(labels: Sequence[BundleLabel], d: int, r: int, k: int) 
 
 def o1_matrix(d: int, r: int) -> list[list[int]]:
     """Matrix of tensoring by O(1) on plain K-theory in the Kapranov basis: the
-    window-0 coordinates of each S^delta S^dual(1), with no staircase or solve.
+    window-0 coordinates of window 1's generators S^delta S^dual(1), with no
+    staircase or solve.
     Window shifts act on plain K-theory as O(1), so it must equal the twist matrix:
     the independent check behind T M_cotwist = M_twist T.
     """
-    check_box(d, r, strict=True)
-    return kapranov_coordinates([normalize(delta, 1, r) for delta in gamma_set(d, r)], d, r, 0)
+    return kapranov_coordinates(window_generators(d, r, 1), d, r, 0)

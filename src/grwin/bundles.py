@@ -90,8 +90,6 @@ def from_nondual(gamma: Iterable[int], taut_rank: int, side: str = "S",
         raise ValueError(
             f"S^{gamma} of a rank-{taut_rank} bundle is zero; drop the term")
     w = width(gamma)
-    if taut_rank == 0:
-        return BundleLabel((), 0, 0, side, canonical(v_shape), bracket_twist)
     return normalize(complement(gamma, w, taut_rank), extra_twist - w,
                      taut_rank, side, v_shape, bracket_twist)
 

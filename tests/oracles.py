@@ -144,26 +144,30 @@ def dominant_sorters(alpha):
     return found
 
 
-def identity_perm(r):
-    return tuple(range(r))
-
-
 def classify_bruteforce(alpha):
-    """Classify alpha by an all-permutations scan for sorters of alpha + rho;
-    only the result types come from the library."""
-    from grwin.bott import Dominant, NonRegular, Regular
+    """Bott's classification by an all-permutations scan for sorters of
+    alpha + rho: None if there is none, else (inversion count of the one
+    sorter, its twisted image of alpha)."""
     sorters = dominant_sorters(alpha)
     if not sorters:
-        return NonRegular()
+        return None
     assert len(sorters) == 1, (alpha, sorters)
     w = sorters[0]
     r = len(w)
-    if w == identity_perm(r):
-        return Dominant()
     length = sum(1 for i in range(r) for j in range(i + 1, r) if w[i] > w[j])
     moved = [alpha[w[i]] + r - w[i] for i in range(r)]
-    return Regular(w=w, length=length,
-                   dominant_rep=tuple(moved[i] - (r - i) for i in range(r)))
+    return length, tuple(moved[i] - (r - i) for i in range(r))
+
+
+def euler_characteristic_bruteforce(alpha):
+    """Bott's Euler characteristic from the all-permutations classifier: 0 for
+    a non-regular weight, else (-1)^length times the number of semistandard
+    fillings of the dominant representative shifted to a partition."""
+    cls = classify_bruteforce(alpha)
+    if cls is None:
+        return 0
+    length, rep = cls
+    return (-1) ** length * ssyt_count([x - rep[-1] for x in rep], len(rep))
 
 
 def int_matmul(a, b):

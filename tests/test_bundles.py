@@ -60,6 +60,15 @@ def test_dual_conversion_example():
     assert schur_dimension((2, 1), 2) == schur_dimension((1,), 2) == 2
 
 
+@pytest.mark.parametrize("side,bracket_twist", [("S", 0), ("S", 2), ("H", 0)])
+def test_dual_conversion_on_a_rank_zero_side_is_the_trivial_label(side, bracket_twist):
+    for extra_twist in (-2, 0, 3):
+        for v_shape, canonical_v in [((), ()), ((2, 1), (2, 1)), ((1, 1, 0), (1, 1))]:
+            lb = from_nondual((), 0, side, v_shape, bracket_twist, extra_twist)
+            assert lb == BundleLabel((), 0, 0, side, canonical_v, bracket_twist)
+            assert lb == normalize((), extra_twist, 0, side, v_shape, bracket_twist)
+
+
 def test_dual_conversion_round_trip():
     from grwin.partitions import complement, width
     for gamma in partitions_in_box(3, 3):

@@ -4,8 +4,8 @@ entry points, the partition bounds and Euler-character overrides they pass
 on, the shapes the cached Schur helpers accept, a cold import that leaves
 `dataclasses`, `inspect`, `fractions` and `decimal` unloaded, and source
 scans that keep `assert` and `dataclasses` out of the library, recursion
-out of the partition walks, and caches out of the K-matrix engine and the
-character oracle."""
+out of the partition walks, caches out of the K-matrix engine and the
+character oracle, and classes out of the Bott module."""
 
 import ast
 import os
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import grwin
-from grwin import autoequiv, characters, resolutions, schur, windows
+from grwin import autoequiv, bott, characters, resolutions, schur, windows
 from grwin.partitions import partitions_in_box
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "grwin"
@@ -109,6 +109,15 @@ def test_cold_import_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_bott_defines_no_class():
+    # Bott's theorem is one function: classify returns None or a plain
+    # (length, dominant representative) pair, so no result type is needed
+    assert [name for name, value in vars(bott).items()
+            if isinstance(value, type) and value.__module__ == bott.__name__] == []
+    assert [node.name for node in ast.walk(ast.parse((SRC / "bott.py").read_text()))
+            if isinstance(node, ast.ClassDef)] == []
 
 
 # entry point -> call with truncation degree D at (d, r) = (4, 2)
