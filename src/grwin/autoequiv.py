@@ -6,14 +6,16 @@ conjugate.  The shift matrices are a read-off: every image term is a
 generator of the target window, and those labels are a basis of K-theory, so
 `k_matrix` sums signed multiplicities per label.  The O(1) matrix pairs the
 twisted generators with Kapranov's dual collection, `kapranov_coordinates`, one
-Bott Euler characteristic per entry, with no staircase.  `determinant` is the
-Bareiss determinant of an integer matrix.  Fixed-point localization stays out
-of the library, as the test oracle `k_matrix_by_localization`.
+Bott Euler characteristic per entry, with no staircase.  `determinant` reads
+det off the matrix's staircase shape.  Fixed-point localization stays out of
+the library, as the test oracle `k_matrix_by_localization`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import combinations
+from math import prod
 
 from .bott import euler_characteristic
 from .bundles import BundleLabel, GradedComplex, normalize
@@ -67,23 +69,30 @@ def cotwist_on_generator(delta: tuple[int, ...], d: int, n: int) -> GradedComple
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination;
-    every division is exact."""
-    a = [list(row) for row in matrix]
-    sign, prev = 1, 1
-    for k in range(len(a)):
-        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        p, tail = a[k][k], a[k][k + 1:]
-        for row in a[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
-        prev = p
-    return sign * prev
+    """Determinant of a shift K-matrix, read off its shape.  Unit columns (one
+    nonzero entry) take their rows; every other column has one nonzero entry off
+    those rows, its pivot; the pivot rows p(j) are distinct.  Up to order M is
+    then [[D, A], [0, B]], D diagonal and B a signed permutation, so det M =
+    sgn(p) prod M[p(j)][j].  The staircase gives every shift matrix this shape.
+    A narrow delta maps to the unit vector at row delta + (1^r), and these are
+    all the full-height rows.  In a full-width image every term after the first
+    fills column 1 to full height, so only the first, (-1)^(d-r) at the row
+    strip(delta, "first-row") of height < r, is off them; strip is a bijection
+    onto those rows.  Any other shape, a singular matrix included, raises
+    InternalConsistencyError naming the column, also kept as its `column`."""
+    support = [[i for i, x in enumerate(col) if x] for col in zip(*matrix)]
+    taken = {rows[0] for rows in support if len(rows) == 1}
+    owner: dict[int, int] = {}  # pivot row -> its column, in column order
+    for j, rows in enumerate(support):
+        free = rows if len(rows) == 1 else [i for i in rows if i not in taken]
+        if len(free) != 1 or owner.setdefault(free[0], j) != j:
+            error = InternalConsistencyError(f"column {j} has no pivot row of its own: "
+                                             f"off the unit columns it is nonzero in rows {free}")
+            error.column = j
+            raise error
+    p = list(owner)
+    return (-1) ** sum(a > b for a, b in combinations(p, 2)) * prod(
+        matrix[i][j] for j, i in enumerate(p))
 
 
 def k_matrix(which: str, d: int, r: int) -> list[list[int]]:

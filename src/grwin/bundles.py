@@ -188,13 +188,8 @@ class GradedComplex:
 
 
 def label_to_json(label: BundleLabel, multiplicity: int | None = None) -> dict:
-    doc: dict = {
-        "schur": list(label.schur),
-        "twist": label.det_twist,
-        "side": label.side,
-        "v_shape": list(label.v_shape),
-        "rank": label.taut_rank,
-    }
+    doc: dict = {"schur": list(label.schur), "twist": label.det_twist, "side": label.side,
+                 "v_shape": list(label.v_shape), "rank": label.taut_rank}
     if label.bracket_twist:
         doc["bracket"] = label.bracket_twist
     if multiplicity is not None:
@@ -203,34 +198,20 @@ def label_to_json(label: BundleLabel, multiplicity: int | None = None) -> dict:
 
 
 def label_from_json(doc: dict) -> BundleLabel:
-    return BundleLabel(
-        schur=canonical(doc["schur"]),
-        taut_rank=doc["rank"],
-        det_twist=doc["twist"],
-        side=doc["side"],
-        v_shape=canonical(doc["v_shape"]),
-        bracket_twist=doc.get("bracket", 0),
-    )
+    return BundleLabel(schur=canonical(doc["schur"]), taut_rank=doc["rank"], det_twist=doc["twist"],
+                       side=doc["side"], v_shape=canonical(doc["v_shape"]),
+                       bracket_twist=doc.get("bracket", 0))
 
 
 def complex_to_json(cx: GradedComplex) -> list[dict]:
-    return [
-        {"degree": degree,
-         "terms": [label_to_json(label, mult) for label, mult in labels]}
-        for degree, labels in cx.terms
-    ]
+    return [{"degree": degree, "terms": [label_to_json(label, mult) for label, mult in labels]}
+            for degree, labels in cx.terms]
 
 
 def complex_from_json(doc: list[dict]) -> GradedComplex:
-    items = []
-    for entry in doc:
-        for term in entry["terms"]:
-            items.append((entry["degree"], label_from_json(term),
-                          term["multiplicity"]))
-    return GradedComplex.from_items(items)
+    return GradedComplex.from_items([(entry["degree"], label_from_json(term), term["multiplicity"])
+                                     for entry in doc for term in entry["terms"]])
 
 
 def dumps(obj, pretty: bool = False) -> str:
-    if pretty:
-        return json.dumps(obj, indent=2, sort_keys=False)
-    return json.dumps(obj, separators=(",", ":"), sort_keys=False)
+    return json.dumps(obj, indent=2) if pretty else json.dumps(obj, separators=(",", ":"))

@@ -40,6 +40,10 @@ def single(lb):
     return GradedComplex.from_items([(0, lb, 1)])
 
 
+def oracle_det(matrix):
+    return solve_fraction_gauss_jordan(matrix, [])[0]
+
+
 # --- twist -----------------------------------------------------------------
 
 def test_twist_three_fold():
@@ -240,11 +244,11 @@ def test_basis_determinant_is_a_power_of_the_vandermonde():
 
 def test_k_matrix_twist_three_fold():
     assert k_matrix("twist", 2, 1) == [[0, -1], [1, 2]]
-    assert determinant(k_matrix("twist", 2, 1)) == 1
+    assert oracle_det(k_matrix("twist", 2, 1)) == 1
 
 
 def test_k_matrix_cotwist_three_fold():
-    assert abs(determinant(k_matrix("cotwist", 2, 1))) == 1
+    assert abs(oracle_det(k_matrix("cotwist", 2, 1))) == 1
 
 
 def test_k_matrix_identity():
@@ -265,7 +269,7 @@ def test_o1_matrix_conjugation():
         T = o1_matrix(d, r)
         mc = k_matrix("cotwist", d, r)
         assert int_matmul(T, mc) == int_matmul(k_matrix("twist", d, r), T)
-        assert abs(determinant(T)) == 1
+        assert abs(oracle_det(T)) == 1
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -362,41 +366,67 @@ def test_a_mutated_staircase_breaks_the_twist_and_the_conjugation(monkeypatch):
         assert int_matmul(T, mc) != int_matmul(mt, T), (d, r)
 
 
-def test_determinant_of_a_singular_matrix_is_zero():
-    assert determinant([[1, 1], [1, 1]]) == 0
-    assert determinant([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
-
-
-def test_solve_exact_row_swap_flips_determinant():
-    a = [[2, 1, 0], [5, 3, 1], [0, 4, 1]]
-    before = [row[:] for row in a]
-    det = determinant(a)
-    assert a == before
-    assert det == -7
-    assert determinant([a[1], a[0], a[2]]) == -det
-    # a zero leading entry forces a pivot swap inside the elimination
-    assert determinant([[0, 1], [1, 0]]) == -1
-
-
 @st.composite
-def integer_matrices(draw):
-    """Random square integer matrices; some made singular, all row-permuted."""
-    n = draw(st.integers(0, 6))
+def staircase_shaped_matrices(draw):
+    """[[D, A], [0, B]] with D diagonal (entries nonzero, from -6..6), A from
+    -6..6 and B a signed permutation, then rows and columns permuted."""
+    n = draw(st.integers(0, 7))
+    units = draw(st.integers(0, n))
     entries = st.integers(-6, 6)
-    matrix = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
-    if n and draw(st.booleans()):
-        # the last row becomes a combination of the others
-        coeffs = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
-        matrix[-1] = [sum(c * row[j] for c, row in zip(coeffs, matrix)) for j in range(n)]
-    order = draw(st.permutations(range(n)))
-    return [matrix[i] for i in order]
+    nonzero = entries.filter(bool)
+    matrix = [[0] * n for _ in range(n)]
+    for j in range(units):
+        matrix[j][j] = draw(nonzero)
+    for j, i in zip(range(units, n), draw(st.permutations(range(units, n)))):
+        matrix[i][j] = draw(st.sampled_from([-1, 1]))
+        for k in range(units):
+            matrix[k][j] = draw(entries)
+    rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    return [[matrix[i][j] for j in cols] for i in rows]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(matrix=integer_matrices())
-def test_solve_exact_matches_fraction_gauss_jordan(matrix):
-    # the Bareiss determinant against Gauss-Jordan over Fractions
-    assert determinant(matrix) == solve_fraction_gauss_jordan(matrix, [])[0]
+@given(matrix=staircase_shaped_matrices())
+def test_determinant_of_a_staircase_shape_matches_gauss_jordan(matrix):
+    assert determinant(matrix) == oracle_det(matrix)
+
+
+def test_determinant_reads_every_small_shift_matrix():
+    for d in range(2, 9):
+        for r in range(1, d):
+            for m in [k_matrix(which, d, r) for which in ("twist", "cotwist", "identity")] \
+                    + [o1_matrix(d, r)]:
+                assert determinant(m) == oracle_det(m), (d, r)
+
+
+def test_shift_matrices_have_determinant_one():
+    boxes = [(d, r) for d in range(2, 11) for r in range(1, d)] + [(11, 5), (12, 6)]
+    for d, r in boxes:
+        for which in ("twist", "cotwist", "identity"):
+            assert determinant(k_matrix(which, d, r)) == 1, (which, d, r)
+
+
+def test_determinant_of_a_singular_matrix_raises():
+    for matrix in [[[1, 1], [1, 1]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[1, 0], [0, 0]],
+                   [[1, 1], [0, 0]]]:
+        assert oracle_det(matrix) == 0
+        with pytest.raises(InternalConsistencyError, match=r"^column \d+ has no pivot row"):
+            determinant(matrix)
+
+
+def test_a_narrow_column_with_a_second_entry_is_refused():
+    # at (5,2) the narrow generators (1,) and (1,1) are columns 1 and 3; a
+    # second entry in row 0 (generator (), of height 0 < r) leaves each two
+    # rows off the unit columns, and the columns sharing its unit row come later
+    for which in ("twist", "cotwist"):
+        for j in (1, 3):
+            m = k_matrix(which, 5, 2)
+            assert [bool(row[j]) for row in m].count(True) == 1 and m[0][j] == 0
+            m[0][j] = 1
+            with pytest.raises(InternalConsistencyError) as exc:
+                determinant(m)
+            assert exc.value.column == j
+            assert str(exc.value).startswith(f"column {j} has no pivot row of its own")
 
 
 def test_internal_consistency_error_is_loud():

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -183,13 +184,13 @@ def test_kmatrix_refuses_a_basis_above_the_limit(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("k_matrix ran on a refused basis")
     monkeypatch.setattr(cli.autoequiv, "k_matrix", never)
-    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "11", "--r", "5")
+    code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "13", "--r", "6")
     assert (code, out) == (2, "")
-    assert "C(11,5) = 462" in err and "--max-basis" in err
+    assert "C(13,6) is above the limit of 924 generators" in err and "--max-basis" in err
     assert "Traceback" not in err
     code, _, err = run(capsys, "kmatrix", "--which", "identity", "--d", "4", "--r", "2",
                        "--max-basis", "5")
-    assert code == 2 and "C(4,2) = 6" in err
+    assert code == 2 and "C(4,2) is above the limit of 5" in err
 
 
 def test_kmatrix_max_basis_raises_the_limit(capsys, monkeypatch):
@@ -198,9 +199,46 @@ def test_kmatrix_max_basis_raises_the_limit(capsys, monkeypatch):
     assert run(capsys, *argv)[0] == 0
     # above the default limit, a stand-in engine keeps the case small
     monkeypatch.setattr(cli.autoequiv, "k_matrix", lambda *args: [[1]])
-    code, out, _ = run(capsys, "kmatrix", "--which", "twist", "--d", "11", "--r", "5",
-                       "--max-basis", "462")
+    code, out, _ = run(capsys, "kmatrix", "--which", "twist", "--d", "13", "--r", "6",
+                       "--max-basis", "1716")
     assert (code, out) == (0, "   1\ndeterminant: 1\n")
+
+
+@pytest.mark.parametrize("limit", [None, "1716", str(10 ** 40)])
+def test_kmatrix_refuses_a_huge_basis_at_once(capsys, monkeypatch, limit):
+    # C(10^6, 5*10^5) has about 300000 digits; the guard never builds it, nor
+    # any binomial with an argument above the limit or with more factors than
+    # the log2(limit) + 2 it needs to pass the limit
+    bound = cli.MAX_BASIS if limit is None else int(limit)
+
+    def small_comb(n, k):
+        if max(n, k) > bound or k > bound.bit_length() + 1:
+            raise AssertionError(f"comb({n}, {k}) is a large computation for the limit {bound}")
+        return math.comb(n, k)
+    monkeypatch.setattr(cli, "comb", small_comb)
+    argv = ["kmatrix", "--which", "twist", "--d", "1000000", "--r", "500000"]
+    code, out, err = run(capsys, *argv, *(["--max-basis", limit] if limit else []))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: C(1000000,500000) is above the limit of {bound} generators")
+    assert "--max-basis" in err and "Traceback" not in err
+
+
+def test_a_kmatrix_of_the_wrong_shape_exits_one(capsys, monkeypatch):
+    # column 3 at (5,2) is the narrow generator (1,1); a second entry, in row 0,
+    # leaves it with no pivot row of its own
+    real = autoequiv.k_matrix
+
+    def mutated(which, d, r):
+        m = real(which, d, r)
+        m[0][3] += 1
+        return m
+    monkeypatch.setattr(cli.autoequiv, "k_matrix", mutated)
+    for which in ("twist", "cotwist"):
+        code, out, err = run(capsys, "kmatrix", "--which", which, "--d", "5", "--r", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"verification failure: (d,r)=(5,2), delta=(1, 1): {which} "
+                              "K-matrix column 3 has no pivot row of its own")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_max_basis_is_a_kmatrix_option_only(capsys):
