@@ -100,35 +100,17 @@ def rank(label: BundleLabel, d: int) -> int:
             * schur_dimension(label.v_shape, d))
 
 
-class GradedComplex:
+class GradedComplex(namedtuple("GradedComplex", "terms", defaults=((),))):
     """Map homological degree -> multiset of labels; no differentials.
 
-    `terms` is ((degree, ((label, mult), ...)), ...), both levels sorted;
-    the complex is immutable and compares and hashes by it."""
+    `terms` is ((degree, ((label, mult), ...)), ...), both levels sorted; the
+    complex is the 1-tuple (terms,), but its `len` is its number of degrees."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: tuple = ()) -> None:
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"GradedComplex is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
-
-    def __repr__(self) -> str:
-        return f"GradedComplex(terms={self.terms!r})"
-
-    def __reduce__(self):
-        return GradedComplex, (self.terms,)
+    @classmethod
+    def _make(cls, fields: Iterable) -> "GradedComplex":  # len counts degrees, not fields
+        return cls(*fields)
 
     @staticmethod
     def from_items(items: Iterable[tuple[int, BundleLabel, int]]) -> "GradedComplex":

@@ -1,5 +1,8 @@
 """Command-line front end: deterministic text and JSON output.
 
+Each subcommand returns (exit code, output): one JSON document with --json,
+else an iterable of text lines.  Only `main` writes stdout.
+
 Exit codes: 0 success, 1 verification failure (a failed exactness check or
 an InternalConsistencyError), 2 usage or validation error.
 """
@@ -8,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
+from itertools import chain
 from math import comb
 
 from . import autoequiv, bundles, characters, resolutions, windows
@@ -50,32 +55,21 @@ def format_complex(cx: GradedComplex) -> str:
     """Arrow-joined terms in ascending degree; a caret line marks degree 0."""
     if not len(cx):
         return "0"
-    parts = []
-    zero_span = None
-    offset = 0
-    for degree, labels in cx.terms:
-        chunk = " + ".join(
-            format_label(lb) + (f"^{m}" if m > 1 else "")
-            for lb, m in labels)
-        if degree == 0:
-            zero_span = (offset, len(chunk))
-        parts.append(chunk)
-        offset += len(chunk) + len(" -> ")
-    line = " -> ".join(parts)
-    if zero_span is not None:
-        start, length = zero_span
-        return line + "\n" + " " * start + "^" * length
-    return line
+    chunks = {degree: " + ".join(format_label(lb) + (f"^{m}" if m > 1 else "")
+                                 for lb, m in labels)
+              for degree, labels in cx.terms}
+    line = " -> ".join(chunks.values())
+    if 0 not in chunks:
+        return line
+    # the chunks left of degree 0, each with its arrow
+    head = " -> ".join([chunk for degree, chunk in chunks.items() if degree < 0] + [""])
+    return f"{line}\n{' ' * len(head)}{'^' * len(chunks[0])}"
 
 
-def _emit_complex(cx: GradedComplex, args) -> int:
+def _emit_complex(cx: GradedComplex, args):
     if args.expand_multiplicities:
         cx = cx.expand_multiplicities(args.d)
-    if args.json:
-        print(bundles.dumps(bundles.complex_to_json(cx), pretty=args.pretty))
-    else:
-        print(format_complex(cx))
-    return 0
+    return 0, bundles.complex_to_json(cx) if args.json else [format_complex(cx)]
 
 
 # C(12,6): the largest K-matrix basis computed by default; (12,6) takes about
@@ -84,134 +78,110 @@ def _emit_complex(cx: GradedComplex, args) -> int:
 MAX_BASIS = 924
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="emit JSON")
-    sub.add_argument("--pretty", action="store_true", help="human-oriented output")
-    sub.add_argument("--expand-multiplicities", action="store_true",
-                     help="replace V factors by their dimensions")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)  # every subcommand's flags
+    common.add_argument("--json", action="store_true", help="emit JSON")
+    common.add_argument("--pretty", action="store_true", help="human-oriented output")
+    common.add_argument("--expand-multiplicities", action="store_true",
+                        help="replace V factors by their dimensions")
     parser = argparse.ArgumentParser(
-        prog="grwin",
-        description="window-shift calculus on Grassmannian flop models")
-    subs = parser.add_subparsers(dest="command", required=True)
+        prog="grwin", description="window-shift calculus on Grassmannian flop models")
+    add_parser = partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                         parents=[common])
 
-    p = subs.add_parser("windows", help="window generator list")
+    p = add_parser("windows", help="window generator list")
     p.add_argument("d", type=int)
     p.add_argument("r", type=int)
     p.add_argument("k", type=int)
-    _add_common(p)
 
-    p = subs.add_parser("staircase", help="column-filling sequence")
+    p = add_parser("staircase", help="column-filling sequence")
     p.add_argument("delta", type=str)
     p.add_argument("r", type=int)
     p.add_argument("K", type=int)
-    _add_common(p)
 
-    p = subs.add_parser("resolve", help="staircase resolution of a seed diagram")
+    p = add_parser("resolve", help="staircase resolution of a seed diagram")
     p.add_argument("delta", type=str)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--twisted", action="store_true",
                    help="down-shift route: strip, resolve, cancel, twist")
-    _add_common(p)
 
-    p = subs.add_parser("twist", help="up-shift image of a window generator")
+    p = add_parser("twist", help="up-shift image of a window generator")
     p.add_argument("delta", type=str)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    _add_common(p)
 
-    p = subs.add_parser("cotwist", help="down-shift image of a window generator")
+    p = add_parser("cotwist", help="down-shift image of a window generator")
     p.add_argument("delta", type=str)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
 
-    p = subs.add_parser("bwb", help="cohomology classifier for a weight")
+    p = add_parser("bwb", help="cohomology classifier for a weight")
     p.add_argument("delta", type=str)
     p.add_argument("i", type=int)
     p.add_argument("r", type=int)
-    _add_common(p)
 
-    p = subs.add_parser("kmatrix", help="functor matrix on K-theory")
-    p.add_argument("--which", choices=["twist", "cotwist", "identity"],
-                   required=True)
+    p = add_parser("kmatrix", help="functor matrix on K-theory")
+    p.add_argument("--which", choices=["twist", "cotwist", "identity"], required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--max-basis", type=int, default=MAX_BASIS, metavar="N",
                    help=f"refuse a basis of more than N = C(d,r) generators "
                         f"(default {MAX_BASIS} = C(12,6))")
-    _add_common(p)
 
-    p = subs.add_parser("verify-exactness", help="character oracle for a resolution")
+    p = add_parser("verify-exactness", help="character oracle for a resolution")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--delta", type=str, required=True)
     p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--report", choices=["json"], default=None)
-    _add_common(p)
+    p.add_argument("--report", choices=["json"], dest="json")  # same as --json
 
     return parser
 
 
-def cmd_windows(args) -> int:
+def cmd_windows(args):
     gens = windows.window_generators(args.d, args.r, args.k)
     if args.json:
-        doc = [dict(bundles.label_to_json(g), **{"bundle_rank": bundles.rank(g, args.d)})
-               for g in gens]
-        print(bundles.dumps(doc, pretty=args.pretty))
-        return 0
-    for g in gens:
-        if args.pretty:
-            print(format_label(g))
-        else:
-            print(f"{format_label(g)}  rank {bundles.rank(g, args.d)}")
-    return 0
+        return 0, [dict(bundles.label_to_json(g), bundle_rank=bundles.rank(g, args.d))
+                   for g in gens]
+    return 0, (format_label(g) + ("" if args.pretty else f"  rank {bundles.rank(g, args.d)}")
+               for g in gens)
 
 
-def cmd_staircase(args) -> int:
+def cmd_staircase(args):
     seed = parse_partition(args.delta)
     steps = staircase(seed, args.r, args.K)[1:]
     if args.json:
-        doc = {"seed": list(seed), "height_param": args.r,
-               "steps": [{"k": k, "delta": list(dk), "s": sk} for k, dk, sk in steps]}
-        print(bundles.dumps(doc, pretty=args.pretty))
-        return 0
-    for k, dk, sk in steps:
-        print(f"k={k}  delta={format_partition(dk) or '()'}  s={sk}")
-        if args.pretty:
-            print(ascii_diagram(dk))
-    return 0
+        return 0, {"seed": list(seed), "height_param": args.r,
+                   "steps": [{"k": k, "delta": list(dk), "s": sk} for k, dk, sk in steps]}
+    return 0, (line for k, dk, sk in steps
+               for line in [f"k={k}  delta={format_partition(dk) or '()'}  s={sk}"]
+               + ([ascii_diagram(dk)] if args.pretty else []))
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args):
     delta = parse_partition(args.delta)
     if args.twisted:
         return _emit_complex(resolutions.unstable_resolution_twisted(delta, args.d, args.r), args)
     cx = resolutions.theorem_resolution(delta, args.d, args.r)
     if args.json:
-        doc = {"complex": bundles.complex_to_json(cx),
-               "cokernel": {"delta": list(delta), "h_rank": args.r - 1}}
-        print(bundles.dumps(doc, pretty=args.pretty))
-        return 0
-    print(format_complex(cx))
-    print(f"cokernel: push of S^({format_partition(delta)}) of the rank-{args.r - 1} dual bundle")
-    return 0
+        return 0, {"complex": bundles.complex_to_json(cx),
+                   "cokernel": {"delta": list(delta), "h_rank": args.r - 1}}
+    return 0, [format_complex(cx), f"cokernel: push of S^({format_partition(delta)}) "
+                                   f"of the rank-{args.r - 1} dual bundle"]
 
 
-def cmd_twist(args) -> int:
+def cmd_twist(args):
     cx = autoequiv.twist_on_generator(parse_partition(args.delta), args.d, args.r)
     return _emit_complex(cx, args)
 
 
-def cmd_cotwist(args) -> int:
+def cmd_cotwist(args):
     cx = autoequiv.cotwist_on_generator(parse_partition(args.delta), args.d, args.n)
     return _emit_complex(cx, args)
 
 
-def cmd_bwb(args) -> int:
+def cmd_bwb(args):
     delta = parse_partition(args.delta)
     # validates and classifies once; regular weights land in degree l(w) >= 1
     result = bwb_cohomology(delta, args.i, args.r)
@@ -223,16 +193,14 @@ def cmd_bwb(args) -> int:
             doc["length"] = result[0]
         doc["cohomology"] = (None if result is None
                              else {"degree": result[0], "shape": list(result[1])})
-        print(bundles.dumps(doc, pretty=args.pretty))
-    elif result is None:
-        print("non-regular: all cohomology vanishes")
-    else:
-        kind += f" l={result[0]}" if result[0] else ""
-        print(f"{kind}: H^{result[0]} has shape ({format_partition(result[1]) or ''})")
-    return 0
+        return 0, doc
+    if result is None:
+        return 0, ["non-regular: all cohomology vanishes"]
+    kind += f" l={result[0]}" if result[0] else ""
+    return 0, [f"{kind}: H^{result[0]} has shape ({format_partition(result[1]) or ''})"]
 
 
-def cmd_kmatrix(args) -> int:
+def cmd_kmatrix(args):
     d, r, k = args.d, args.r, min(args.r, args.d - args.r)
     # C(d,r) = C(d,k) >= d, and C(d,i) >= 2^i rises up to i = k: at most log2(limit) + 2 steps
     if k > 0 and (d > args.max_basis or any(comb(d, i) > args.max_basis for i in range(k + 1))):
@@ -245,29 +213,23 @@ def cmd_kmatrix(args) -> int:
         delta = windows.gamma_set(d, r)[exc.column]
         raise type(exc)(f"(d,r)=({d},{r}), delta={delta}: {args.which} K-matrix {exc}") from None
     if args.json:
-        doc = {"which": args.which, "d": args.d, "r": args.r,
-               "matrix": [list(row) for row in matrix], "determinant": det}
-        print(bundles.dumps(doc, pretty=args.pretty))
-        return 0
-    for row in matrix:
-        print(" ".join(f"{x:4d}" for x in row))
-    print(f"determinant: {det}")
-    return 0
+        return 0, {"which": args.which, "d": args.d, "r": args.r,
+                   "matrix": [list(row) for row in matrix], "determinant": det}
+    return 0, chain((" ".join(f"{x:4d}" for x in row) for row in matrix),
+                    [f"determinant: {det}"])
 
 
-def cmd_verify_exactness(args) -> int:
+def cmd_verify_exactness(args):
     delta = parse_partition(args.delta)
-    if args.report == "json" or args.json:  # both characters once: exact iff no diffs
+    if args.json:  # both characters once: exact iff no diffs
         diffs = characters.exactness_report(delta, args.d, args.r, args.degree)
         doc = {"ok": not diffs, "diffs": diffs}
         if diffs:  # where it broke: the lowest ambient degree and the (k, delta_k, s_k)
             doc["lowest_degree"] = min(sum(row["lambda"]) for row in diffs)
             doc["terms"] = characters.resolution_terms(delta, args.d, args.r)
-        print(bundles.dumps(doc, pretty=args.pretty))
-        return 1 if diffs else 0
+        return (1 if diffs else 0), doc
     ok = characters.verify_exactness(delta, args.d, args.r, args.degree)
-    print("exact" if ok else "NOT exact")
-    return 0 if ok else 1
+    return (0 if ok else 1), ["exact" if ok else "NOT exact"]
 
 
 COMMANDS = {
@@ -283,13 +245,15 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return COMMANDS[args.command](args)
+        code, out = COMMANDS[args.command](args)
+        for line in [bundles.dumps(out, pretty=args.pretty)] if args.json else out:
+            print(line)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

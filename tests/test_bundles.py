@@ -157,6 +157,14 @@ def test_graded_complex_value_semantics():
     assert cx == same == copy.copy(cx) == pickle.loads(pickle.dumps(cx))
 
 
+def test_graded_complex_replace_keeps_its_degree_count():
+    # `len` counts degrees, so `_make` must not check it against the one field
+    cx = GradedComplex.from_items([(1, BundleLabel((), 2, 0), 1),
+                                   (0, BundleLabel((1,), 2, 0), 2)])
+    assert cx._replace(terms=cx.terms) == GradedComplex._make([cx.terms]) == cx
+    assert len(cx._replace(terms=())) == 0
+
+
 def test_graded_complex_insertion_order_invariance():
     a = GradedComplex.from_items([
         (0, BundleLabel((1,), 2, 0), 1),

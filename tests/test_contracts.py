@@ -166,7 +166,7 @@ def test_euler_character_override_checks_degree_and_wedge_power(term):
 
 
 @pytest.mark.parametrize("bounds", [(-1, 2), (2, -1), (2, 2, -3), (-3, -3)])
-def test_partitions_of_rejects_negative_bounds(bounds):
+def test_partitions_in_box_rejects_negative_bounds(bounds):
     # width, height and size bound; a negative box must not pass as w*h = 9
     with pytest.raises(ValueError, match=r"^partition bounds must be >= 0, got w=-?\d, "
                                          r"h=-?\d, max_size=-?\d$"):

@@ -77,7 +77,7 @@ def test_window_generators_need_proper_rank():
         window_generators(2, 2, 0)
 
 
-def test_in_window_examples():
+def test_window_membership_examples():
     # membership is a lookup in the window's generator list
     s_dual_1 = BundleLabel((1,), 2, 1)
     assert s_dual_1 in window_generators(4, 2, 0)
@@ -85,7 +85,7 @@ def test_in_window_examples():
     assert BundleLabel((), 2, 3) not in window_generators(4, 2, 0)
 
 
-def test_in_window_rejects_other_sides():
+def test_window_membership_rejects_other_sides():
     # the other side, another rank and a bracket twist name no generator
     window = window_generators(4, 2, 0)
     assert BundleLabel((1,), 2, 0) in window
