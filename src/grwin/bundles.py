@@ -12,7 +12,6 @@ builders drop top exterior powers of V before constructing labels.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 
@@ -167,33 +166,3 @@ class GradedComplex(namedtuple("GradedComplex", "terms", defaults=((),))):
     def alternating_rank_sum(self, d: int) -> int:
         return sum((-1) ** degree * mult * rank(label, d)
                    for degree, label, mult in self.items())
-
-
-def label_to_json(label: BundleLabel, multiplicity: int | None = None) -> dict:
-    doc: dict = {"schur": list(label.schur), "twist": label.det_twist, "side": label.side,
-                 "v_shape": list(label.v_shape), "rank": label.taut_rank}
-    if label.bracket_twist:
-        doc["bracket"] = label.bracket_twist
-    if multiplicity is not None:
-        doc["multiplicity"] = multiplicity
-    return doc
-
-
-def label_from_json(doc: dict) -> BundleLabel:
-    return BundleLabel(schur=canonical(doc["schur"]), taut_rank=doc["rank"], det_twist=doc["twist"],
-                       side=doc["side"], v_shape=canonical(doc["v_shape"]),
-                       bracket_twist=doc.get("bracket", 0))
-
-
-def complex_to_json(cx: GradedComplex) -> list[dict]:
-    return [{"degree": degree, "terms": [label_to_json(label, mult) for label, mult in labels]}
-            for degree, labels in cx.terms]
-
-
-def complex_from_json(doc: list[dict]) -> GradedComplex:
-    return GradedComplex.from_items([(entry["degree"], label_from_json(term), term["multiplicity"])
-                                     for entry in doc for term in entry["terms"]])
-
-
-def dumps(obj, pretty: bool = False) -> str:
-    return json.dumps(obj, indent=2) if pretty else json.dumps(obj, separators=(",", ":"))

@@ -8,7 +8,9 @@ staircase resolutions; invariant Hom-space dimensions take closed forms.
 Euler characters are determinant-periodic, E[alpha, beta] = E[alpha - (1^r),
 beta - (1^r)] for alpha_r >= 2 (see euler_character): such keys are copied.
 Products come from per-call LR filling tables (schur.lr_fillings), applied
-to every core through stencils on integer-coded keys.
+to every core through stencils on integer-coded keys.  The oracle compares
+the two characters once, in exactness_report: the differing coefficients as
+(key, euler, pushforward) tuples, which the CLI names for its JSON.
 """
 
 from __future__ import annotations
@@ -129,17 +131,17 @@ def pushforward_character(delta: tuple[int, ...], d: int, r: int,
 def verify_exactness(delta: tuple[int, ...], d: int, r: int, D: int) -> bool:
     """Character oracle: the resolution is exact iff its Euler character
     equals the pushforward character coefficient for coefficient."""
-    return euler_character(delta, d, r, D) == pushforward_character(delta, d, r, D)
+    return not exactness_report(delta, d, r, D)
 
 
-def exactness_report(delta: tuple[int, ...], d: int, r: int, D: int) -> list[dict]:
-    """The coefficients where the two characters differ, sorted by key."""
+def exactness_report(delta: tuple[int, ...], d: int, r: int,
+                     D: int) -> list[tuple[Key, int, int]]:
+    """The coefficients where the two characters differ, as (key, euler,
+    pushforward) sorted by key: empty iff the resolution is exact."""
     euler = euler_character(delta, d, r, D)
     push = pushforward_character(delta, d, r, D)
-    rows = [(key, euler.get(key, 0), push.get(key, 0))
-            for key in sorted(euler.keys() | push.keys())]
-    return [{"lambda": list(lam), "mu": list(mu), "euler": a, "pushforward": b}
-            for (lam, mu), a, b in rows if a != b]
+    return sorted((key, euler.get(key, 0), push.get(key, 0)) for key in euler.keys() | push.keys()
+                  if euler.get(key, 0) != push.get(key, 0))
 
 
 def hom_invariant_dimension(case: str, delta: tuple[int, ...], d: int, r: int,

@@ -1,7 +1,10 @@
 """Command-line front end: deterministic text and JSON output.
 
-Each subcommand returns (exit code, output): one JSON document with --json,
-else an iterable of text lines.  Only `main` writes stdout.
+The library returns values; this module alone reads and writes their text
+and JSON syntax: the comma-separated partition, the □ diagram, bundle and
+complex names, and the JSON documents.  Each subcommand returns (exit code,
+output): one JSON document with --json, else an iterable of text lines.
+Only `main` writes stdout.
 
 Exit codes: 0 success, 1 verification failure (a failed exactness check or
 an InternalConsistencyError), 2 usage or validation error.
@@ -10,6 +13,7 @@ an InternalConsistencyError), 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from functools import partial
 from itertools import chain
@@ -18,7 +22,30 @@ from math import comb
 from . import autoequiv, bundles, characters, resolutions, windows
 from .bundles import BundleLabel, GradedComplex
 from .bott import bwb_cohomology
-from .partitions import ascii_diagram, format_partition, parse_partition, staircase
+from .partitions import canonical, staircase
+
+
+def parse_partition(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated row list; empty string means ∅."""
+    text = text.strip()
+    if not text:
+        return ()
+    try:
+        rows = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"malformed partition {text!r}: expected comma-separated integers")
+    return canonical(rows)
+
+
+def format_partition(p: tuple[int, ...]) -> str:
+    return ",".join(str(x) for x in p)
+
+
+def ascii_diagram(p: tuple[int, ...]) -> str:
+    """One '□'-row per partition row; '∅' for the empty diagram."""
+    if not p:
+        return "∅"
+    return "\n".join("□" * x for x in p)
 
 
 def _schur_name(schur: tuple[int, ...], letter: str) -> str:
@@ -66,10 +93,25 @@ def format_complex(cx: GradedComplex) -> str:
     return f"{line}\n{' ' * len(head)}{'^' * len(chunks[0])}"
 
 
+def label_to_json(label: BundleLabel, multiplicity: int | None = None) -> dict:
+    doc: dict = {"schur": list(label.schur), "twist": label.det_twist, "side": label.side,
+                 "v_shape": list(label.v_shape), "rank": label.taut_rank}
+    if label.bracket_twist:
+        doc["bracket"] = label.bracket_twist
+    if multiplicity is not None:
+        doc["multiplicity"] = multiplicity
+    return doc
+
+
+def complex_to_json(cx: GradedComplex) -> list[dict]:
+    return [{"degree": degree, "terms": [label_to_json(label, mult) for label, mult in labels]}
+            for degree, labels in cx.terms]
+
+
 def _emit_complex(cx: GradedComplex, args):
     if args.expand_multiplicities:
         cx = cx.expand_multiplicities(args.d)
-    return 0, bundles.complex_to_json(cx) if args.json else [format_complex(cx)]
+    return 0, complex_to_json(cx) if args.json else [format_complex(cx)]
 
 
 # C(12,6): the largest K-matrix basis computed by default; (12,6) takes about
@@ -142,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_windows(args):
     gens = windows.window_generators(args.d, args.r, args.k)
     if args.json:
-        return 0, [dict(bundles.label_to_json(g), bundle_rank=bundles.rank(g, args.d))
+        return 0, [dict(label_to_json(g), bundle_rank=bundles.rank(g, args.d))
                    for g in gens]
     return 0, (format_label(g) + ("" if args.pretty else f"  rank {bundles.rank(g, args.d)}")
                for g in gens)
@@ -165,7 +207,7 @@ def cmd_resolve(args):
         return _emit_complex(resolutions.unstable_resolution_twisted(delta, args.d, args.r), args)
     cx = resolutions.theorem_resolution(delta, args.d, args.r)
     if args.json:
-        return 0, {"complex": bundles.complex_to_json(cx),
+        return 0, {"complex": complex_to_json(cx),
                    "cokernel": {"delta": list(delta), "h_rank": args.r - 1}}
     return 0, [format_complex(cx), f"cokernel: push of S^({format_partition(delta)}) "
                                    f"of the rank-{args.r - 1} dual bundle"]
@@ -221,15 +263,15 @@ def cmd_kmatrix(args):
 
 def cmd_verify_exactness(args):
     delta = parse_partition(args.delta)
-    if args.json:  # both characters once: exact iff no diffs
-        diffs = characters.exactness_report(delta, args.d, args.r, args.degree)
-        doc = {"ok": not diffs, "diffs": diffs}
-        if diffs:  # where it broke: the lowest ambient degree and the (k, delta_k, s_k)
-            doc["lowest_degree"] = min(sum(row["lambda"]) for row in diffs)
-            doc["terms"] = characters.resolution_terms(delta, args.d, args.r)
-        return (1 if diffs else 0), doc
-    ok = characters.verify_exactness(delta, args.d, args.r, args.degree)
-    return (0 if ok else 1), ["exact" if ok else "NOT exact"]
+    diffs = characters.exactness_report(delta, args.d, args.r, args.degree)  # exact iff empty
+    if not args.json:
+        return (1 if diffs else 0), ["NOT exact" if diffs else "exact"]
+    doc = {"ok": not diffs, "diffs": [{"lambda": list(lam), "mu": list(mu), "euler": a,
+                                       "pushforward": b} for (lam, mu), a, b in diffs]}
+    if diffs:  # where it broke: the lowest ambient degree and the (k, delta_k, s_k)
+        doc["lowest_degree"] = min(sum(lam) for (lam, _), _, _ in diffs)
+        doc["terms"] = characters.resolution_terms(delta, args.d, args.r)
+    return (1 if diffs else 0), doc
 
 
 COMMANDS = {
@@ -251,7 +293,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, out = COMMANDS[args.command](args)
-        for line in [bundles.dumps(out, pretty=args.pretty)] if args.json else out:
+        if args.json:
+            out = [json.dumps(out, indent=2) if args.pretty
+                   else json.dumps(out, separators=(",", ":"))]
+        for line in out:
             print(line)
         return code
     except ValueError as exc:

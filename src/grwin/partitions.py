@@ -147,26 +147,3 @@ def partitions_in_box(w: int, h: int, max_size: int | None = None) -> list[tuple
             top = min(prefix[-1] if prefix else w, room)
             stack.extend([(prefix + (x,), room - x) for x in range(1, top + 1)])
     return out
-
-
-def ascii_diagram(p: tuple[int, ...]) -> str:
-    """One '□'-row per partition row; '∅' for the empty diagram."""
-    if not p:
-        return "∅"
-    return "\n".join("□" * x for x in p)
-
-
-def parse_partition(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated row list; empty string means ∅."""
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        rows = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"malformed partition {text!r}: expected comma-separated integers")
-    return canonical(rows)
-
-
-def format_partition(p: tuple[int, ...]) -> str:
-    return ",".join(str(x) for x in p)

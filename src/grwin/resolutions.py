@@ -27,7 +27,7 @@ from .partitions import (
 
 
 class InternalConsistencyError(AssertionError):
-    """A construction or solve produced data the theory forbids."""
+    """A construction produced data the theory forbids."""
 
 
 def _wedge(s: int, d: int) -> tuple[int, ...]:

@@ -9,18 +9,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import relabel_to_x
 
 from grwin.autoequiv import twist_on_generator
-from grwin.bundles import (
-    BundleLabel,
-    GradedComplex,
-    complex_from_json,
-    complex_to_json,
-    dumps,
-    from_nondual,
-    label_from_json,
-    label_to_json,
-    normalize,
-    rank,
-)
+from grwin.bundles import BundleLabel, GradedComplex, from_nondual, normalize, rank
+from grwin.cli import complex_to_json, label_to_json
 from grwin.partitions import partitions_in_box
 from grwin.windows import gamma_set
 from grwin.schur import schur_dimension
@@ -194,23 +184,19 @@ def test_graded_complex_drops_empty_degrees():
     assert cx.degrees() == [0]
 
 
-def test_label_json_round_trip():
+def test_label_json_names_every_field():
+    # "bracket" only when nonzero (never on the H side), "multiplicity" only
+    # when given; the key order is the order the CLI prints
     lb = BundleLabel((2, 1), 3, -1, side="H", v_shape=(1, 1))
-    assert label_from_json(label_to_json(lb)) == lb
+    assert label_to_json(lb) == {"schur": [2, 1], "twist": -1, "side": "H",
+                                 "v_shape": [1, 1], "rank": 3}
     zlabel = BundleLabel((1,), 2, -2, bracket_twist=1, v_shape=(1,))
-    assert label_from_json(label_to_json(zlabel)) == zlabel
-
-
-def test_complex_json_round_trip_is_bit_exact():
-    cx = GradedComplex.from_items([
-        (0, BundleLabel((1,), 2, 1, v_shape=(1, 1, 1)), 1),
-        (1, BundleLabel((), 2, 1, v_shape=(1, 1)), 1),
-        (2, BundleLabel((), 2, 0), 1),
-    ])
-    doc = complex_to_json(cx)
-    text = dumps(doc)
-    assert complex_from_json(doc) == cx
-    assert dumps(complex_to_json(complex_from_json(doc))) == text
+    doc = label_to_json(zlabel, 4)
+    assert list(doc) == ["schur", "twist", "side", "v_shape", "rank", "bracket", "multiplicity"]
+    assert doc == {"schur": [1], "twist": -2, "side": "S", "v_shape": [1], "rank": 2,
+                   "bracket": 1, "multiplicity": 4}
+    assert label_to_json(zlabel._replace(bracket_twist=0), 1) == {
+        "schur": [1], "twist": -2, "side": "S", "v_shape": [1], "rank": 2, "multiplicity": 1}
 
 
 @st.composite
@@ -233,13 +219,22 @@ def complexes(draw):
          for _ in range(draw(st.integers(0, 6)))])
 
 
+def _json_text(cx):
+    return json.dumps(complex_to_json(cx), separators=(",", ":"))
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(complexes())
-def test_complex_json_round_trip_on_random_complexes(cx):
-    doc = complex_to_json(cx)
-    assert complex_from_json(doc) == cx
-    assert complex_from_json(json.loads(dumps(doc))) == cx
-    assert dumps(complex_to_json(complex_from_json(doc))) == dumps(doc)
+@given(complexes(), complexes())
+def test_complex_json_is_equal_exactly_when_complexes_are(cx, other):
+    # the JSON names every degree, label field and multiplicity: it tells two
+    # complexes apart, one more copy of a term included, and reads a rebuilt
+    # copy the same
+    assert (_json_text(cx) == _json_text(other)) == (cx == other)
+    assert _json_text(GradedComplex.from_items(cx.items())) == _json_text(cx)
+    if len(cx):
+        degree, label, _ = next(cx.items())
+        more = GradedComplex.from_items([*cx.items(), (degree, label, 1)])
+        assert _json_text(more) != _json_text(cx)
 
 
 def test_tensor_det_and_shift():

@@ -6,9 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grwin import autoequiv, cli, resolutions
+from grwin import autoequiv, characters, cli, resolutions
 from grwin.autoequiv import InternalConsistencyError
-from grwin.bundles import complex_from_json, complex_to_json, dumps
 
 
 def run(capsys, *argv):
@@ -43,14 +42,24 @@ def test_verify_exactness_exit_zero(capsys):
 
 
 def test_verify_exactness_exit_one_on_failure(capsys, monkeypatch):
-    monkeypatch.setattr(cli.characters, "verify_exactness",
-                        lambda *a, **k: False)
-    monkeypatch.setattr(cli.characters, "exactness_report",
-                        lambda *a, **k: [])
-    code, out, _ = run(capsys, "verify-exactness", "--d", "4", "--r", "2",
-                       "--delta", "", "--degree", "2")
-    assert code == 1
-    assert out == "NOT exact\n"
+    # one extra pushforward coefficient: text and JSON read the same comparison
+    real = characters.pushforward_character
+    key = ((2, 1), (1,))
+    before = real((), 4, 2, 4).get(key, 0)
+
+    def one_more(delta, d, r, D):
+        out = real(delta, d, r, D)
+        out[key] = out.get(key, 0) + 1
+        return out
+
+    monkeypatch.setattr(characters, "pushforward_character", one_more)
+    argv = ["verify-exactness", "--d", "4", "--r", "2", "--delta", "", "--degree", "4"]
+    assert run(capsys, *argv) == (1, "NOT exact\n", "")
+    code, out, _ = run(capsys, *argv, "--json")
+    doc = json.loads(out)
+    assert (code, doc["ok"], doc["lowest_degree"]) == (1, False, 3)
+    assert doc["diffs"] == [{"lambda": [2, 1], "mu": [1], "euler": before,
+                             "pushforward": before + 1}]
 
 
 def test_verify_exactness_json_success_is_unchanged(capsys):
@@ -117,10 +126,21 @@ def test_cotwist_golden(capsys):
     assert out.splitlines()[0] == "S∨⊗∧^3V -> O⊗∧^2V -> O(-1)"
 
 
-def test_json_round_trips_byte_identically(capsys):
-    _, out, _ = run(capsys, "twist", "2", "--d", "4", "--r", "2", "--json")
-    doc = json.loads(out)
-    assert dumps(complex_to_json(complex_from_json(doc))) == out.strip()
+@pytest.mark.parametrize("argv", [
+    ("twist", "2", "--d", "4", "--r", "2"),
+    ("cotwist", "2", "--d", "4", "--n", "2", "--expand-multiplicities"),
+    ("resolve", "2", "--d", "4", "--r", "2", "--twisted"),
+    ("windows", "4", "2", "0"),
+    ("bwb", "3,1", "4", "3"),
+    ("kmatrix", "--which", "twist", "--d", "4", "--r", "2"),
+    ("verify-exactness", "--d", "4", "--r", "2", "--delta", "1"),
+], ids=lambda argv: argv[0])
+def test_json_output_is_compact(capsys, argv):
+    # one document per run, in the compact syntax; --pretty indents the same one
+    _, out, _ = run(capsys, *argv, "--json")
+    assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+    _, pretty, _ = run(capsys, *argv, "--json", "--pretty")
+    assert pretty == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_identical_argv_gives_identical_bytes(capsys):

@@ -3,12 +3,14 @@ every public entry point shares, the truncation degree of the character
 entry points, the partition bounds and Euler-character overrides they pass
 on, the shapes the cached Schur helpers accept, a cold import that leaves
 `dataclasses`, `inspect`, `fractions` and `decimal` unloaded, and source
-scans that keep `assert` and `dataclasses` out of the library, recursion
-out of the partition walks, caches out of the K-matrix engine and the
-character oracle, and classes out of the Bott module."""
+scans that keep `assert` and `dataclasses` out of the library, text and
+JSON syntax out of every module but the CLI, recursion out of the
+partition walks, caches out of the K-matrix engine and the character
+oracle, and classes out of the Bott module."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -98,6 +100,22 @@ def test_library_does_not_import_dataclasses():
         return isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
 
     assert library_nodes(imports_dataclasses) == []
+
+
+def test_only_the_cli_reads_or_writes_text_and_json():
+    # the library returns values; parsing arguments and writing a syntax for
+    # them is the front end's, so no second writer can drift from its bytes
+    def knows_a_syntax(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] in ("json", "argparse") for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return node.module in ("json", "argparse")
+        return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and re.fullmatch(r"(parse|format|ascii)_\w+|dumps|\w+_json", node.name))
+
+    hits = library_nodes(knows_a_syntax)
+    assert [hit for hit in hits if not hit.startswith("cli.py:")] == []
+    assert hits  # the scan sees the CLI's own
 
 
 def test_cold_import_loads_neither_dataclasses_nor_inspect():

@@ -6,15 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import add_full_column, conjugate_by_cells, staircase_closed_form
 
+from grwin.cli import ascii_diagram, format_partition, parse_partition
 from grwin.partitions import (
-    ascii_diagram,
     canonical,
     column_height,
     complement,
     conjugate,
-    format_partition,
     height,
-    parse_partition,
     partitions_in_box,
     size,
     staircase,
