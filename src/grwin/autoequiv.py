@@ -4,11 +4,13 @@ The up-shift fixes narrow generators and replaces full-width ones by the
 positive part of their staircase resolution; the down-shift is its O(1)
 conjugate.  The shift matrices are a read-off: every image term is a
 generator of the target window, and those labels are a basis of K-theory, so
-`k_matrix` sums signed multiplicities per label.  The O(1) matrix pairs the
-twisted generators with Kapranov's dual collection, `kapranov_coordinates`, one
-Bott Euler characteristic per entry, with no staircase.  `determinant` reads
-det off the matrix's staircase shape.  Fixed-point localization stays out of
-the library, as the test oracle `k_matrix_by_localization`.
+`k_matrix` walks each image once and sums signed multiplicities per label, V
+factors folded in as dimensions.  The O(1) matrix pairs the twisted generators
+with Kapranov's dual collection, `kapranov_coordinates`, with no staircase: a
+set test zeroes the entries of singular weights, and each regular entry is one
+Bott Euler characteristic.  `determinant` reads det off the matrix's staircase
+shape.  Fixed-point localization stays out of the library, as the test oracle
+`k_matrix_by_localization`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .bott import euler_characteristic
 from .bundles import BundleLabel, GradedComplex, normalize
 from .partitions import canonical, check_box, height, resolution_terms, size, strip, width
 from .resolutions import InternalConsistencyError, _wedge, unstable_resolution_twisted
+from .schur import schur_dimension
 from .windows import gamma_set, window_generators
 
 
@@ -100,8 +103,9 @@ def k_matrix(which: str, d: int, r: int) -> list[list[int]]:
 
     Every image term is a generator of the target window (k = -1 for the
     cotwist, 0 for the twist), and those labels are a basis of K(Gr(r,d)), so
-    entry (i, j) sums (-1)^deg mult over the expanded terms of image j labelled
-    by generator i (V factors enter through their dimensions); `identity` is I.
+    entry (i, j) sums (-1)^deg mult over the terms of image j labelled by
+    generator i, a V factor S^v V multiplying mult by dim S^v V and leaving the
+    label; `identity` is I.
     A label outside the window raises InternalConsistencyError.  The Kapranov
     pairing (`o1_matrix`) and the test oracle `k_matrix_by_localization` reach
     the same matrices independently.
@@ -117,7 +121,9 @@ def k_matrix(which: str, d: int, r: int) -> list[list[int]]:
     index = {lb: i for i, lb in enumerate(window_generators(d, r, k))}
     matrix = [[0] * n for _ in range(n)]
     for j, delta in enumerate(gamma_set(d, r)):
-        for degree, lb, mult in image(delta, d, r).expand_multiplicities(d).items():
+        for degree, lb, mult in image(delta, d, r).items():
+            if lb.v_shape:  # S^v V enters through its dimension
+                lb, mult = lb._replace(v_shape=()), mult * schur_dimension(lb.v_shape, d)
             if lb not in index:
                 raise InternalConsistencyError(
                     f"(d,r)=({d},{r}), delta={delta}: {which} image term {lb} "
@@ -132,17 +138,24 @@ def kapranov_coordinates(labels: Sequence[BundleLabel], d: int, r: int, k: int) 
     Kapranov's dual collection (Invent. Math. 92, 1988) pairs the basis with
     chi(S^alpha S ⊗ S^{beta'} Q^dual) = (-1)^|alpha| [alpha = beta], so coordinate
     beta of E = S^gamma S^dual(t) is (-1)^|beta| chi(S^gamma S ⊗ S^{beta'} Q^dual ⊗
-    (det S)^(t-k)): Bott on GL(d) at (-beta'_{d-r}, ..., -beta'_1, gamma + t - k).
+    (det S)^(t-k)): Bott on GL(d) at head + tail, head = (-beta'_{d-r}, ..., -beta'_1)
+    and tail = gamma + t - k.  Both parts are weakly decreasing, so head + rho and
+    tail + rho each have distinct entries, and the weight is singular (chi = 0)
+    exactly when their value sets meet: only disjoint pairs reach Bott.
     """
     check_box(d, r, strict=True)
     tails = []
     for lb in labels:
         if lb.side != "S" or lb.taut_rank != r or lb.bracket_twist or lb.v_shape:
             raise ValueError(f"coordinates need plain ambient-side labels, got {lb}")
-        tails.append(tuple(x + lb.det_twist - k for x in lb.schur + (0,) * (r - len(lb.schur))))
-    heads = [((-1) ** size(beta), tuple(-sum(x > j for x in beta) for j in reversed(range(d - r))))
-             for beta in gamma_set(d, r)]
-    return [[sign * euler_characteristic(head + tail) for tail in tails] for sign, head in heads]
+        tail = tuple(x + lb.det_twist - k for x in lb.schur + (0,) * (r - len(lb.schur)))
+        tails.append((tail, frozenset(x + r - i for i, x in enumerate(tail))))
+    heads = []
+    for beta in gamma_set(d, r):
+        head = tuple(-sum(x > j for x in beta) for j in reversed(range(d - r)))
+        heads.append(((-1) ** size(beta), head, frozenset(x + d - i for i, x in enumerate(head))))
+    return [[sign * euler_characteristic(head + tail) if values.isdisjoint(tail_values) else 0
+             for tail, tail_values in tails] for sign, head, values in heads]
 
 
 def o1_matrix(d: int, r: int) -> list[list[int]]:

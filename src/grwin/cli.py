@@ -257,8 +257,8 @@ def cmd_kmatrix(args):
     if args.json:
         return 0, {"which": args.which, "d": args.d, "r": args.r,
                    "matrix": [list(row) for row in matrix], "determinant": det}
-    return 0, chain((" ".join(f"{x:4d}" for x in row) for row in matrix),
-                    [f"determinant: {det}"])
+    row_format = " ".join(["%4d"] * len(matrix))
+    return 0, chain((row_format % tuple(row) for row in matrix), [f"determinant: {det}"])
 
 
 def cmd_verify_exactness(args):

@@ -234,6 +234,24 @@ def k_matrix_by_localization(which, d, r, params):
     return [list(row) for row in zip(*columns)]
 
 
+def kapranov_coordinates_by_bott(labels, d, r, k):
+    """kapranov_coordinates with no singular-weight filter: one Bott Euler
+    characteristic per entry, at (-beta'_{d-r}, ..., -beta'_1, gamma + t - k),
+    signed by (-1)^|beta|."""
+    from grwin.bott import euler_characteristic
+    from grwin.windows import gamma_set
+    columns = []
+    for lb in labels:
+        gamma = lb.schur + (0,) * (r - len(lb.schur))
+        columns.append(tuple(x + lb.det_twist - k for x in gamma))
+    rows = []
+    for beta in gamma_set(d, r):
+        conj = conjugate_by_cells(beta)
+        head = tuple(-(conj[j] if j < len(conj) else 0) for j in reversed(range(d - r)))
+        rows.append([(-1) ** sum(beta) * euler_characteristic(head + tail) for tail in columns])
+    return rows
+
+
 def _sl_invariants_by_rectangles(lam, s, d):
     """dim of SL-invariants in S^lam V ⊗ wedge^s V: LR pairings against
     full m x d rectangles."""

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     gamma_split,
     int_matmul,
+    kapranov_coordinates_by_bott,
     k_matrix_by_localization,
     schur_value_bruteforce,
     solve_fraction_gauss_jordan,
@@ -307,6 +308,69 @@ def test_kapranov_coordinates_reproduce_the_shift_matrices(d, r):
 def test_kapranov_coordinates_reject_labels_that_are_not_plain(lb):
     with pytest.raises(ValueError, match=r"^coordinates need plain ambient-side labels"):
         kapranov_coordinates([lb], 4, 2, 0)
+
+
+@st.composite
+def plain_label_cases(draw):
+    """(labels, d, r, k): 2 <= d <= 9, r <= 4, k in {-1, 0, 1}, and one to four
+    plain labels S^gamma S^dual(t) with gamma in the (d+1) x (r-1) box and
+    |t| <= d, so the tails land both on and off the heads' values: the
+    coordinates mix regular and singular weights."""
+    d = draw(st.integers(2, 9))
+    r = draw(st.integers(1, min(4, d - 1)))
+    k = draw(st.sampled_from([-1, 0, 1]))
+    schurs = st.lists(st.integers(0, d + 1), min_size=r - 1, max_size=r - 1).map(
+        lambda rows: partitions.canonical(sorted(rows, reverse=True)))
+    labels = draw(st.lists(st.builds(BundleLabel, schurs, st.just(r), st.integers(-d, d)),
+                           min_size=1, max_size=4))
+    return labels, d, r, k
+
+
+def pairing_agrees_with_bott(pairing):
+    """Run `pairing` against the per-entry Bott route on derandomized plain
+    labels; return how many regular (nonzero) and singular (zero) entries the
+    route gave."""
+    seen = {"regular": 0, "singular": 0}
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(case=plain_label_cases())
+    def check(case):
+        labels, d, r, k = case
+        expected = kapranov_coordinates_by_bott(labels, d, r, k)
+        assert pairing(labels, d, r, k) == expected, case
+        for row in expected:
+            seen["regular"] += sum(map(bool, row))
+            seen["singular"] += row.count(0)
+
+    check()
+    return seen
+
+
+def test_kapranov_coordinates_skip_only_singular_weights():
+    # the set test must zero exactly the singular weights, which Bott zeroes too
+    seen = pairing_agrees_with_bott(kapranov_coordinates)
+    assert seen["regular"] and seen["singular"], seen
+
+
+def test_a_pairing_that_zeroes_one_regular_entry_is_caught():
+    def zero_first_regular_entry(labels, d, r, k):
+        matrix = kapranov_coordinates(labels, d, r, k)
+        for row in matrix:
+            for j, x in enumerate(row):
+                if x:
+                    row[j] = 0
+                    return matrix
+        return matrix
+    with pytest.raises(AssertionError):
+        pairing_agrees_with_bott(zero_first_regular_entry)
+
+
+@pytest.mark.parametrize("d,r", [(d, r) for d in range(2, 11) for r in range(1, d)]
+                         + [(11, 5), (12, 6)])
+def test_o1_matrix_is_the_twist_matrix(d, r):
+    # on plain K-theory the window shift acts as O(1): the pairing and the
+    # read-off share no code and must agree entry for entry
+    assert o1_matrix(d, r) == k_matrix("twist", d, r)
 
 
 def test_o1_matrix_shares_no_code_with_the_staircase_or_the_solve(monkeypatch):

@@ -1,12 +1,14 @@
 """Every functor matrix with d <= 7, and those at (8,4), (9,4), (10,5),
 (11,5) and (12,6), pinned bit for bit; (12,6) is the largest box `kmatrix`
-computes by default, and its O(1) matrix is left out.
+computes by default.
 
 The digests are sha256 of the compact JSON of each matrix.  Those up to
-(8,4) were recorded from the Fraction Gauss-Jordan engine, those at (9,4)
+(8,4) were recorded from the Fraction Gauss-Jordan engine (the O(1) matrix at
+(8,4) from the Kapranov pairing with one Bott call per entry), those at (9,4)
 and (10,5) from the Kapranov coordinate map, and those at (11,5) and (12,6)
-from the read-off; the read-off of the images reproduces every pin.  A change to the images, the read-off or the Kapranov
-pairing that moves any entry fails here.
+from the read-off (the O(1) matrix at (12,6) from the per-entry pairing); the
+read-off of the images reproduces every pin.  A change to the images, the
+read-off or the Kapranov pairing that moves any entry fails here.
 """
 
 import hashlib
@@ -106,6 +108,7 @@ EIGHT_FOUR = {
     "twist": "640327ecda58d7d279979536f6d8c6731e66975b869d7111f63a087a877057e5",
     "cotwist": "640327ecda58d7d279979536f6d8c6731e66975b869d7111f63a087a877057e5",
     "identity": "499d7c721e0228308705d8c18127ef526352a39e5a264c07fbbd2bb8b6af0f4b",
+    "o1": "640327ecda58d7d279979536f6d8c6731e66975b869d7111f63a087a877057e5",
 }
 LARGE = {
     "twist:9,4": "03cc2d8f3cfc872810ea8251176da86944fbb79dbcd46c9ac07f49198b7110d4",
@@ -123,6 +126,7 @@ LARGE = {
     "twist:12,6": "67a90df22bb70774cf84f192d99f52469f3962d4c95d1641263e58a71b725d75",
     "cotwist:12,6": "67a90df22bb70774cf84f192d99f52469f3962d4c95d1641263e58a71b725d75",
     "identity:12,6": "533e0bc5033cd4b9173899905a94b7172548b5d46decc84f12eb094792af1255",
+    "o1:12,6": "67a90df22bb70774cf84f192d99f52469f3962d4c95d1641263e58a71b725d75",
 }
 BOXES = sorted({tuple(map(int, key.split(":")[1].split(","))) for key in DIGESTS})
 
@@ -143,13 +147,13 @@ def test_k_matrices_match_pinned_digests(d, r):
 
 
 def test_k_matrices_match_pinned_digests_at_eight_four():
-    for which, pin in EIGHT_FOUR.items():
-        assert digest(k_matrix(which, 8, 4)) == pin, which
+    for which in ("twist", "cotwist", "identity"):
+        assert digest(k_matrix(which, 8, 4)) == EIGHT_FOUR[which], which
+    assert digest(o1_matrix(8, 4)) == EIGHT_FOUR["o1"]
 
 
 @pytest.mark.parametrize("d,r", [(9, 4), (10, 5), (11, 5), (12, 6)])
 def test_k_matrices_match_pinned_digests_at_the_largest_default_boxes(d, r):
     for which in ("twist", "cotwist", "identity"):
         assert digest(k_matrix(which, d, r)) == LARGE[f"{which}:{d},{r}"], which
-    if f"o1:{d},{r}" in LARGE:  # the Kapranov pairing at (12,6) is not pinned
-        assert digest(o1_matrix(d, r)) == LARGE[f"o1:{d},{r}"]
+    assert digest(o1_matrix(d, r)) == LARGE[f"o1:{d},{r}"]
