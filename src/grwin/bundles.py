@@ -103,13 +103,9 @@ class GradedComplex(namedtuple("GradedComplex", "terms", defaults=((),))):
     """Map homological degree -> multiset of labels; no differentials.
 
     `terms` is ((degree, ((label, mult), ...)), ...), both levels sorted; the
-    complex is the 1-tuple (terms,), but its `len` is its number of degrees."""
+    complex is the 1-tuple (terms,)."""
 
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> "GradedComplex":  # len counts degrees, not fields
-        return cls(*fields)
 
     @staticmethod
     def from_items(items: Iterable[tuple[int, BundleLabel, int]]) -> "GradedComplex":
@@ -142,9 +138,6 @@ class GradedComplex(namedtuple("GradedComplex", "terms", defaults=((),))):
             if deg == degree:
                 return Counter(dict(labels))
         return Counter()
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def tensor_det(self, m: int) -> "GradedComplex":
         """Tensor by the m-th power of the side determinant line.  A uniform

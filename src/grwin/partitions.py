@@ -60,13 +60,6 @@ def check_box(d: int, r: int, strict: bool = False) -> None:
         raise ValueError(f"need 0 < r {'<' if strict else '<='} d, got r={r}, d={d}")
 
 
-def column_height(p: tuple[int, ...], c: int) -> int:
-    """Height of column c (1-based) of the diagram."""
-    if c < 1:
-        raise ValueError("column index is 1-based")
-    return sum(1 for x in p if x >= c)
-
-
 def complement(gamma: tuple[int, ...], w: int, h: int) -> tuple[int, ...]:
     """180-degree rotated complement of gamma inside the w x h rectangle."""
     if w < 0 or h < 0:
@@ -86,14 +79,6 @@ def strip(delta: tuple[int, ...], what: str) -> tuple[int, ...]:
     raise ValueError(f"unknown strip mode {what!r}")
 
 
-def _fill_column(rows: tuple[int, ...], col: int, target: int) -> tuple[int, ...]:
-    # grow column `col` to height `target`: rows 1..target get >= col boxes
-    padded = list(rows) + [0] * max(0, target - len(rows))
-    for i in range(target):
-        padded[i] = max(padded[i], col)
-    return canonical(padded)
-
-
 def staircase(seed: tuple[int, ...], r: int,
               K: int) -> list[tuple[int, tuple[int, ...], int]]:
     """The column-filling procedure as (k, delta_k, s_k) for k = 0..K,
@@ -108,12 +93,16 @@ def staircase(seed: tuple[int, ...], r: int,
         raise ValueError(f"seed height {height(seed)} must be < {r}")
     if K < 1:
         raise ValueError("step count must be >= 1")
+    # r rows hold the walk: no later target exceeds height(seed) + 1, and
+    # once step 1 has filled column 1 no row is empty, so none is trimmed;
+    # raising a prefix to at least k keeps the rows non-increasing
+    rows = list(seed) + [0] * (r - len(seed))
     steps = [(0, seed, 0)]
-    cur = seed
     for k in range(1, K + 1):
-        target = r if k == 1 else column_height(seed, k - 1) + 1
-        cur = _fill_column(cur, k, target)
-        steps.append((k, cur, size(cur) - size(seed)))
+        target = r if k == 1 else sum(1 for x in seed if x >= k - 1) + 1
+        for i in range(target):
+            rows[i] = max(rows[i], k)
+        steps.append((k, tuple(rows), sum(rows) - size(seed)))
     return steps
 
 

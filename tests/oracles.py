@@ -151,7 +151,8 @@ def classify_bruteforce(alpha):
     sorters = dominant_sorters(alpha)
     if not sorters:
         return None
-    assert len(sorters) == 1, (alpha, sorters)
+    if len(sorters) != 1:
+        raise AssertionError((alpha, sorters))
     w = sorters[0]
     r = len(w)
     length = sum(1 for i in range(r) for j in range(i + 1, r) if w[i] > w[j])
@@ -174,10 +175,6 @@ def int_matmul(a, b):
     """Integer matrix product, so matrix identities need no inversion."""
     return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
              for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def subsets_lex(d, r):
-    return list(combinations(range(d), r))
 
 
 def solve_fraction_gauss_jordan(matrix, columns):
@@ -230,7 +227,8 @@ def k_matrix_by_localization(which, d, r, params):
 
     det, columns = solve_fraction_gauss_jordan(list(zip(*map(values, basis))),
                                                list(map(values, images)))
-    assert det, f"basis singular at parameters {params}"
+    if not det:
+        raise AssertionError(f"basis singular at parameters {params}")
     return [list(row) for row in zip(*columns)]
 
 
@@ -310,10 +308,10 @@ def hom_dimension_by_enumeration(case, delta, d, r, D):
 def staircase_closed_form(seed, r, k):
     """Independent closed form for delta_k of the staircase: insert k below
     the rows taller than column k and add one box to every deeper row."""
-    from grwin.partitions import canonical, column_height, height
+    from grwin.partitions import canonical, height
     if height(seed) >= r:
         raise ValueError(f"seed height {height(seed)} must be < {r}")
-    h_k = column_height(seed, k)
+    h_k = sum(1 for x in seed if x >= k)  # height of column k of the seed
     padded = seed + (0,) * (r - 1 - len(seed))
     return canonical(padded[:h_k] + (k,) + tuple(x + 1 for x in padded[h_k:]))
 

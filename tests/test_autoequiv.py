@@ -203,8 +203,8 @@ def test_twist_and_cotwist_images_keep_the_generator_rank():
 def test_narrow_generators_are_fixed():
     for d, n in [(4, 2), (5, 2), (6, 3)]:
         for delta in gamma_split(d, n)[0]:
-            assert len(twist_on_generator(delta, d, n)) == 1
-            assert len(cotwist_on_generator(delta, d, n)) == 1
+            assert len(twist_on_generator(delta, d, n).terms) == 1
+            assert len(cotwist_on_generator(delta, d, n).terms) == 1
 
 
 # --- localization -----------------------------------------------------------
@@ -295,7 +295,7 @@ def test_kapranov_coordinates_of_a_window_basis_are_the_identity():
 
 
 @pytest.mark.parametrize("d,r", [(5, 2), (6, 3), (7, 2)])
-def test_kapranov_coordinates_reproduce_the_shift_matrices(d, r):
+def test_k_matrix_matches_localization_at_three_boxes(d, r):
     # k_matrix is a read-off of the images; the oracle localizes and solves
     for which in ("twist", "cotwist"):
         assert k_matrix(which, d, r) == k_matrix_by_localization(which, d, r, PRIMES[:d]), which

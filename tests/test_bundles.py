@@ -135,7 +135,7 @@ def test_graded_complex_value_semantics():
     same = GradedComplex(cx.terms)
     assert cx == same and hash(cx) == hash(same) == hash((cx.terms,))
     assert cx != cx.tensor_det(1) and cx != cx.terms and cx != GradedComplex()
-    assert len(cx) == 2 and len(GradedComplex()) == 0
+    assert len(cx.terms) == 2 and len(GradedComplex().terms) == 0
     assert repr(GradedComplex()) == "GradedComplex(terms=())"
     assert repr(GradedComplex.from_items([(0, BundleLabel((), 1, 2), 3)])) == (
         "GradedComplex(terms=((0, ((BundleLabel(schur=(), taut_rank=1, det_twist=2, "
@@ -148,11 +148,14 @@ def test_graded_complex_value_semantics():
 
 
 def test_graded_complex_replace_keeps_its_degree_count():
-    # `len` counts degrees, so `_make` must not check it against the one field
+    # a plain one-field namedtuple: `len` counts its field, and namedtuple's
+    # own `_make` and `_replace` round-trip a complex
+    assert not {"__len__", "_make", "_replace"} & set(vars(GradedComplex))
     cx = GradedComplex.from_items([(1, BundleLabel((), 2, 0), 1),
                                    (0, BundleLabel((1,), 2, 0), 2)])
+    assert len(cx) == len(GradedComplex()) == 1
     assert cx._replace(terms=cx.terms) == GradedComplex._make([cx.terms]) == cx
-    assert len(cx._replace(terms=())) == 0
+    assert GradedComplex._make(cx) == cx and cx._replace(terms=()) == GradedComplex()
 
 
 def test_graded_complex_insertion_order_invariance():
@@ -231,7 +234,7 @@ def test_complex_json_is_equal_exactly_when_complexes_are(cx, other):
     # copy the same
     assert (_json_text(cx) == _json_text(other)) == (cx == other)
     assert _json_text(GradedComplex.from_items(cx.items())) == _json_text(cx)
-    if len(cx):
+    if len(cx.terms):
         degree, label, _ = next(cx.items())
         more = GradedComplex.from_items([*cx.items(), (degree, label, 1)])
         assert _json_text(more) != _json_text(cx)

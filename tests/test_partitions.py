@@ -9,7 +9,6 @@ from oracles import add_full_column, conjugate_by_cells, staircase_closed_form
 from grwin.cli import ascii_diagram, format_partition, parse_partition
 from grwin.partitions import (
     canonical,
-    column_height,
     complement,
     conjugate,
     height,
@@ -115,13 +114,18 @@ def test_staircase_s_strictly_increasing_and_sizes():
 
 
 def test_staircase_matches_closed_form():
+    # K up to 12 on seeds of width <= 5 runs steps past width(seed) + 1,
+    # where each step adds one box to every row below the seed's
     rng = random.Random(11)
-    for _ in range(200):
-        r = rng.randint(1, 6)
-        seed = rng.choice(partitions_in_box(8, r - 1))
-        chain = staircase(seed, r, 8)
-        for k in range(1, 9):
-            assert chain[k][1] == staircase_closed_form(seed, r, k)
+    for _ in range(300):
+        r = rng.randint(1, 10)
+        seed = rng.choice(partitions_in_box(5, r - 1))
+        K = rng.randint(1, 12)
+        chain = staircase(seed, r, K)
+        assert len(chain) == K + 1 and chain[0] == (0, seed, 0)
+        for k in range(1, K + 1):
+            delta_k = staircase_closed_form(seed, r, k)
+            assert chain[k] == (k, delta_k, size(delta_k) - size(seed))
 
 
 def test_recovery_properties_for_resolution_range():
@@ -145,12 +149,6 @@ def test_recovery_properties_for_resolution_range():
             assert recovered == seed
         else:
             assert all(width(chain[k][1]) == d - r + 1 for k in range(K + 1))
-
-
-def test_column_height():
-    assert column_height((3, 1), 1) == 2
-    assert column_height((3, 1), 2) == 1
-    assert column_height((3, 1), 4) == 0
 
 
 def test_partitions_in_box_matches_brute_force_filter():

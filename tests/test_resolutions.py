@@ -161,7 +161,7 @@ def test_pushdown_single_piece():
 
 
 def test_pushdown_full_height_vanishes():
-    assert len(pushdown_pi((1, 1), 4, 2, "stack")) == 0
+    assert len(pushdown_pi((1, 1), 4, 2, "stack").terms) == 0
 
 
 def test_pushdown_wide_diagram_two_terms():
