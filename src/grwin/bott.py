@@ -40,9 +40,8 @@ def euler_characteristic(weight: tuple[int, ...]) -> int:
     (-1)^length times the Weyl dimension of the dominant representative."""
     if (cls := classify(weight)) is None:
         return 0
-    length, rep = cls
-    low = rep[-1] if rep else 0
-    return (-1) ** length * schur_dimension(canonical(x - low for x in rep), len(rep))
+    length, rep = cls  # rep[-1], its lowest entry, is read only when rep has one
+    return (-1) ** length * schur_dimension(canonical(x - rep[-1] for x in rep), len(rep))
 
 
 def bwb_cohomology(delta: tuple[int, ...], i: int,

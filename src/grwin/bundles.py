@@ -85,9 +85,6 @@ def from_nondual(gamma: Iterable[int], taut_rank: int, side: str = "S",
     Schur power of the dual twisted by (det taut^dual)^{-width}.
     """
     gamma = canonical(gamma)
-    if is_zero_schur(gamma, taut_rank):
-        raise ValueError(
-            f"S^{gamma} of a rank-{taut_rank} bundle is zero; drop the term")
     w = width(gamma)
     return normalize(complement(gamma, w, taut_rank), extra_twist - w,
                      taut_rank, side, v_shape, bracket_twist)

@@ -39,15 +39,15 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
     letters, so E[alpha, beta] = E[alpha - (1^r), beta - (1^r)] for any terms.
     Only lam = core + (m^r), height(core) < r, m <= 1 are summed; keys with
     alpha_r >= 2 (lacking m = 2) are skipped and filled in by translation.
-    Each term builds two filling tables once: (1^s) in d rows under the room
-    every such lam leaves a vertical strip (1 down to row r, 0 below), and
-    its shape less its c full columns in r rows.  Cores whose gaps agree up
-    to the largest need share a stencil per m: the fitting left fillings
-    (distinct offsets, as a strip is its rows) times the fitting right ones
-    merged by offset.  A key is an integer with alpha's d rows and then
-    beta's r as digits in a radix above every part (|alpha| <= D, beta_1 <=
-    D + shape_1 + 1), so offsets add without carry.  A terms override
-    supports tamper tests; the default is the staircase.
+    A term with s > D has no key of ambient degree <= D and is skipped; any other
+    builds two filling tables once: (1^s) in d rows (empty when s > d) under the
+    room every such lam leaves a vertical strip (1 down to row r, 0 below), and
+    its shape less its c full columns in r rows.  Cores whose gaps agree up to the
+    largest need share a stencil per m: the fitting left fillings (distinct
+    offsets, as a strip is its rows) times the fitting right ones merged by
+    offset.  A key is an integer with alpha's d rows and then beta's r as digits
+    in a radix above every part (|alpha| <= D, beta_1 <= D + shape_1 + 1), so
+    offsets add without carry.  A terms override supports tamper tests.
     """
     check_box(d, r)
     if terms is None:
@@ -71,8 +71,8 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
         cores[sum(q)].append((p, code(p) * both, gaps(p, r)))
     total: dict[int, int] = {}
     for k, shape, s in terms:
-        if s > d:
-            continue  # the exterior power vanishes
+        if s > D:
+            continue  # every key of the term has ambient degree >= s
         c = shape[-1] if len(shape) == r else 0  # s_shape = (y_1...y_r)^c s_reduced
         left = [(needs, adds[r - 1], code(adds), (-1) ** k * n) for (needs, adds), n
                 in lr_fillings((1,) * s, d, tuple(int(i <= r) for i in range(d))).items()]
@@ -158,8 +158,8 @@ def hom_invariant_dimension(case: str, delta: tuple[int, ...], d: int, r: int,
     c^delta_{delta lam} = 0 unless lam = (): both are 1.  'eta' weights
     c^{lam_hat}_{delta eps_top}, lam_hat = lam + ((d-r)^(r-1)), by the
     SL-invariants of S^lam V ⊗ wedge^s_top V: one when (m^d)/lam is a
-    vertical strip, else none.  height(lam) < r <= d forces m = 1 and
-    lam = (1^a), a = d - s_top (m = 0 needs s_top = 0, but step 1 adds a box).
+    vertical strip, else none.  height(lam) < r <= d forces m = 1 and lam = (1^a),
+    a = d - s_top: the number of delta's full-width rows, so 1 <= a <= r - 1.
     """
     delta = canonical(delta)
     check_box(d, r)
@@ -175,7 +175,7 @@ def hom_invariant_dimension(case: str, delta: tuple[int, ...], d: int, r: int,
                 f"{delta} must have height < {r} and width exactly {d - r + 1}")
         _, top, s_top = resolution_terms(delta, d, r)[-1]
         a = d - s_top
-        if not 0 <= a <= min(D, r - 1):
+        if a > D:
             return 0
         lam_hat = canonical((d - r + 1,) * a + (d - r,) * (r - 1 - a))
         return lr_coefficient(delta, complement(top, d - r + 1, r), lam_hat)

@@ -79,18 +79,14 @@ def format_label(label: BundleLabel) -> str:
 
 
 def format_complex(cx: GradedComplex) -> str:
-    """Arrow-joined terms in ascending degree; a caret line marks degree 0."""
-    if not cx.terms:
-        return "0"
+    """Arrow-joined terms in ascending degree; a caret line marks degree 0,
+    which every complex the CLI prints has: each display's degrees end or start there."""
     chunks = {degree: " + ".join(format_label(lb) + (f"^{m}" if m > 1 else "")
                                  for lb, m in labels)
               for degree, labels in cx.terms}
-    line = " -> ".join(chunks.values())
-    if 0 not in chunks:
-        return line
     # the chunks left of degree 0, each with its arrow
     head = " -> ".join([chunk for degree, chunk in chunks.items() if degree < 0] + [""])
-    return f"{line}\n{' ' * len(head)}{'^' * len(chunks[0])}"
+    return f"{' -> '.join(chunks.values())}\n{' ' * len(head)}{'^' * len(chunks[0])}"
 
 
 def label_to_json(label: BundleLabel, multiplicity: int | None = None) -> dict:

@@ -62,8 +62,6 @@ def check_box(d: int, r: int, strict: bool = False) -> None:
 
 def complement(gamma: tuple[int, ...], w: int, h: int) -> tuple[int, ...]:
     """180-degree rotated complement of gamma inside the w x h rectangle."""
-    if w < 0 or h < 0:
-        raise ValueError("rectangle dimensions must be non-negative")
     if height(gamma) > h or width(gamma) > w:
         raise ValueError(f"{gamma} does not fit in a {w}x{h} rectangle")
     padded = gamma + (0,) * (h - len(gamma))
@@ -109,11 +107,10 @@ def staircase(seed: tuple[int, ...], r: int,
 def resolution_terms(delta: tuple[int, ...], d: int,
                      r: int) -> list[tuple[int, tuple[int, ...], int]]:
     """(k, delta_k, s_k) for k = 0..K with K = d-r+1: the staircase walk
-    behind every resolution built from a seed diagram."""
+    behind every resolution built from a seed diagram.  s_k rises with k to
+    s_K = d - #{rows of delta of width K} <= d: no wedge^{s_k}V vanishes."""
     delta = canonical(delta)
     check_box(d, r)
-    if height(delta) >= r:
-        raise ValueError(f"height({delta}) must be < {r}")
     if width(delta) > d - r + 1:
         raise ValueError(f"width({delta}) must be <= {d - r + 1}")
     return staircase(delta, r, d - r + 1)

@@ -31,9 +31,7 @@ class InternalConsistencyError(AssertionError):
 
 
 def _wedge(s: int, d: int) -> tuple[int, ...]:
-    # exterior power of V as a column; the top power is trivialized away
-    if s > d:
-        raise ValueError(f"wedge^{s} of a {d}-dimensional space is zero")
+    # wedge^s V as a column (s <= d on every staircase); the top power is trivialized away
     return () if s in (0, d) else (1,) * s
 
 

@@ -64,8 +64,11 @@ def test_twist_4_2_square():
 
 
 def test_twist_rejects_outside_index_set():
-    with pytest.raises(ValueError):
-        twist_on_generator((3,), 4, 2)
+    # both images check the (d-r) x r box themselves, before their routes do
+    for image in (twist_on_generator, cotwist_on_generator):
+        for delta in [(3,), (1, 1, 1)]:
+            with pytest.raises(ValueError, match=r"is not in the \(d-r\) x r index box$"):
+                image(delta, 4, 2)
 
 
 # --- cotwist ---------------------------------------------------------------

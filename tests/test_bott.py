@@ -76,7 +76,7 @@ def test_bwb_cohomology_figure_row():
 
 
 def test_bwb_cohomology_rejects_tall_shape():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^height\(\(1, 1, 1\)\) must be <= 2$"):
         bwb_cohomology((1, 1, 1), 0, 3)
 
 

@@ -59,6 +59,12 @@ def test_dual_conversion_on_a_rank_zero_side_is_the_trivial_label(side, bracket_
             assert lb == normalize((), extra_twist, 0, side, v_shape, bracket_twist)
 
 
+def test_dual_conversion_refuses_a_vanishing_power():
+    # S^(1,1,1) of a rank-2 bundle is zero: its complement cannot be taken
+    with pytest.raises(ValueError, match=r"^\(1, 1, 1\) does not fit in a 1x2 rectangle$"):
+        from_nondual((1, 1, 1), 2)
+
+
 def test_dual_conversion_round_trip():
     from grwin.partitions import complement, width
     for gamma in partitions_in_box(3, 3):
@@ -269,6 +275,13 @@ def test_tensor_det_composes():
     for a, b in [(1, 2), (-3, 1), (0, 4), (2, -2)]:
         assert cx.tensor_det(a).tensor_det(b) == cx.tensor_det(a + b)
     assert cx.tensor_det(0) == cx
+
+
+@pytest.mark.parametrize("delta", [(2,), (2, 1), (2, 2)])
+def test_expanding_v_factors_keeps_the_alternating_rank_sum(delta):
+    cx = twist_on_generator(delta, 4, 2)
+    assert any(label.v_shape for _, label, _ in cx.items())
+    assert cx.alternating_rank_sum(4) == cx.expand_multiplicities(4).alternating_rank_sum(4)
 
 
 def test_expand_multiplicities():

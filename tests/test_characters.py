@@ -60,7 +60,7 @@ def test_pushforward_wide_row():
 
 
 def test_pushforward_rejects_tall_delta():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^height\(\(1, 1\)\) must be <= 1$"):
         pushforward_character((1, 1), 3, 2, 3)
 
 
@@ -107,8 +107,34 @@ def test_verify_exactness_detects_wrong_wedge_power():
     assert e != pushforward_character((2,), 4, 2, 4)
 
 
+def test_terms_above_the_degree_build_no_tables(monkeypatch):
+    # every key of a term has ambient degree >= s, so at D = 1 only the terms
+    # with s <= 1 build their (1^s) table in d rows, out of s = 0..40
+    import grwin.characters as characters
+    columns, real = [], characters.lr_fillings
+
+    def spy(mu, h, room=None):
+        if h == 40:
+            columns.append(len(mu))
+        return real(mu, h, room)
+    monkeypatch.setattr(characters, "lr_fillings", spy)
+    assert verify_exactness((1,), 40, 2, 1)
+    assert resolution_terms((1,), 40, 2)[-1][2] == 40 and sorted(columns) == [0, 1]
+
+
 def test_exactness_report_empty_when_exact():
     assert exactness_report((), 3, 2, 3) == []
+
+
+def test_exactness_report_puts_zero_on_the_side_that_lacks_a_key(monkeypatch):
+    # the Euler side loses ((1,), (1,)) and gains ((1,), ()), each with value 1
+    import grwin.characters as characters
+    real = euler_character((), 4, 2, 3)
+    assert real == pushforward_character((), 4, 2, 3) and real[(1,), (1,)] == 1
+    tampered = {key: v for key, v in real.items() if key != ((1,), (1,))}
+    tampered[(1,), ()] = 1
+    monkeypatch.setattr(characters, "euler_character", lambda *args: tampered)
+    assert exactness_report((), 4, 2, 3) == [(((1,), ()), 1, 0), (((1,), (1,)), 0, 1)]
 
 
 def test_pushforward_independent_of_ambient_dimension():
@@ -128,6 +154,13 @@ def test_hom_dimension_tautological():
 
 def test_hom_dimension_eta():
     assert hom_invariant_dimension("eta", (2, 2), 4, 3, 14) == 1
+
+
+@pytest.mark.parametrize("delta, a", [((2,), 1), ((2, 2), 2)])
+def test_hom_dimension_eta_starts_at_degree_a(delta, a):
+    # a = d - s_top, the number of delta's full-width rows at (4,3)
+    assert hom_invariant_dimension("eta", delta, 4, 3, a - 1) == 0
+    assert hom_invariant_dimension("eta", delta, 4, 3, a) == 1
 
 
 def test_hom_dimension_stabilizes():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from grwin import autoequiv, characters, cli, resolutions
 from grwin.autoequiv import InternalConsistencyError
+from grwin.bundles import BundleLabel
 
 
 def run(capsys, *argv):
@@ -259,6 +260,46 @@ def test_a_kmatrix_of_the_wrong_shape_exits_one(capsys, monkeypatch):
         assert err.startswith(f"verification failure: (d,r)=(5,2), delta=(1, 1): {which} "
                               "K-matrix column 3 has no pivot row of its own")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_kmatrix_refuses_a_long_identity_at_once(capsys, monkeypatch):
+    # C(1000, 1) = 1000 generators: the guard counts a one-row box too
+    def never(*args):
+        raise AssertionError("k_matrix ran on a refused basis")
+    monkeypatch.setattr(cli.autoequiv, "k_matrix", never)
+    code, out, err = run(capsys, "kmatrix", "--which", "identity", "--d", "1000", "--r", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: C(1000,1) is above the limit of 924 generators")
+
+
+@pytest.mark.parametrize("d, r, limit", [(13, 12, 924), (13, 4, 924), (5, 1, 5)])
+def test_kmatrix_admits_a_basis_at_or_below_the_limit(capsys, monkeypatch, d, r, limit):
+    # C(13,12) = 13 counts the smaller side of the box; C(13,4) = 715 although
+    # C(13,5) = 1287; C(5,1) = 5 sits at the limit.  A stand-in engine keeps it small
+    monkeypatch.setattr(cli.autoequiv, "k_matrix", lambda *args: [[1]])
+    code, out, _ = run(capsys, "kmatrix", "--which", "twist", "--d", str(d), "--r", str(r),
+                       "--max-basis", str(limit))
+    assert (code, out) == (0, "   1\ndeterminant: 1\n")
+
+
+def test_kmatrix_names_a_full_box_before_its_size(capsys):
+    code, _, err = run(capsys, "kmatrix", "--which", "twist", "--d", "1000", "--r", "1000")
+    assert code == 2 and err.startswith("error: need 0 < r < d")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bwb", "1", "-1", "2"], "error: power must be non-negative\n"),
+    (["staircase", "1", "2", "0"], "error: step count must be >= 1\n"),
+])
+def test_refused_values_exit_two(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message)
+
+
+def test_format_label_names_a_bracket_twist_and_a_v_shape():
+    # no subcommand prints a bracket twist (a correspondence-stack label) or a
+    # V shape that is not a column, so the printer is checked directly
+    label = BundleLabel((2,), 2, 1, v_shape=(2, 1), bracket_twist=3)
+    assert cli.format_label(label) == "Sym^2S∨(1)⟨3⟩⊗S^(2,1)V"
 
 
 def test_max_basis_is_a_kmatrix_option_only(capsys):

@@ -1,7 +1,8 @@
 """Contracts that span modules: the package exports, the (d, r) validation
 every public entry point shares, the truncation degree of the character
 entry points, the partition bounds and Euler-character overrides they pass
-on, the shapes the cached Schur helpers accept, a cold import that leaves
+on, the inputs that only an entry point's own check refuses, the shapes
+the cached Schur helpers accept, a cold import that leaves
 `dataclasses`, `inspect`, `fractions` and `decimal` unloaded, and source
 scans that keep `assert` and `dataclasses` out of the library, text and
 JSON syntax out of every module but the CLI, recursion out of the
@@ -20,7 +21,8 @@ import pytest
 
 import grwin
 from grwin import autoequiv, bott, characters, resolutions, schur, windows
-from grwin.partitions import partitions_in_box
+from grwin.bundles import GradedComplex, normalize
+from grwin.partitions import partitions_in_box, staircase
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "grwin"
 
@@ -181,6 +183,36 @@ def test_euler_character_override_checks_degree_and_wedge_power(term):
     # s = -1 would read as the empty column and k = 0.5 as a complex sign
     with pytest.raises(ValueError, match=r"^override term needs int k, s >= 0"):
         characters.euler_character((), 3, 2, 3, terms=[term])
+
+
+# entry point -> (call, error): no later check refuses these inputs, and
+# without its own check each call returns a quiet wrong value instead
+REFUSED_ONLY_BY_THEIR_OWN_CHECK = {
+    "k_matrix_unknown_functor": (lambda: autoequiv.k_matrix("shift", 4, 2),
+                                 r"^unknown functor 'shift'$"),
+    "bwb_negative_power": (lambda: bott.bwb_cohomology((), -1, 2),
+                           r"^power must be non-negative$"),
+    "staircase_no_steps": (lambda: staircase((1,), 2, 0), r"^step count must be >= 1$"),
+    "pushdown_too_tall": (lambda: resolutions.pushdown_pi((1, 1, 1), 4, 2),
+                          r"^height\(\(1, 1, 1\)\) must be <= 2$"),
+    "schur_product_no_rows": (lambda: schur.schur_product((1,), (1,), 0),
+                              r"^max_height must be >= 1$"),
+    "schur_dimension_negative_alphabet": (lambda: schur.schur_dimension((1,), -1),
+                                          r"^alphabet size must be >= 0$"),
+    "negative_multiplicity": (
+        lambda: GradedComplex.from_items([(0, normalize((), 0, 2), -1)]),
+        r"^multiplicities are positive$"),
+    # on a rank-0 side, normalize would otherwise return the trivial label
+    "normalize_zero_schur": (lambda: normalize((1,), 0, 0),
+                             r"^S\^\(1,\) of a rank-0 bundle is zero; drop the term$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_ONLY_BY_THEIR_OWN_CHECK))
+def test_entry_points_refuse_what_only_their_own_check_catches(name):
+    call, message = REFUSED_ONLY_BY_THEIR_OWN_CHECK[name]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("bounds", [(-1, 2), (2, -1), (2, 2, -3), (-3, -3)])

@@ -13,6 +13,7 @@ from grwin.partitions import (
     conjugate,
     height,
     partitions_in_box,
+    resolution_terms,
     size,
     staircase,
     strip,
@@ -53,6 +54,10 @@ def test_complement_rejects_oversize():
         complement((5,), 4, 3)
     with pytest.raises(ValueError):
         complement((1, 1, 1, 1), 4, 3)
+    # a negative side fits nothing, the empty diagram included
+    for w, h in [(-1, 2), (2, -1)]:
+        with pytest.raises(ValueError, match=rf"^\(\) does not fit in a {w}x{h} rectangle$"):
+            complement((), w, h)
 
 
 def test_add_full_column():
@@ -76,6 +81,7 @@ def test_strip():
     assert strip((2, 2), "first-row") == (2,)
     assert strip((), "first-row") == ()
     assert strip((), "first-column") == ()
+    assert strip((2, 1, 0), "first-column") == (1,)  # a trailing zero row is no row
     with pytest.raises(ValueError):
         strip((1,), "diagonal")
 
@@ -149,6 +155,18 @@ def test_recovery_properties_for_resolution_range():
             assert recovered == seed
         else:
             assert all(width(chain[k][1]) == d - r + 1 for k in range(K + 1))
+
+
+def test_resolution_ends_at_d_less_the_full_width_rows():
+    # s_K = d - #{rows of delta of width d-r+1} <= d: no term's wedge^{s_k}V
+    # vanishes, which _wedge and the eta Hom case rely on
+    seen = 0
+    for d in range(1, 10):
+        for r in range(1, d + 1):
+            for delta in partitions_in_box(d - r + 1, r - 1):
+                assert resolution_terms(delta, d, r)[-1][2] == d - delta.count(d - r + 1)
+                seen += 1
+    assert seen == sum(2 ** d - 1 for d in range(1, 10))
 
 
 def test_partitions_in_box_matches_brute_force_filter():

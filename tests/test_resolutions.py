@@ -50,9 +50,9 @@ def test_resolution_koszul_case():
 
 
 def test_resolution_rejects_out_of_range_seeds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^seed height 2 must be < 2$"):
         theorem_resolution((1, 1), 4, 2)   # height == r
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^width\(\(4,\)\) must be <= 3$"):
         theorem_resolution((4,), 4, 2)     # width > d-r+1
 
 
@@ -174,7 +174,7 @@ def test_pushdown_wide_diagram_two_terms():
 
 
 def test_pushdown_rejects_overwide():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^width\(\(4, 1\)\) > 3 is outside the pushforward"):
         pushdown_pi((4, 1), 4, 2, "open")
     with pytest.raises(ValueError):
         pushdown_pi((1,), 4, 2, "everywhere")
