@@ -46,22 +46,22 @@ def lr_fillings(mu: tuple[int, ...], h: int, room: tuple[int, ...] | None = None
     for v, boxes in enumerate(mu):
         grown: dict = {}
         for (adds, needs, last), count in level.items():
-            strips: list[tuple[int, ...]] = []
-
-            def grow(i: int, left: int, slack: int, row: tuple[int, ...]) -> None:
-                # at most the room under row i-1 of lam + adds and the ballot slack (the v's
-                # in rows <= i never outnumber the (v-1)'s in rows < i); at least what the
-                # rows below cannot take, their room telescoping to below[i] + adds[i] - adds[-1]
-                if not left:
-                    strips.append(row + zero[i:])
-                    return
-                if left == boxes and i > h - len(mu) + v:
-                    return  # first rows fall strictly: later letters can't fit, none if len(mu) > h
-                top = min(left, slack, room[i] + adds[i - 1] - adds[i] if i else left)
-                for b in range(max(left - below[i] - adds[i] + adds[-1], 0), top + 1):
-                    grow(i + 1, left - b, slack - b + last[i], row + (b,))
-
-            grow(0, boxes, 0 if v else boxes, ())
+            strips, part = [], [(boxes, 0 if v else boxes, ())]  # (left, slack, rows above i)
+            for i in range(h):
+                # row i takes at most the room under row i-1 of lam + adds and the ballot
+                # slack, and at least what is left beyond floor, all the rows below can take
+                if i > h - len(mu) + v:  # first rows fall strictly: later letters can't fit
+                    part = [p for p in part if p[0] < boxes]
+                cap = room[i] + adds[i - 1] - adds[i] if i else boxes
+                floor, gain, above, part = below[i] + adds[i] - adds[-1], last[i], part, []
+                for left, slack, row in above:
+                    for b in range(max(left - floor, 0), min(left, slack, cap) + 1):
+                        if b < left:
+                            part.append((left - b, slack - b + gain, row + (b,)))
+                        else:
+                            strips.append(row + (b,) + zero[i + 1:])
+                if not part:
+                    break
             for row in strips:
                 new = tuple(map(add, adds, row))  # row i's letters <= v against row i-1's < v
                 key = (new, (0,) + tuple(map(max, needs[1:], map(sub, new[1:], adds))),

@@ -131,9 +131,16 @@ def test_exactness_report_puts_zero_on_the_side_that_lacks_a_key(monkeypatch):
     import grwin.characters as characters
     real = euler_character((), 4, 2, 3)
     assert real == pushforward_character((), 4, 2, 3) and real[(1,), (1,)] == 1
-    tampered = {key: v for key, v in real.items() if key != ((1,), (1,))}
-    tampered[(1,), ()] = 1
-    monkeypatch.setattr(characters, "euler_character", lambda *args: tampered)
+    slices = characters._euler_slices
+
+    def tampered(terms, d, r, D, digit, cores):
+        # the fault enters slice 1 on integer keys, where exactness_report compares
+        for N, part in enumerate(slices(terms, d, r, D, digit, cores)):
+            if N == 1:
+                del part[characters._code((1,), digit) + characters._code((1,), digit, d)]
+                part[characters._code((1,), digit)] = 1
+            yield part
+    monkeypatch.setattr(characters, "_euler_slices", tampered)
     assert exactness_report((), 4, 2, 3) == [(((1,), ()), 1, 0), (((1,), (1,)), 0, 1)]
 
 
@@ -285,3 +292,34 @@ def test_euler_character_matches_the_full_cauchy_sum(case):
     delta, d, r, D, terms = case
     assert euler_character(delta, d, r, D, terms=terms) == \
         euler_character_by_cauchy(delta, d, r, D, terms=terms)
+
+
+def full_dict_report(delta, d, r, D, terms):
+    """exactness_report's differences, read off the two whole characters."""
+    euler = euler_character(delta, d, r, D, terms=terms)
+    push = pushforward_character(delta, d, r, D)
+    return sorted((key, euler.get(key, 0), push.get(key, 0)) for key in euler.keys() | push.keys()
+                  if euler.get(key, 0) != push.get(key, 0))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(case=euler_cases())
+def test_slice_compare_matches_the_full_dict_compare(case):
+    # exactness_report compares slice by slice on integer keys; on a changed
+    # staircase it must find exactly the differences of the two whole characters
+    import grwin.characters as characters
+    delta, d, r, D, terms = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(characters, "resolution_terms", lambda *args: terms)
+        assert exactness_report(delta, d, r, D) == full_dict_report(delta, d, r, D, terms)
+
+
+def test_slice_compare_reports_a_translated_key(monkeypatch):
+    # ((2,2),(3,1)) reaches slice 4 only as the (1^2)-translate of a key of
+    # slice 2, and the pushforward of () has no such key
+    import grwin.characters as characters
+    terms = [(0, (1,), 1), (1, (1, 1), 2), (2, (2, 1), 3)]
+    monkeypatch.setattr(characters, "resolution_terms", lambda *args: terms)
+    report = exactness_report((), 3, 2, 4)
+    assert (((2, 2), (3, 1)), 1, 0) in report
+    assert report == full_dict_report((), 3, 2, 4, terms)

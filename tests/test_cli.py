@@ -42,18 +42,26 @@ def test_verify_exactness_exit_zero(capsys):
     assert out == "exact\n"
 
 
+def plant(monkeypatch, extra):
+    """Add extra {(lambda, mu): count} to the pushforward side of
+    exactness_report, in the slice of degree |lambda| on integer keys."""
+    real = characters._pushforward_slices
+
+    def planted(delta, d, r, digit, cores):
+        for N, part in enumerate(real(delta, d, r, digit, cores)):
+            for (lam, mu), n in extra.items():
+                if sum(lam) == N:
+                    key = characters._code(lam, digit) + characters._code(mu, digit, d)
+                    part[key] = part.get(key, 0) + n
+            yield part
+    monkeypatch.setattr(characters, "_pushforward_slices", planted)
+
+
 def test_verify_exactness_exit_one_on_failure(capsys, monkeypatch):
     # one extra pushforward coefficient: text and JSON read the same comparison
-    real = characters.pushforward_character
     key = ((2, 1), (1,))
-    before = real((), 4, 2, 4).get(key, 0)
-
-    def one_more(delta, d, r, D):
-        out = real(delta, d, r, D)
-        out[key] = out.get(key, 0) + 1
-        return out
-
-    monkeypatch.setattr(characters, "pushforward_character", one_more)
+    before = characters.pushforward_character((), 4, 2, 4).get(key, 0)
+    plant(monkeypatch, {key: 1})
     argv = ["verify-exactness", "--d", "4", "--r", "2", "--delta", "", "--degree", "4"]
     assert run(capsys, *argv) == (1, "NOT exact\n", "")
     code, out, _ = run(capsys, *argv, "--json")
@@ -71,17 +79,8 @@ def test_verify_exactness_json_success_is_unchanged(capsys):
 
 
 def test_verify_exactness_failure_report_names_degree_and_terms(capsys, monkeypatch):
-    from grwin import characters
-    real = characters.pushforward_character
-
-    def planted(delta, d, r, D):
-        # the degree-4 key sorts first, so the lowest degree is not the first row
-        out = real(delta, d, r, D)
-        for key in [((1, 1, 1, 1), (1,)), ((2, 1), (1,))]:
-            out[key] = out.get(key, 0) + 5
-        return out
-
-    monkeypatch.setattr(characters, "pushforward_character", planted)
+    # the degree-4 key sorts first, so the lowest degree is not the first row
+    plant(monkeypatch, {((1, 1, 1, 1), (1,)): 5, ((2, 1), (1,)): 5})
     terms = [[k, list(shape), s] for k, shape, s in characters.resolution_terms((1,), 4, 2)]
     for flag in (["--report", "json"], ["--json"]):
         code, out, _ = run(capsys, "verify-exactness", "--d", "4", "--r", "2",
@@ -354,6 +353,13 @@ def test_windows_in_a_tall_box_has_no_recursion_limit(capsys):
     code, out, err = run(capsys, "windows", "1001", "1000", "0")
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 1001
+
+
+@pytest.mark.parametrize("flag, out", [([], "exact\n"), (["--json"], '{"ok":true,"diffs":[]}\n')])
+def test_verify_exactness_in_a_tall_box_has_no_recursion_limit(capsys, flag, out):
+    # the (1^s) filling tables span d = 1100 rows, above the recursion limit
+    argv = ["verify-exactness", "--d", "1100", "--r", "1000", "--delta", "1", "--degree", "2"]
+    assert run(capsys, *argv, *flag) == (0, out, "")
 
 
 def test_bwb_outputs(capsys):

@@ -263,6 +263,14 @@ def test_pieri_filling_table_is_the_row_subsets():
         (((3, 2), 1), ((3, 1, 1), 1), ((2, 2, 1), 1))
 
 
+@pytest.mark.parametrize("lam, h, expected", [((2, 1), 3, (0, 1, 1)), ((2, 1), 2, (0, 1)),
+                                               ((), 2, (0, 0)), ((3, 3, 1), 3, (0, 0, 2))])
+def test_gaps_have_one_entry_per_row(lam, h, expected):
+    # lam padded to h rows: row 0 has no row above it, and the fillings' needs
+    # are compared with exactly these h entries
+    assert gaps(lam, h) == expected
+
+
 COLUMNS = [(1,) * s for s in range(8)]
 
 

@@ -51,23 +51,23 @@ EQUIVALENT = {
         "a permutation has distinct entries",
     ("bundles.py", "if mult <= 0:"): "mult == 0 has already continued",
     ("bundles.py", "if mult < 1:"): "mult == 0 has already continued",
-    ("characters.py", "digit = (D + 2 + max((shape[0] for _, shape, _ in terms if shape), "
+    ("characters.py", "digit = (D + 2 + max((shape[0] for shape in shapes if shape), "
                       "default=0)).bit_length()"):
         "a wider digit still holds every part",
-    ("characters.py", "digit = (D + 1 + max((shape[0] for _, shape, _ in terms if shape), "
+    ("characters.py", "digit = (D + 1 + max((shape[0] for shape in shapes if shape), "
                       "default=1)).bit_length()"):
         "a wider digit still holds every part",
     ("characters.py", "cores: list[list] = [[] for _ in range(D + 2)]"):
         "no core has D + 1 boxes, so the extra bucket stays empty",
-    ("characters.py", "left = [(needs, adds[r - 1], code(adds), (-1) ** k // n) for (needs, adds), "
-                      "n in lr_fillings((1,) * s, d, tuple((int(i <= r) for i in range(d))))"
-                      ".items()]"):
+    ("characters.py", "ones, plans, ahead = (_code((1,) * r, digit), [], "
+                      "[{} for _ in range(D + 2)])"):
+        "copies go only to slices N + r <= D, so the extra slice stays empty",
+    ("characters.py", "left = [(needs, adds[r - 1], _code(adds, digit), (-1) ** k // n) for "
+                      "(needs, adds), n in lr_fillings((1,) * s, d, tuple((int(i <= r) for i in "
+                      "range(d)))).items()]"):
         "a Pieri table counts each filling once, so n = 1",
     ("characters.py", "cap = max((x for needs, *_ in left + right for x in needs), default=1)"):
         "every filling needs 0 at row 0, so the default serves only empty tables",
-    ("characters.py", "return {(lam, mu): c for lam in partitions_in_box(D, r - 1, D) "
-                      "for mu, c in lr_products(table, lam, r + 1)}"):
-        "lr_products maps over the table's r - 1 rows and drops the taller padding",
     ("partitions.py", "padded = gamma + (0,) * (h + len(gamma))"):
         "only the first h entries are read",
     ("partitions.py", "return canonical((x - 1 for x in delta if x > 1))"):
@@ -82,12 +82,13 @@ EQUIVALENT = {
         "test_characters.py + test_schur.py from 2.45 s to 3.35 s)",
     ("schur.py", "deleted: if size(lam) + size(mu) != size(nu) or not contains(nu, lam):"):
         "the same fast path, deleted",
-    ("schur.py", "deleted: if left == boxes and i > h - len(mu) + v:"):
-        "a prune: the ballot and room bounds below refuse the same rows later",
-    ("schur.py", "if left == boxes and i > h + len(mu) + v:"):
+    ("schur.py", "if i > h + len(mu) + v:"):
         "the prune weakened: the ballot and room bounds below refuse the same rows later",
-    ("schur.py", "return (1,) + tuple(map(sub, rows, rows[1:]))"):
-        "every filling needs 0 at row 0, so row 0's gap never binds",
+    ("schur.py", "part = [p for p in part if p[0] <= boxes]"):
+        "the prune dropped: the ballot and room bounds below refuse the same rows later",
+    ("schur.py", "floor, gain, above, part = (below[i] + adds[i] + adds[-1], last[i], part, [])"):
+        "the floor lowered: a strip that leaves boxes the rows below cannot take never "
+        "ends, and is dropped after row h - 1",
     ("schur.py", "rows, room = (lam + (0,) * (h + len(lam)), gaps(lam, h))"):
         "map(add) stops at the table's h rows",
     ("schur.py", "if (len(lam), size(lam)) <= (len(mu), size(mu)):"):
