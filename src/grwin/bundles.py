@@ -49,11 +49,6 @@ class BundleLabel(namedtuple("BundleLabel",
         return cls(*fields)
 
 
-def is_zero_schur(schur: tuple[int, ...], taut_rank: int) -> bool:
-    """A Schur power of a rank-n bundle vanishes above height n."""
-    return height(schur) > taut_rank
-
-
 def normalize(schur: Iterable[int], det_twist: int, taut_rank: int,
               side: str = "S", v_shape: Iterable[int] = (),
               bracket_twist: int = 0) -> BundleLabel:
@@ -64,7 +59,7 @@ def normalize(schur: Iterable[int], det_twist: int, taut_rank: int,
     """
     schur = canonical(schur)
     v_shape = canonical(v_shape)
-    if is_zero_schur(schur, taut_rank):
+    if height(schur) > taut_rank:  # a Schur power vanishes above the rank
         raise ValueError(
             f"S^{schur} of a rank-{taut_rank} bundle is zero; drop the term")
     if taut_rank == 0:

@@ -19,9 +19,14 @@ from .schur import fits, gaps, lr_coefficient, lr_fillings
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _check_degree(D: int) -> None:
+def _checked(delta: tuple[int, ...], d: int, r: int, D: int, top: int | None) -> tuple[int, ...]:
+    delta = canonical(delta)  # the library's one order: diagram, box, degree, height
+    check_box(d, r)
     if D < 0:
         raise ValueError("truncation degree must be >= 0")
+    if top is not None and height(delta) > top:
+        raise ValueError(f"height({delta}) must be <= {top}")
+    return delta
 
 
 def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
@@ -43,13 +48,12 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
     left fillings times the fitting right ones merged by offset (a strip is its
     rows, so offsets are distinct).  A terms override supports tamper tests.
     """
-    check_box(d, r)
+    delta = _checked(delta, d, r, D, None)
     terms = (resolution_terms(delta, d, r) if terms is None
              else [(k, canonical(shape), s) for k, shape, s in terms])
     for k, _, s in terms:
         if not (isinstance(k, int) and isinstance(s, int) and s >= 0):
             raise ValueError(f"override term needs int k, s >= 0: got {k!r}, {s!r}")
-    _check_degree(D)
     digit, cores = _cores(d, r, D, [shape for _, shape, _ in terms])
     return {_decode(key, digit, d, r): v for part in _euler_slices(terms, d, r, D, digit, cores)
             for key, v in part.items() if v}
@@ -126,15 +130,6 @@ def pushforward_character(delta: tuple[int, ...], d: int, r: int, D: int) -> dic
             for key, v in part.items()}
 
 
-def _checked(delta: tuple[int, ...], d: int, r: int, D: int, top: int | None) -> tuple[int, ...]:
-    delta = canonical(delta)
-    check_box(d, r)
-    _check_degree(D)
-    if top is not None and height(delta) > top:
-        raise ValueError(f"height({delta}) must be <= {top}")
-    return delta
-
-
 def _pushforward_slices(delta: tuple[int, ...], d: int, r: int, digit: int,
                         cores: list[list]) -> Iterator[dict[int, int]]:
     # slice N: delta's table in r - 1 rows on each core of size N, added on beta's side
@@ -158,10 +153,9 @@ def verify_exactness(delta: tuple[int, ...], d: int, r: int, D: int) -> bool:
 def exactness_report(delta: tuple[int, ...], d: int, r: int, D: int) -> list[tuple[Key, int, int]]:
     """The coefficients where the two characters differ, as (key, euler,
     pushforward) sorted by key: empty iff the resolution is exact."""
-    check_box(d, r)
-    terms = resolution_terms(delta, d, r)  # its staircase refuses a seed of height >= r
     delta = _checked(delta, d, r, D, None)
-    (digit, cores), diffs = _cores(d, r, D, [delta] + [shape for _, shape, _ in terms]), []
+    terms = resolution_terms(delta, d, r)  # (0, delta, 0) first; refuses a height >= r
+    (digit, cores), diffs = _cores(d, r, D, [shape for _, shape, _ in terms]), []
     for euler, push in zip(_euler_slices(terms, d, r, D, digit, cores),
                            _pushforward_slices(delta, d, r, digit, cores)):
         diffs += [(key, v, push.get(key, 0)) for key, v in euler.items() if v != push.get(key, 0)]

@@ -14,7 +14,7 @@ sight (det V trivialized).
 
 from __future__ import annotations
 
-from .bundles import GradedComplex, from_nondual, is_zero_schur, normalize
+from .bundles import GradedComplex, from_nondual, normalize
 from .partitions import (
     canonical,
     check_box,
@@ -109,11 +109,11 @@ def pushdown_pi(gamma: tuple[int, ...], d: int, r: int,
         raise ValueError(f"width({gamma}) > {d - r + 1} is outside the pushforward rules")
     rank_h = r - 1
     items = []
-    if not is_zero_schur(gamma, rank_h):
+    if height(gamma) <= rank_h:  # S^gamma H vanishes above H's rank
         items.append((0, from_nondual(gamma, rank_h, side="H"), 1))
     if locus == "open" and width(gamma) == d - r + 1:
         tail = strip(gamma, "first-row")
-        if not is_zero_schur(tail, rank_h):
+        if height(tail) <= rank_h:
             # S^tail H ⊗ det H^dual, in canonical dual form
             items.append((d - r, from_nondual(tail, rank_h, side="H", extra_twist=1), 1))
     return GradedComplex.from_items(items)

@@ -9,10 +9,10 @@ h - len(mu) + v; Fulton, Young Tableaux, §5), and row i fits under lam iff the
 gap lam_{i-1} - lam_i is at least its need, max_v (sum_{u<=v} b[i][u] -
 sum_{u<v} b[i-1][u]).  Neither depends on lam, so one table {(needs, adds):
 count} serves every lam: s_lam * s_mu sums s_{lam+adds} over the entries
-whose needs fit lam's gaps.  Grown under a room, a bound on the gaps of one
-lam or of many, the table keeps exactly the entries that fit it.  For mu =
-(1^s) the fillings are the s-subsets of rows; row i needs 1 where it gains a
-box and row i-1 does not.  An LR coefficient is read off a product.
+whose needs fit lam's gaps.  Grown under a room, any bound on gaps, the table
+keeps exactly the entries that fit it, so a product grown under lam's gaps
+sums them all.  For mu = (1^s) (the s-subsets of rows) row i needs 1 where it
+gains a box and row i-1 does not.  An LR coefficient is read off a product.
 """
 
 from __future__ import annotations
@@ -83,19 +83,6 @@ def fits(needs: tuple[int, ...], room: tuple[int, ...]) -> bool:
     return all(map(le, needs, room))
 
 
-def lr_products(table: dict, lam: tuple[int, ...],
-                h: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """s_lam * s_mu as (nu, c) items, lexicographically descending, from the
-    filling table of mu in h >= height(lam) rows."""
-    rows, room = lam + (0,) * (h - len(lam)), gaps(lam, h)
-    out: dict[tuple[int, ...], int] = {}
-    for (needs, adds), count in table.items():
-        if fits(needs, room):
-            nu = tuple(x for x in map(add, rows, adds) if x)
-            out[nu] = out.get(nu, 0) + count
-    return tuple(sorted(out.items(), reverse=True))
-
-
 @cache
 def _schur_product_items(lam: tuple[int, ...], mu: tuple[int, ...],
                          max_height: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -104,7 +91,11 @@ def _schur_product_items(lam: tuple[int, ...], mu: tuple[int, ...],
     if (len(lam), size(lam)) < (len(mu), size(mu)):
         lam, mu = mu, lam  # c^nu_{lam mu} = c^nu_{mu lam}: fewer letters to place
     h = min(max_height, len(lam) + len(mu))  # no product reaches further down
-    return lr_products(lr_fillings(mu, h, gaps(lam, h)), lam, h)
+    rows, out = lam + (0,) * (h - len(lam)), {}
+    for (_, adds), count in lr_fillings(mu, h, gaps(lam, h)).items():  # all fit lam
+        nu = tuple(x for x in map(add, rows, adds) if x)
+        out[nu] = out.get(nu, 0) + count
+    return tuple(sorted(out.items(), reverse=True))
 
 
 def schur_product(lam: tuple[int, ...], mu: tuple[int, ...],

@@ -1,13 +1,13 @@
 """Contracts that span modules: the package exports, the (d, r) validation
-every public entry point shares, the truncation degree of the character
-entry points, the partition bounds and Euler-character overrides they pass
-on, the inputs that only an entry point's own check refuses, the shapes
-the cached Schur helpers accept, a cold import that leaves
-`dataclasses`, `inspect`, `fractions` and `decimal` unloaded, and source
-scans that keep `assert` and `dataclasses` out of the library, text and
-JSON syntax out of every module but the CLI, recursion out of the
-partition walks, caches out of the K-matrix engine and the character
-oracle, and classes out of the Bott module."""
+every public entry point shares and its place after the diagram's, the
+truncation degree of the character entry points, the partition bounds and
+Euler-character overrides they pass on, the inputs that only an entry
+point's own check refuses, the shapes the cached Schur helpers accept, a
+cold import that leaves `dataclasses`, `inspect`, `fractions` and
+`decimal` unloaded, and source scans that keep `assert` and `dataclasses`
+out of the library, text and JSON syntax out of every module but the CLI,
+recursion out of the partition walks, caches out of the K-matrix engine
+and the character oracle, and classes out of the Bott module."""
 
 import ast
 import os
@@ -26,31 +26,38 @@ from grwin.partitions import partitions_in_box, staircase
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "grwin"
 
-# entry point -> call with (d, r); every entry point checks (d, r) before
-# its diagram, so the error names the rank whatever the diagram
+# entry point -> call with (d, r), and with a diagram where it takes one;
+# every entry point checks its diagram, then (d, r): a bad rank is named
+# whenever the diagram is well formed, a malformed diagram whatever the rank
 NEEDS_R_AT_MOST_D = {
     "gamma_set": lambda d, r: windows.gamma_set(d, r),
-    "theorem_resolution": lambda d, r: resolutions.theorem_resolution((), d, r),
-    "jshriek_jlower": lambda d, r: resolutions.jshriek_jlower((), d, r),
-    "pushdown_pi": lambda d, r: resolutions.pushdown_pi((), d, r),
-    "resolution_terms": lambda d, r: characters.resolution_terms((), d, r),
-    "euler_character": lambda d, r: characters.euler_character((), d, r, 2),
-    "pushforward_character": lambda d, r: characters.pushforward_character((), d, r, 2),
-    "verify_exactness": lambda d, r: characters.verify_exactness((), d, r, 2),
-    "hom_self": lambda d, r: characters.hom_invariant_dimension("self", (), d, r, 2),
-    "hom_tautological": lambda d, r: characters.hom_invariant_dimension(
-        "tautological", (), d, r, 2),
-    "hom_eta": lambda d, r: characters.hom_invariant_dimension("eta", (1,), d, r, 2),
+    "theorem_resolution": lambda d, r, delta=(): resolutions.theorem_resolution(delta, d, r),
+    "jshriek_jlower": lambda d, r, delta=(): resolutions.jshriek_jlower(delta, d, r),
+    "pushdown_pi": lambda d, r, delta=(): resolutions.pushdown_pi(delta, d, r),
+    "resolution_terms": lambda d, r, delta=(): characters.resolution_terms(delta, d, r),
+    "euler_character": lambda d, r, delta=(): characters.euler_character(delta, d, r, 2),
+    "euler_character_override": lambda d, r, delta=(): characters.euler_character(
+        delta, d, r, 2, terms=[(0, (), 0)]),
+    "pushforward_character": lambda d, r, delta=(): characters.pushforward_character(
+        delta, d, r, 2),
+    "verify_exactness": lambda d, r, delta=(): characters.verify_exactness(delta, d, r, 2),
+    "hom_self": lambda d, r, delta=(): characters.hom_invariant_dimension(
+        "self", delta, d, r, 2),
+    "hom_tautological": lambda d, r, delta=(): characters.hom_invariant_dimension(
+        "tautological", delta, d, r, 2),
+    "hom_eta": lambda d, r, delta=(1,): characters.hom_invariant_dimension(
+        "eta", delta, d, r, 2),
 }
 NEEDS_R_BELOW_D = {
     "window_generators": lambda d, r: windows.window_generators(d, r, 0),
-    "unstable_resolution_twisted": lambda d, r: resolutions.unstable_resolution_twisted(
-        (2,), d, r),
-    "twist_on_generator": lambda d, r: autoequiv.twist_on_generator((), d, r),
-    "cotwist_on_generator": lambda d, r: autoequiv.cotwist_on_generator((), d, r),
+    "unstable_resolution_twisted": lambda d, r, delta=(2,):
+        resolutions.unstable_resolution_twisted(delta, d, r),
+    "twist_on_generator": lambda d, r, delta=(): autoequiv.twist_on_generator(delta, d, r),
+    "cotwist_on_generator": lambda d, r, delta=(): autoequiv.cotwist_on_generator(delta, d, r),
     "k_matrix": lambda d, r: autoequiv.k_matrix("identity", d, r),
     "o1_matrix": lambda d, r: autoequiv.o1_matrix(d, r),
 }
+TAKES_NO_DIAGRAM = {"gamma_set", "window_generators", "k_matrix", "o1_matrix"}
 
 
 @pytest.mark.parametrize("name", sorted(NEEDS_R_AT_MOST_D) + sorted(NEEDS_R_BELOW_D))
@@ -66,6 +73,15 @@ def test_entry_points_reject_r_equal_d_where_r_below_d(name):
     with pytest.raises(ValueError, match=r"need 0 < r < d"):
         NEEDS_R_BELOW_D[name](3, 3)
     NEEDS_R_BELOW_D[name](3, 1)  # the same call with a proper rank succeeds
+
+
+@pytest.mark.parametrize(
+    "name", sorted(set(NEEDS_R_AT_MOST_D) - TAKES_NO_DIAGRAM)
+    + sorted(set(NEEDS_R_BELOW_D) - TAKES_NO_DIAGRAM))
+def test_entry_points_check_the_diagram_before_the_rank(name):
+    call = {**NEEDS_R_AT_MOST_D, **NEEDS_R_BELOW_D}[name]
+    with pytest.raises(ValueError, match=r"^row lengths must be non-increasing"):
+        call(3, 0, (1, 2))
 
 
 def test_entry_points_accept_r_equal_d_where_allowed():

@@ -1,4 +1,5 @@
 import random
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,8 +15,8 @@ from oracles import (
 )
 
 from grwin.partitions import canonical, height, size, width
-from grwin.schur import (fits, gaps, lr_coefficient, lr_fillings, lr_products,
-                         schur_dimension, schur_product)
+from grwin.schur import (fits, gaps, lr_coefficient, lr_fillings, schur_dimension,
+                         schur_product)
 
 
 def test_lr_single_skew_box():
@@ -259,8 +260,8 @@ def test_pieri_filling_table_is_the_row_subsets():
     assert lr_fillings((1, 1), 3) == {((0, 0, 0), (1, 1, 0)): 1,
                                       ((0, 0, 1), (1, 0, 1)): 1,
                                       ((0, 1, 0), (0, 1, 1)): 1}
-    assert lr_products(lr_fillings((1, 1), 3), (2, 1), 3) == \
-        (((3, 2), 1), ((3, 1, 1), 1), ((2, 2, 1), 1))
+    assert list(schur_product((2, 1), (1, 1), 3).items()) == \
+        [((3, 2), 1), ((3, 1, 1), 1), ((2, 2, 1), 1)]
 
 
 @pytest.mark.parametrize("lam, h, expected", [((2, 1), 3, (0, 1, 1)), ((2, 1), 2, (0, 1)),
@@ -292,14 +293,19 @@ def filling_cases(draw):
 @example(case=((1, 1, 1), (3, 3, 3), 3))
 @example(case=((3, 1, 1, 1), (1, 1), 4))
 def test_filling_table_applies_like_the_candidate_loop(case):
-    # the table of mu serves every lam; restricted to lam's gaps it gives the
-    # same products, each as a dict and in lexicographically descending order
+    # the table of mu serves every lam: grown without a room and read off
+    # through fits, as the Euler stencils apply it, or grown under lam's gaps,
+    # as schur_product grows it, it gives the same products, each once and in
+    # lexicographically descending order
     mu, lam, h = case
     expected = schur_product_by_candidates(lam, mu, h)
-    for table in (lr_fillings(mu, h), lr_fillings(mu, h, gaps(lam, h))):
-        got = lr_products(table, lam, h)
-        assert dict(got) == dict(expected)
-        assert list(got) == expected
+    rows, read = lam + (0,) * (h - len(lam)), {}
+    for (needs, adds), count in lr_fillings(mu, h).items():
+        if fits(needs, gaps(lam, h)):
+            nu = canonical(map(add, rows, adds))
+            read[nu] = read.get(nu, 0) + count
+    assert sorted(read.items(), reverse=True) == expected
+    assert list(schur_product(lam, mu, h).items()) == expected
 
 
 @pytest.mark.parametrize("h", range(1, 7))

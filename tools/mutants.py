@@ -89,7 +89,7 @@ EQUIVALENT = {
     ("schur.py", "floor, gain, above, part = (below[i] + adds[i] + adds[-1], last[i], part, [])"):
         "the floor lowered: a strip that leaves boxes the rows below cannot take never "
         "ends, and is dropped after row h - 1",
-    ("schur.py", "rows, room = (lam + (0,) * (h + len(lam)), gaps(lam, h))"):
+    ("schur.py", "rows, out = (lam + (0,) * (h + len(lam)), {})"):
         "map(add) stops at the table's h rows",
     ("schur.py", "if (len(lam), size(lam)) <= (len(mu), size(mu)):"):
         "c^nu_{lam mu} = c^nu_{mu lam}: an equal pair may go either way",
