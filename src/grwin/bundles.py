@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 
-from .partitions import canonical, complement, height, width
+from .partitions import canonical, complement, width
 from .schur import schur_dimension
 
 
@@ -34,7 +34,7 @@ class BundleLabel(namedtuple("BundleLabel",
             raise ValueError(f"side must be 'S' or 'H', got {side!r}")
         if taut_rank < 0:
             raise ValueError("taut_rank must be non-negative")
-        if taut_rank and height(schur) >= taut_rank:
+        if taut_rank and len(schur) >= taut_rank:
             raise ValueError(
                 f"label not canonical: height({schur}) >= rank {taut_rank}")
         if taut_rank == 0 and (schur or det_twist):
@@ -59,15 +59,14 @@ def normalize(schur: Iterable[int], det_twist: int, taut_rank: int,
     """
     schur = canonical(schur)
     v_shape = canonical(v_shape)
-    if height(schur) > taut_rank:  # a Schur power vanishes above the rank
+    if len(schur) > taut_rank:  # a Schur power vanishes above the rank
         raise ValueError(
             f"S^{schur} of a rank-{taut_rank} bundle is zero; drop the term")
     if taut_rank == 0:
         return BundleLabel((), 0, 0, side, v_shape, bracket_twist)
-    if height(schur) == taut_rank:
-        c = schur[taut_rank - 1]
-        schur = canonical(x - c for x in schur)
-        det_twist += c
+    if len(schur) == taut_rank:  # the last row counts the full columns
+        c = schur[-1]
+        schur, det_twist = tuple(x - c for x in schur if x > c), det_twist + c
     return BundleLabel(schur, taut_rank, det_twist, side, v_shape, bracket_twist)
 
 
@@ -101,7 +100,7 @@ class GradedComplex(namedtuple("GradedComplex", "terms", defaults=((),))):
 
     @staticmethod
     def from_items(items: Iterable[tuple[int, BundleLabel, int]]) -> "GradedComplex":
-        by_degree: dict[int, Counter] = {}
+        by_degree: dict[int, dict[BundleLabel, int]] = {}
         ranks = set()
         for degree, label, mult in items:
             if mult == 0:
@@ -109,7 +108,8 @@ class GradedComplex(namedtuple("GradedComplex", "terms", defaults=((),))):
             if mult < 0:
                 raise ValueError("multiplicities are positive")
             ranks.add((label.side, label.taut_rank))
-            by_degree.setdefault(degree, Counter())[label] += mult
+            counts = by_degree.setdefault(degree, {})
+            counts[label] = counts.get(label, 0) + mult
         if len({r for _, r in ranks}) > 1:
             raise ValueError(f"labels mix tautological ranks: {sorted(ranks)}")
         packed = tuple(

@@ -7,22 +7,27 @@ zeros trimmed).  All functions treat them as immutable values.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import ge
 
 
 def canonical(rows: Iterable[int]) -> tuple[int, ...]:
     """Validate and canonicalize a row-length sequence.
 
-    Raises ValueError if rows are negative or increase.
+    Raises ValueError on a row that is not an integer, is negative or increases.
     """
-    rows = tuple(int(x) for x in rows)
-    for i, x in enumerate(rows):
-        if x < 0:
-            raise ValueError(f"negative row length in {rows}")
-        if i > 0 and rows[i - 1] < x:
-            raise ValueError(f"row lengths must be non-increasing: {rows}")
-    while rows and rows[-1] == 0:
-        rows = rows[:-1]
-    return rows
+    rows = tuple(rows)
+    if type(sum(rows)) is not int:  # a float, Fraction or NumPy row: convert if integral
+        given, rows = rows, tuple(map(int, rows))
+        if rows != given:
+            bad = next(x for x, n in zip(given, rows) if x != n)
+            raise ValueError(f"row length {bad!r} is not an integer")
+    if not all(map(ge, rows, rows[1:] + (0,))):  # each row >= the next, the last >= 0
+        for i, x in enumerate(rows):
+            if x < 0:
+                raise ValueError(f"negative row length in {rows}")
+            if i and rows[i - 1] < x:
+                raise ValueError(f"row lengths must be non-increasing: {rows}")
+    return rows[:len(rows) - rows.count(0)]
 
 
 def height(p: tuple[int, ...]) -> int:

@@ -305,6 +305,19 @@ def hom_dimension_by_enumeration(case, delta, d, r, D):
     raise ValueError(f"unknown case {case!r}")
 
 
+def canonical_by_rows(rows):
+    """Row-by-row partition check: at each row, negative before increasing."""
+    rows = tuple(int(x) for x in rows)
+    for i, x in enumerate(rows):
+        if x < 0:
+            raise ValueError(f"negative row length in {rows}")
+        if i > 0 and rows[i - 1] < x:
+            raise ValueError(f"row lengths must be non-increasing: {rows}")
+    while rows and rows[-1] == 0:
+        rows = rows[:-1]
+    return rows
+
+
 def staircase_closed_form(seed, r, k):
     """Independent closed form for delta_k of the staircase: insert k below
     the rows taller than column k and add one box to every deeper row."""

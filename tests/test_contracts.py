@@ -22,7 +22,7 @@ import pytest
 import grwin
 from grwin import autoequiv, bott, characters, resolutions, schur, windows
 from grwin.bundles import GradedComplex, normalize
-from grwin.partitions import partitions_in_box, staircase
+from grwin.partitions import canonical, partitions_in_box, staircase
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "grwin"
 
@@ -229,6 +229,31 @@ def test_entry_points_refuse_what_only_their_own_check_catches(name):
     call, message = REFUSED_ONLY_BY_THEIR_OWN_CHECK[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# a row that is not an integer used to be truncated: (2.5, 1) read as (2, 1);
+# integrality is checked before the row order
+NON_INTEGRAL = {
+    "canonical": (lambda: canonical((2.5, 1)), "2.5"),
+    "canonical_negative": (lambda: canonical((3, -1.5)), "-1.5"),
+    "canonical_after_a_negative_row": (lambda: canonical((-1, 2.5)), "2.5"),
+    "normalize": (lambda: normalize((2, 1.25), 0, 3), "1.25"),
+    "normalize_v_shape": (lambda: normalize((), 0, 3, v_shape=(0.5,)), "0.5"),
+    "twist_on_generator": (lambda: autoequiv.twist_on_generator((1.9,), 3, 1), "1.9"),
+    "schur_dimension": (lambda: schur.schur_dimension((2.7,), 3), "2.7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGRAL))
+def test_entry_points_reject_non_integral_rows(name):
+    call, row = NON_INTEGRAL[name]
+    with pytest.raises(ValueError, match=rf"^row length {re.escape(row)} is not an integer$"):
+        call()
+
+
+def test_integral_rows_of_any_number_type_are_accepted():
+    rows = canonical((2.0, Fraction(1), True, 0.0))
+    assert rows == (2, 1, 1) and all(type(x) is int for x in rows)
 
 
 @pytest.mark.parametrize("bounds", [(-1, 2), (2, -1), (2, 2, -3), (-3, -3)])

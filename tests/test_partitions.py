@@ -4,7 +4,8 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import add_full_column, conjugate_by_cells, staircase_closed_form
+from oracles import (add_full_column, canonical_by_rows, conjugate_by_cells,
+                     staircase_closed_form)
 
 from grwin.cli import ascii_diagram, format_partition, parse_partition
 from grwin.partitions import (
@@ -28,6 +29,27 @@ def test_canonical_trims_and_validates():
         canonical([1, 2])
     with pytest.raises(ValueError):
         canonical([2, -1])
+
+
+def outcome(fn, rows):
+    try:
+        return fn(rows)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def test_canonical_agrees_with_the_row_by_row_check():
+    # same tuple or same message, the first bad row deciding which message
+    rng = random.Random(29)
+    for _ in range(3000):
+        rows = [rng.randint(-2, 6) for _ in range(rng.randint(0, 40))]
+        shape = rng.randrange(3)
+        if shape == 1:  # non-increasing, negative rows last
+            rows.sort(reverse=True)
+        elif shape == 2:  # valid, with trailing zeros
+            rows = sorted((max(x, 0) for x in rows), reverse=True)
+        given = rng.choice([list, tuple, lambda xs: (x for x in xs)])(rows)
+        assert outcome(canonical, given) == outcome(canonical_by_rows, rows), rows
 
 
 def test_complement_figure_example():

@@ -68,6 +68,8 @@ EQUIVALENT = {
         "a Pieri table counts each filling once, so n = 1",
     ("characters.py", "cap = max((x for needs, *_ in left + right for x in needs), default=1)"):
         "every filling needs 0 at row 0, so the default serves only empty tables",
+    ("partitions.py", "if not all(map(ge, rows, rows[1:] + (1,))):"):
+        "rows ending in 0 take the row loop, which passes them, and the zeros are trimmed",
     ("partitions.py", "padded = gamma + (0,) * (h + len(gamma))"):
         "only the first h entries are read",
     ("partitions.py", "return canonical((x - 1 for x in delta if x > 1))"):
