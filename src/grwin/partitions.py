@@ -42,13 +42,6 @@ def size(p: tuple[int, ...]) -> int:
     return sum(p)
 
 
-def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
-    """True if inner fits inside outer row by row."""
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
-
-
 def conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
     # the columns p[i] <= j < p[i-1] are exactly i rows tall (p[len(p)] = 0)
     out: tuple[int, ...] = ()

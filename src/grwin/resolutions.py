@@ -18,7 +18,6 @@ from .bundles import GradedComplex, from_nondual, normalize
 from .partitions import (
     canonical,
     check_box,
-    complement,
     height,
     resolution_terms,
     strip,
@@ -78,16 +77,14 @@ def unstable_resolution_twisted(delta_target: tuple[int, ...], d: int,
 def jshriek_jlower(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:
     """Shriek-pullback of the pushforward, on the correspondence stack.
 
-    Terms: the non-dual Schur power of the complement diagram eps_k,
-    bracket-twisted by d-r, with wedge^{s_k}V, in degree K-k for k = 0..K.
+    Terms: S^{eps_k} of the non-dual bundle, eps_k = complement(delta_k, K, r),
+    bracket-twisted by d-r, with wedge^{s_k}V, in degree K-k for k = 0..K.  Each
+    is S^{delta_k} of the dual twisted by O(-K), and is labeled as that.
     """
     K = d - r + 1
-    items = []
-    for k, dk, sk in resolution_terms(delta, d, r):
-        eps = complement(dk, d - r + 1, r)
-        items.append((K - k, from_nondual(eps, r, bracket_twist=d - r,
-                                          v_shape=_wedge(sk, d)), 1))
-    return GradedComplex.from_items(items)
+    return GradedComplex.from_items(
+        [(K - k, normalize(dk, -K, r, v_shape=_wedge(sk, d), bracket_twist=d - r), 1)
+         for k, dk, sk in resolution_terms(delta, d, r)])
 
 
 def pushdown_pi(gamma: tuple[int, ...], d: int, r: int,

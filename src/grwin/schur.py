@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cache
 from operator import add, le, sub
 
-from .partitions import canonical, conjugate, contains, height, size
+from .partitions import canonical, conjugate, height, size
 
 
 @cache
@@ -28,8 +28,6 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...],
                    nu: tuple[int, ...]) -> int:
     """The coefficient of s_nu in s_lam * s_mu."""
     lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
-    if size(lam) + size(mu) != size(nu) or not contains(nu, lam):
-        return 0
     return dict(_schur_product_items(lam, mu, height(nu))).get(nu, 0)
 
 
@@ -39,29 +37,25 @@ def lr_fillings(mu: tuple[int, ...], h: int, room: tuple[int, ...] | None = None
     letter, as {(needs, adds): count}: adds[i] boxes go into row i, which
     needs a gap of needs[i] above it (needs[0] = 0).  Given room, any
     componentwise bound on gaps, exactly the fillings whose needs fit it grow."""
-    room = room or (size(mu),) * h  # gaps of |mu| never bind
-    zero, below = (0,) * h, [sum(room[i + 1:]) for i in range(h)]
+    room, zero = room or (size(mu),) * h, (0,) * h  # gaps of |mu| never bind
     # (boxes per row so far, needs so far, the last letter's boxes per row) -> fillings
     level = {(zero, zero, zero): 1}
     for v, boxes in enumerate(mu):
         grown: dict = {}
         for (adds, needs, last), count in level.items():
             strips, part = [], [(boxes, 0 if v else boxes, ())]  # (left, slack, rows above i)
-            for i in range(h):
-                # row i takes at most the room under row i-1 of lam + adds and the ballot
-                # slack, and at least what is left beyond floor, all the rows below can take
+            for i in range(h):  # a strip with boxes left after row h - 1 is dropped
+                # row i takes at most the room under row i-1 of lam + adds and the ballot slack
                 if i > h - len(mu) + v:  # first rows fall strictly: later letters can't fit
                     part = [p for p in part if p[0] < boxes]
                 cap = room[i] + adds[i - 1] - adds[i] if i else boxes
-                floor, gain, above, part = below[i] + adds[i] - adds[-1], last[i], part, []
+                gain, above, part = last[i], part, []
                 for left, slack, row in above:
-                    for b in range(max(left - floor, 0), min(left, slack, cap) + 1):
+                    for b in range(min(left, slack, cap) + 1):
                         if b < left:
                             part.append((left - b, slack - b + gain, row + (b,)))
                         else:
                             strips.append(row + (b,) + zero[i + 1:])
-                if not part:
-                    break
             for row in strips:
                 new = tuple(map(add, adds, row))  # row i's letters <= v against row i-1's < v
                 key = (new, (0,) + tuple(map(max, needs[1:], map(sub, new[1:], adds))),

@@ -335,6 +335,22 @@ def epsilon_sequence(delta, d, r):
     return [complement(dk, d - r + 1, r) for _, dk, _ in resolution_terms(delta, d, r)]
 
 
+def jshriek_by_epsilon(delta, d, r):
+    """The correspondence-stack complex as the paper writes it: term k is the
+    non-dual Schur power of eps_k, through the rectangle complement at its
+    own width, bracket-twisted by d-r, with wedge^{s_k}V, in degree K-k."""
+    from grwin.bundles import GradedComplex, from_nondual
+    from grwin.partitions import complement, resolution_terms
+    from grwin.resolutions import _wedge
+    K = d - r + 1
+    items = []
+    for k, dk, sk in resolution_terms(delta, d, r):
+        eps = complement(dk, K, r)
+        items.append((K - k, from_nondual(eps, r, bracket_twist=d - r,
+                                          v_shape=_wedge(sk, d)), 1))
+    return GradedComplex.from_items(items)
+
+
 def add_full_column(delta, r):
     """Add one column of height r on the left (each of the first r rows +1)."""
     from grwin.partitions import canonical, height

@@ -1,6 +1,7 @@
 """The mutation sweep's generator, `tools/mutants.py`: every mutant it makes
 of a library module compiles and differs from the module, and every entry of
-its EQUIVALENT list names a mutant it makes.  The sweep itself runs by hand."""
+its EQUIVALENT list names a mutant it makes.  The sweep itself runs in CI on
+one module and by hand on the rest."""
 
 import ast
 import importlib.util

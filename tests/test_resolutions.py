@@ -1,6 +1,12 @@
 import pytest
 
-from oracles import epsilon_sequence, gamma_split, pushdown_pi_bruteforce, relabel_to_x
+from oracles import (
+    epsilon_sequence,
+    gamma_split,
+    jshriek_by_epsilon,
+    pushdown_pi_bruteforce,
+    relabel_to_x,
+)
 
 from grwin.bundles import BundleLabel, GradedComplex
 from grwin.partitions import height, partitions_in_box, strip, width
@@ -126,6 +132,19 @@ def test_jshriek_4_3_terms():
         (1, label((1,), 3, -1, v=(1, 1), bracket=1), 1),
         (2, label((2,), 3, -2, bracket=1), 1),
     )
+
+
+def test_jshriek_matches_the_epsilon_form_on_every_seed():
+    # the labels come from delta_k directly; the paper's route complements
+    # delta_k in the K x r box and takes that non-dual Schur power
+    seeds = 0
+    for d in range(1, 9):
+        for r in range(1, d + 1):
+            for delta in partitions_in_box(d - r + 1, r - 1):
+                got, expected = jshriek_jlower(delta, d, r), jshriek_by_epsilon(delta, d, r)
+                assert repr(got) == repr(expected), (d, r, delta)
+                seeds += 1
+    assert seeds == 502
 
 
 def test_jshriek_guards():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from operator import add
 
 import pytest
@@ -336,3 +337,20 @@ def test_filling_table_under_a_room_keeps_exactly_the_fillings_that_fit(mu, rows
     room = tuple(rows[:h])
     assert lr_fillings(mu, h, room) == \
         {k: c for k, c in lr_fillings(mu, h).items() if fits(k[0], room)}
+
+
+@pytest.mark.parametrize("h, r", [(7, 3), (13, 1), (13, 6), (40, 2), (40, 20)])
+def test_tall_pieri_tables_are_the_row_subsets_that_fit(h, r):
+    # the (1^s) tables the Euler character grows in h rows under the room
+    # (1, ..., 1, 0, ...) of r + 1 ones: below row r a box needs the row above
+    # it filled, so strips whose boxes cannot all land run to row h - 1 and drop
+    room = tuple(int(i <= r) for i in range(h))
+    for s in range(5):
+        expected = {}
+        for rows in combinations(range(h), s):
+            # row i needs a gap of 1 where it gains a box and row i - 1 does not,
+            # and room[i] is 1 exactly for i <= r
+            if all(i <= r or i - 1 in rows for i in rows):
+                adds = tuple(int(i in rows) for i in range(h))
+                expected[(0,) + tuple(int(a > b) for a, b in zip(adds[1:], adds)), adds] = 1
+        assert lr_fillings((1,) * s, h, room) == expected, s

@@ -79,18 +79,10 @@ EQUIVALENT = {
     ("resolutions.py", "deleted: if s_top != d:"):
         "an invariant check: the staircase always ends at s_K = d for a stripped "
         "full-width seed, so no input reaches the raise",
-    ("schur.py", "if size(lam) + size(mu) != size(nu) and (not contains(nu, lam)):"):
-        "a fast path: the product read-off gives the same 0 (dropping it slows "
-        "test_characters.py + test_schur.py from 2.45 s to 3.35 s)",
-    ("schur.py", "deleted: if size(lam) + size(mu) != size(nu) or not contains(nu, lam):"):
-        "the same fast path, deleted",
     ("schur.py", "if i > h + len(mu) + v:"):
         "the prune weakened: the ballot and room bounds below refuse the same rows later",
     ("schur.py", "part = [p for p in part if p[0] <= boxes]"):
         "the prune dropped: the ballot and room bounds below refuse the same rows later",
-    ("schur.py", "floor, gain, above, part = (below[i] + adds[i] + adds[-1], last[i], part, [])"):
-        "the floor lowered: a strip that leaves boxes the rows below cannot take never "
-        "ends, and is dropped after row h - 1",
     ("schur.py", "rows, out = (lam + (0,) * (h + len(lam)), {})"):
         "map(add) stops at the table's h rows",
     ("schur.py", "if (len(lam), size(lam)) <= (len(mu), size(mu)):"):
