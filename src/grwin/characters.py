@@ -11,6 +11,7 @@ differences; invariant Hom-space dimensions take closed forms.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import combinations
 
 from .partitions import (canonical, check_box, complement, height, partitions_in_box,
                          resolution_terms, width)
@@ -41,12 +42,12 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
     Only lam = core + (m^r), height(core) < r, m <= 1 are summed: slice N takes each
     term with s <= N, each m and the cores of size N - s - m r, then copies its
     nonzero keys with alpha_r >= 1 into slice N + r as key + step, step coding (1^r)
-    on both sides.  Each term with s <= D builds two filling tables per call, (1^s)
-    in d rows under the room every such lam leaves a vertical strip (1 down to row
-    r, 0 below) and its shape less its c full columns in r rows, and a stencil per m
-    for each class of cores whose gaps agree up to the largest need: the fitting
-    left fillings times the fitting right ones merged by offset (a strip is its
-    rows, so offsets are distinct).  A terms override supports tamper tests.
+    on both sides.  Each term with s <= D builds two tables per call: by Pieri's rule
+    its vertical s-strips in d rows that fit every such lam (gap 1 down to row r, m
+    at r, 0 below), m folded into their needs and offsets, and the LR fillings of its
+    shape less its c full columns in r rows.  Cores of a size fall into classes whose
+    gaps agree up to the term's largest need, each with one stencil per m: the fitting
+    left strips times the fitting right fillings.  A terms override supports tamper tests.
     """
     delta = _checked(delta, d, r, D, None)
     terms = (resolution_terms(delta, d, r) if terms is None
@@ -65,8 +66,7 @@ def _cores(d: int, r: int, D: int, shapes: list[tuple[int, ...]]) -> tuple[int, 
     digit = (D + 1 + max((shape[0] for shape in shapes if shape), default=0)).bit_length()
     cores: list[list] = [[] for _ in range(D + 1)]
     for q in partitions_in_box(D, r - 1, D):
-        p = q + (0,) * (r - len(q))
-        cores[sum(q)].append((p, _code(p, digit) * (1 + (1 << digit * d)), gaps(p, r)))
+        cores[sum(q)].append((_code(q, digit) * (1 + (1 << digit * d)), gaps(q, r)))
     return digit, cores
 
 
@@ -79,46 +79,60 @@ def _decode(key: int, digit: int, d: int, r: int) -> Key:
     return tuple(x for x in rows[:d] if x), tuple(x for x in rows[d:] if x)
 
 
+def _strips(s: int, d: int, r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """lr_fillings((1,) * s, d, room) for the room 1 down to row r, 0 below, by Pieri's rule:
+    vertical s-strips on rows 0..min(r, d - 1), one holding row r running on below it."""
+    subsets = list(combinations(range(min(r + 1, d)), s))
+    for t in range(max(s + r + 1 - d, 1), s):  # t rows up to r, r among them, s - t below
+        subsets += [c + tuple(range(r, r + 1 + s - t)) for c in combinations(range(r), t - 1)]
+    return [((0,) + tuple(int(a > b) for a, b in zip(adds[1:], adds)), adds)
+            for adds in (tuple(int(i in rows) for i in range(d)) for rows in subsets)]
+
+
 def _euler_slices(terms: list, d: int, r: int, D: int, digit: int,
                   cores: list[list]) -> Iterator[dict[int, int]]:
-    ones, plans, ahead = _code((1,) * r, digit), [], [{} for _ in range(D + 1)]
+    ones, plans, ahead, classes = _code((1,) * r, digit), [], [{} for _ in range(D + 1)], {}
     step = ones * (1 + (1 << digit * d))
     for k, shape, s in terms:
         if s > D:
             continue  # every key of the term has ambient degree >= s
         c = shape[-1] if len(shape) == r else 0  # s_shape = (y_1...y_r)^c s_reduced
-        left = [(needs, adds[r - 1], _code(adds, digit), (-1) ** k * n) for (needs, adds), n
-                in lr_fillings((1,) * s, d, tuple(int(i <= r) for i in range(d))).items()]
+        strips = _strips(s, d, r)  # lam = core + (m^r): gap m at row r, 0 below, lam_r = m
+        lefts = [[(needs[:r], _code(adds, digit) + m * step, (-1) ** k) for needs, adds in strips
+                  if sum(needs[r:]) <= m and adds[r - 1] + m < 2] for m in (0, 1)]
         right = [(needs, _code(adds, digit, d) + (c * ones << digit * d), n) for (needs, adds), n
                  in lr_fillings(tuple(x - c for x in shape if x > c), r).items()]
-        cap = max((x for needs, *_ in left + right for x in needs), default=0)
-        plans.append((s, left, right, (cap,) * r, ({}, {})))  # stencils per m, by capped gaps
+        cap = max((x for needs, *_ in lefts[0] + lefts[1] + right for x in needs), default=0)
+        plans.append((s, lefts, right, (cap,) * r, {}))  # stencils by capped gaps, per m
     for N in range(D + 1):
         total, ahead[N] = ahead[N], None
-        for s, left, right, caps, stencils in plans:
+        for s, lefts, right, caps, stencils in plans:
             for m in range((N >= s) + (N >= s + r)):  # lam = core + (m^r), n >= 0
-                for rows, base, room in cores[N - s - m * r]:
-                    if (capped := tuple(map(min, room, caps))) not in stencils[m]:
-                        stencils[m][capped] = _stencil(left, right, rows, m, d, step)
-                    for offset, v in stencils[m][capped]:
-                        total[base + offset] = total.get(base + offset, 0) + v
+                if (caps, n := N - s - m * r) not in classes:  # cores of size n by capped gaps
+                    classes[caps, n] = {}
+                    for base, room in cores[n]:
+                        classes[caps, n].setdefault(tuple(map(min, room, caps)), []).append(base)
+                for capped, bases in classes[caps, n].items():
+                    if capped not in stencils:
+                        stencils[capped] = _stencil(lefts, right, capped)
+                    for base in bases:
+                        for offset, v in stencils[capped][m]:
+                            total[key] = total.get(key := base + offset, 0) + v  # binds key first
         for key, v in total.items() if N + r <= D else ():
             if v and key >> digit * (r - 1) & (1 << digit) - 1:  # alpha_r >= 1
                 ahead[N + r][key + step] = v  # translated: alpha_r >= 2 in slice N + r
         yield total
 
 
-def _stencil(left: list, right: list, rows: tuple[int, ...], m: int, d: int,
-             step: int) -> list[tuple[int, int]]:
-    """The (offset, coefficient) pairs of the left fillings that fit lam =
-    rows + (m^r) in d rows with alpha_r < 2 and the right ones that fit rows."""
-    lam_gaps, core_gaps = gaps(tuple(x + m for x in rows), d), gaps(rows, len(rows))
+def _stencil(lefts: list, right: list, room: tuple[int, ...]) -> list[list[tuple[int, int]]]:
+    """Per m, the (offset, coefficient) pairs of the left strips and the right fillings
+    whose needs fit a class of cores' room, their gaps capped at the largest need."""
     fitting: dict[int, int] = {}
     for needs, b, cr in right:
-        if fits(needs, core_gaps):
+        if fits(needs, room):
             fitting[b] = fitting.get(b, 0) + cr
-    return [(a + m * step + b, cl * cr) for needs, top, a, cl in left
-            if m + top < 2 and fits(needs, lam_gaps) for b, cr in fitting.items()]
+    return [[(a + b, cl * cr) for needs, a, cl in left if fits(needs, room)
+             for b, cr in fitting.items()] for left in lefts]
 
 
 def pushforward_character(delta: tuple[int, ...], d: int, r: int, D: int) -> dict[Key, int]:
@@ -137,7 +151,7 @@ def _pushforward_slices(delta: tuple[int, ...], d: int, r: int, digit: int,
              for (needs, adds), n in lr_fillings(delta, r - 1).items()]
     for bucket in cores:
         part: dict[int, int] = {}
-        for _, base, room in bucket:
+        for base, room in bucket:
             for needs, b, n in table:
                 if fits(needs, room):  # its first r - 1 gaps
                     part[base + b] = part.get(base + b, 0) + n

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from grwin import characters
 from grwin.characters import (
     euler_character,
     exactness_report,
@@ -12,6 +13,7 @@ from grwin.characters import (
     verify_exactness,
 )
 from grwin.partitions import canonical, partitions_in_box, size
+from grwin.schur import lr_fillings
 from oracles import cauchy_truncated, euler_character_by_cauchy, hom_dimension_by_enumeration
 
 
@@ -109,17 +111,29 @@ def test_verify_exactness_detects_wrong_wedge_power():
 
 def test_terms_above_the_degree_build_no_tables(monkeypatch):
     # every key of a term has ambient degree >= s, so at D = 1 only the terms
-    # with s <= 1 build their (1^s) table in d rows, out of s = 0..40
-    import grwin.characters as characters
-    columns, real = [], characters.lr_fillings
+    # with s <= 1 build their vertical s-strips in d rows, out of s = 0..40
+    columns, real = [], characters._strips
 
-    def spy(mu, h, room=None):
-        if h == 40:
-            columns.append(len(mu))
-        return real(mu, h, room)
-    monkeypatch.setattr(characters, "lr_fillings", spy)
+    def spy(s, d, r):
+        if d == 40:
+            columns.append(s)
+        return real(s, d, r)
+    monkeypatch.setattr(characters, "_strips", spy)
     assert verify_exactness((1,), 40, 2, 1)
     assert resolution_terms((1,), 40, 2)[-1][2] == 40 and sorted(columns) == [0, 1]
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_pieri_strips_are_the_lr_fillings_of_a_column(d):
+    # the Euler character's left tables by Pieri's rule against the one general
+    # LR enumeration, with the room (1 down to row r, 0 below); r = d leaves no
+    # row below the room's last 1 and s > d fits nothing
+    for r in range(1, d + 1):
+        for s in range(d + 2):
+            strips = characters._strips(s, d, r)
+            room = tuple(int(i <= r) for i in range(d))
+            assert dict.fromkeys(strips, 1) == lr_fillings((1,) * s, d, room), (r, s)
+            assert len(set(strips)) == len(strips), (r, s)
 
 
 def test_exactness_report_empty_when_exact():

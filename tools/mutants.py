@@ -59,14 +59,11 @@ EQUIVALENT = {
         "a wider digit still holds every part",
     ("characters.py", "cores: list[list] = [[] for _ in range(D + 2)]"):
         "no core has D + 1 boxes, so the extra bucket stays empty",
-    ("characters.py", "ones, plans, ahead = (_code((1,) * r, digit), [], "
-                      "[{} for _ in range(D + 2)])"):
+    ("characters.py", "ones, plans, ahead, classes = (_code((1,) * r, digit), [], "
+                      "[{} for _ in range(D + 2)], {})"):
         "copies go only to slices N + r <= D, so the extra slice stays empty",
-    ("characters.py", "left = [(needs, adds[r - 1], _code(adds, digit), (-1) ** k // n) for "
-                      "(needs, adds), n in lr_fillings((1,) * s, d, tuple((int(i <= r) for i in "
-                      "range(d)))).items()]"):
-        "a Pieri table counts each filling once, so n = 1",
-    ("characters.py", "cap = max((x for needs, *_ in left + right for x in needs), default=1)"):
+    ("characters.py", "cap = max((x for needs, *_ in lefts[0] + lefts[1] + right for x in needs), "
+                      "default=1)"):
         "every filling needs 0 at row 0, so the default serves only empty tables",
     ("partitions.py", "if not all(map(ge, rows, rows[1:] + (1,))):"):
         "rows ending in 0 take the row loop, which passes them, and the zeros are trimmed",
