@@ -1,15 +1,15 @@
 """Window-shift functors on generators and their matrices on K-theory.
 
-The up-shift fixes narrow generators and replaces full-width ones by the
-positive part of their staircase resolution; the down-shift is its O(1)
-conjugate.  The shift matrices are a read-off: every image term is a
-generator of the target window, and those labels are a basis of K-theory, so
-`k_matrix` walks each image once and sums signed multiplicities per label, V
-factors folded in as dimensions.  The O(1) matrix pairs the twisted generators
-with Kapranov's dual collection, `kapranov_coordinates`, with no staircase: a
-set test zeroes the entries of singular weights, and each regular entry is one
-Bott Euler characteristic.  `determinant` reads det off the matrix's staircase
-shape.  Fixed-point localization stays out of the library, as the test oracle
+The up-shift fixes narrow generators and replaces full-width ones by the positive
+part of their staircase resolution; the down-shift is its O(1) conjugate.  The shift
+matrices are a read-off: every image term is a generator of the target window, and
+those labels are a basis of K-theory, so `k_matrix` walks each image once and sums
+signed multiplicities per label, found by (schur, taut_rank, det_twist), V factors
+folded in as dimensions.  The O(1) matrix pairs the twisted generators with
+Kapranov's dual collection, `kapranov_coordinates`, with no staircase: a set test
+zeroes the entries of singular weights, and each regular entry is one Bott Euler
+characteristic.  `determinant` reads det off the matrix's staircase shape.
+Fixed-point localization stays out of the library, as the test oracle
 `k_matrix_by_localization`.
 """
 
@@ -20,9 +20,9 @@ from itertools import combinations
 from math import prod
 
 from .bott import euler_characteristic
-from .bundles import BundleLabel, GradedComplex, normalize
-from .partitions import canonical, check_box, height, resolution_terms, size, strip, width
-from .resolutions import InternalConsistencyError, _wedge, unstable_resolution_twisted
+from .bundles import BundleLabel, GradedComplex
+from .partitions import canonical, check_box, height, resolution_terms, size, width
+from .resolutions import InternalConsistencyError, _cancelled_resolution, _complex
 from .schur import schur_dimension
 from .windows import gamma_set, window_generators
 
@@ -40,12 +40,12 @@ def twist_on_generator(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:
 
     Narrow diagrams are fixed.  Full-width ones map to the degree-0-cancelled
     cone, which is the twisted resolution of the stripped diagram tensored
-    by O(1): staircase terms in degrees K-1-k.
+    by O(1): staircase terms in degrees K-1-k, labelled at that twist directly.
     """
     delta = _check_generator(delta, d, r)
-    if width(delta) < d - r:
-        return GradedComplex.from_items([(0, normalize(delta, 1, r), 1)])
-    return unstable_resolution_twisted(delta, d, r).tensor_det(1)
+    if width(delta) < d - r:  # delta as its own term 0, with no V
+        return _complex([(0, delta, 0)], d, r, 0, 1)
+    return _cancelled_resolution(delta, d, r, 0)
 
 
 def cotwist_on_generator(delta: tuple[int, ...], d: int, n: int) -> GradedComplex:
@@ -58,13 +58,9 @@ def cotwist_on_generator(delta: tuple[int, ...], d: int, n: int) -> GradedComple
     """
     delta = _check_generator(delta, d, n)
     if width(delta) < d - n:
-        return GradedComplex.from_items([(0, normalize(delta, 0, n), 1)])
-    K = d - n
-    items = []
-    for k, dk, sk in resolution_terms(delta, d, n + 1):
-        hat = strip(dk, "first-row")
-        items.append((K - k, normalize(hat, -1, n, v_shape=_wedge(sk, d)), 1))
-    return GradedComplex.from_items(items)
+        return _complex([(0, delta, 0)], d, n, 0, 0)
+    return _complex([(k, dk[1:], sk) for k, dk, sk in resolution_terms(delta, d, n + 1)],
+                    d, n, d - n, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +102,8 @@ def k_matrix(which: str, d: int, r: int) -> list[list[int]]:
     entry (i, j) sums (-1)^deg mult over the terms of image j labelled by
     generator i, a V factor S^v V multiplying mult by dim S^v V and leaving the
     label; `identity` is I.
-    A label outside the window raises InternalConsistencyError.  The Kapranov
+    A label outside the window, on the H side or with a bracket twist raises
+    InternalConsistencyError, naming the label less its V factor.  The Kapranov
     pairing (`o1_matrix`) and the test oracle `k_matrix_by_localization` reach
     the same matrices independently.
     """
@@ -118,17 +115,19 @@ def k_matrix(which: str, d: int, r: int) -> list[list[int]]:
         return [[int(i == j) for j in range(n)] for i in range(n)]
     k = -1 if which == "cotwist" else 0
     image = twist_on_generator if which == "twist" else cotwist_on_generator
-    index = {lb: i for i, lb in enumerate(window_generators(d, r, k))}
+    index = {lb[:3]: i for i, lb in enumerate(window_generators(d, r, k))}
     matrix = [[0] * n for _ in range(n)]
     for j, delta in enumerate(gamma_set(d, r)):
-        for degree, lb, mult in image(delta, d, r).items():
-            if lb.v_shape:  # S^v V enters through its dimension
-                lb, mult = lb._replace(v_shape=()), mult * schur_dimension(lb.v_shape, d)
-            if lb not in index:
-                raise InternalConsistencyError(
-                    f"(d,r)=({d},{r}), delta={delta}: {which} image term {lb} "
-                    f"is not a generator of window {k}")
-            matrix[index[lb]][j] += (-1) ** degree * mult
+        for degree, labels in image(delta, d, r).terms:
+            for lb, mult in labels:
+                i = index.get(lb[:3])  # (schur, taut_rank, det_twist): a V factor needs no copy
+                if i is None or lb.side != "S" or lb.bracket_twist:
+                    raise InternalConsistencyError(
+                        f"(d,r)=({d},{r}), delta={delta}: {which} image term "
+                        f"{lb._replace(v_shape=())} is not a generator of window {k}")
+                if lb.v_shape:  # S^v V enters through its dimension
+                    mult *= schur_dimension(lb.v_shape, d)
+                matrix[i][j] += (-1) ** degree * mult
     return matrix
 
 

@@ -8,6 +8,9 @@ by (w.v)[i] = v[w[i]], so slot w[i] of the input lands in slot i.
 
 from __future__ import annotations
 
+from itertools import combinations, starmap
+from operator import lt
+
 from .partitions import canonical, height
 from .schur import schur_dimension
 
@@ -21,17 +24,16 @@ def twisted_action(w: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[int, ...
 
 def classify(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     """Bott's theorem: None when alpha + rho has a repeated entry (all
-    cohomology vanishes), else (length, w . alpha) for the unique w making
-    w . alpha dominant.  The length, w's inversion count, is the one degree of
-    nonzero cohomology; it is 0 exactly when alpha is dominant, and then
-    w . alpha = alpha."""
+    cohomology vanishes), else (length, w . alpha) for the unique w sorting
+    alpha + rho decreasingly, read off with no permutation: w . alpha is the sorted
+    weight less rho, and the length, the one degree of nonzero cohomology, counts
+    the pairs i < j with (alpha + rho)_i < (alpha + rho)_j, w's inversions."""
     r = len(alpha)
-    shifted = [alpha[i] + r - i for i in range(r)]
+    shifted = [x + r - i for i, x in enumerate(alpha)]
     if len(set(shifted)) < r:
         return None
-    w = tuple(sorted(range(r), key=shifted.__getitem__, reverse=True))
-    length = sum(w[i] > w[j] for i in range(r) for j in range(i + 1, r))
-    return length, twisted_action(w, alpha)
+    length = sum(starmap(lt, combinations(shifted, 2)))
+    return length, tuple(x - r + i for i, x in enumerate(sorted(shifted, reverse=True)))
 
 
 def euler_characteristic(weight: tuple[int, ...]) -> int:
@@ -41,7 +43,7 @@ def euler_characteristic(weight: tuple[int, ...]) -> int:
     if (cls := classify(weight)) is None:
         return 0
     length, rep = cls  # rep[-1], its lowest entry, is read only when rep has one
-    return (-1) ** length * schur_dimension(canonical(x - rep[-1] for x in rep), len(rep))
+    return (-1) ** length * schur_dimension(tuple(x - rep[-1] for x in rep), len(rep))
 
 
 def bwb_cohomology(delta: tuple[int, ...], i: int,

@@ -52,13 +52,14 @@ class BundleLabel(namedtuple("BundleLabel",
 def normalize(schur: Iterable[int], det_twist: int, taut_rank: int,
               side: str = "S", v_shape: Iterable[int] = (),
               bracket_twist: int = 0) -> BundleLabel:
-    """Fold full-height columns into the determinant twist.
+    """Fold full-height columns into the determinant twist.  Raises on labels of
+    vanishing bundles (height > rank); callers filter those out first."""
+    return _folded(canonical(schur), det_twist, taut_rank, side, canonical(v_shape), bracket_twist)
 
-    Raises on labels of vanishing bundles (height > rank); callers filter
-    those out first.
-    """
-    schur = canonical(schur)
-    v_shape = canonical(v_shape)
+
+def _folded(schur: tuple[int, ...], det_twist: int, taut_rank: int, side: str = "S",
+            v_shape: tuple[int, ...] = (), bracket_twist: int = 0) -> BundleLabel:
+    """normalize for a canonical schur and v_shape, as the staircase builds them."""
     if len(schur) > taut_rank:  # a Schur power vanishes above the rank
         raise ValueError(
             f"S^{schur} of a rank-{taut_rank} bundle is zero; drop the term")

@@ -71,7 +71,7 @@ def _cores(d: int, r: int, D: int, shapes: list[tuple[int, ...]]) -> tuple[int, 
 
 
 def _code(p: tuple[int, ...], digit: int, row: int = 0) -> int:
-    return sum(x << digit * (row + i) for i, x in enumerate(p))
+    return sum(x << digit * (row + i) for i, x in enumerate(p) if x)  # zero rows add nothing
 
 
 def _decode(key: int, digit: int, d: int, r: int) -> Key:

@@ -111,8 +111,8 @@ def _emit_complex(cx: GradedComplex, args):
 
 
 # C(12,6): the largest K-matrix basis computed by default; (12,6) takes about
-# 0.16 s cold with --json and 0.17 s as text (4.3 MB) on a 2-core x86_64 host,
-# and (13,6) has 1716 generators, 0.38 s and 0.44 s, and 15 MB of text
+# 0.22 s cold with --json and 0.23 s as text (4.3 MB) on a 2-core x86_64 host,
+# and (13,6) has 1716 generators, 0.53 s and 0.62 s, and 15 MB of text
 MAX_BASIS = 924
 
 

@@ -7,22 +7,15 @@ Degree conventions, pinned per display:
   * unstable_resolution_twisted lives in degrees 0..K-1, leftmost at 0,
     and the up-shift image of a full-width generator is it tensored by
     O(1) in the same degrees.
-Here K = d-r+1, and every term comes from the one staircase walk,
-partitions.resolution_terms.  Top exterior powers of V are dropped on
-sight (det V trivialized).
+Here K = d-r+1, every term comes from the one staircase walk,
+partitions.resolution_terms, and `_complex` labels it.  Top exterior powers
+of V are dropped on sight (det V trivialized).
 """
 
 from __future__ import annotations
 
-from .bundles import GradedComplex, from_nondual, normalize
-from .partitions import (
-    canonical,
-    check_box,
-    height,
-    resolution_terms,
-    strip,
-    width,
-)
+from .bundles import GradedComplex, _folded, from_nondual
+from .partitions import canonical, check_box, height, resolution_terms, strip, width
 
 
 class InternalConsistencyError(AssertionError):
@@ -34,44 +27,51 @@ def _wedge(s: int, d: int) -> tuple[int, ...]:
     return () if s in (0, d) else (1,) * s
 
 
+def _complex(terms: list[tuple[int, tuple[int, ...], int]], d: int, r: int, top: int,
+             twist: int, bracket_twist: int = 0) -> GradedComplex:
+    """The one builder from staircase terms (k, delta_k, s_k) to a complex: term k is
+    S^{delta_k}S^dual(twist) ⊗ wedge^{s_k}V in degree top - k.  The walk gives canonical
+    rows, at most r, and one term per degree, so no canonical pass, merge or sort."""
+    return GradedComplex(tuple(
+        (top - k, ((_folded(dk, twist, r, "S", _wedge(sk, d), bracket_twist), 1),))
+        for k, dk, sk in reversed(terms)))
+
+
 def theorem_resolution(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:
     """The length-K free resolution attached to a seed diagram.
 
     Terms: S^{delta_k}S^dual ⊗ wedge^{s_k}V in degree -k for k = 1..K and
     the seed Schur power in degree 0, with K = d-r+1.
     """
-    return GradedComplex.from_items([(-k, normalize(dk, 0, r, v_shape=_wedge(sk, d)), 1)
-                                     for k, dk, sk in resolution_terms(delta, d, r)])
+    return _complex(resolution_terms(delta, d, r), d, r, 0, 0)
 
 
-def unstable_resolution_twisted(delta_target: tuple[int, ...], d: int,
-                                r: int) -> GradedComplex:
+def unstable_resolution_twisted(delta_target: tuple[int, ...], d: int, r: int) -> GradedComplex:
     """Direct route for the down-shift on a full-width generator: strip the
-    first row, resolve, cancel the leftmost term, twist by O(-1).
-
-    The leftmost term of the seed resolution must normalize to the target
-    twisted by O(1); anything else is an internal consistency failure.
-    """
+    first row, resolve, cancel the leftmost term, twist by O(-1)."""
     delta_target = canonical(delta_target)
     check_box(d, r, strict=True)
     if height(delta_target) > r or width(delta_target) != d - r:
         raise ValueError(
             f"{delta_target} is not a full-width box diagram for (d,r)=({d},{r})")
-    terms = resolution_terms(strip(delta_target, "first-row"), d, r)
+    return _cancelled_resolution(delta_target, d, r, -1)
+
+
+def _cancelled_resolution(delta: tuple[int, ...], d: int, r: int, twist: int) -> GradedComplex:
+    """That route for a validated delta, twisted by O(twist) instead (the up-shift
+    image is twist 0).  The leftmost term of the seed resolution must normalize to
+    delta twisted by O(1); anything else is an internal consistency failure."""
+    terms = resolution_terms(delta[1:], d, r)
     K, top, s_top = terms[-1]
-    where = f"(d,r)=({d},{r}), delta={delta_target}"
+    where = f"(d,r)=({d},{r}), delta={delta}"
     if s_top != d:
         raise InternalConsistencyError(
             f"{where}: stripped seed absorbs wedge^{s_top}, not wedge^{d}; "
             f"top staircase term {top}")
-    leftmost = normalize(top, 0, r)
-    expected = normalize(delta_target, 1, r)
-    if leftmost != expected:
+    if (leftmost := _folded(top, 0, r)) != (expected := _folded(delta, 1, r)):
         raise InternalConsistencyError(
             f"{where}: input-cancelling term mismatch: {leftmost} != {expected}")
-    items = [(K - 1 - k, normalize(dk, -1, r, v_shape=_wedge(sk, d)), 1)
-             for k, dk, sk in terms[:-1]]
-    return GradedComplex.from_items(items)
+    return _complex(terms[:-1], d, r, K - 1, twist)
 
 
 def jshriek_jlower(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:
@@ -82,9 +82,7 @@ def jshriek_jlower(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:
     is S^{delta_k} of the dual twisted by O(-K), and is labeled as that.
     """
     K = d - r + 1
-    return GradedComplex.from_items(
-        [(K - k, normalize(dk, -K, r, v_shape=_wedge(sk, d), bracket_twist=d - r), 1)
-         for k, dk, sk in resolution_terms(delta, d, r)])
+    return _complex(resolution_terms(delta, d, r), d, r, K, -K, d - r)
 
 
 def pushdown_pi(gamma: tuple[int, ...], d: int, r: int,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .bundles import BundleLabel, normalize
+from .bundles import BundleLabel, _folded
 from .partitions import check_box, partitions_in_box, size
 
 
@@ -23,5 +23,5 @@ def gamma_set(d: int, r: int) -> tuple[tuple[int, ...], ...]:
 def window_generators(d: int, r: int, k: int) -> list[BundleLabel]:
     """Normalized labels of the k-th window's generating bundles."""
     check_box(d, r, strict=True)
-    return [normalize(delta, k, r) for delta in gamma_set(d, r)]
+    return [_folded(delta, k, r) for delta in gamma_set(d, r)]
 

@@ -117,6 +117,16 @@ def test_tensor_twist_conjugates_cotwist_into_twist():
                 twist_on_generator(delta, d, n)
 
 
+def test_twist_images_equal_the_twisted_resolution_tensored_by_o1():
+    # the up-shift image is labelled at its own twist; the twisted resolution
+    # relabelled by tensor_det(1) is the oracle
+    for d in range(2, 10):
+        for r in range(1, d):
+            for delta in gamma_split(d, r)[1]:
+                assert twist_on_generator(delta, d, r) == \
+                    unstable_resolution_twisted(delta, d, r).tensor_det(1), (delta, d, r)
+
+
 def test_route_equivalence_with_resolution_calculus():
     for d, n in [(2, 1), (4, 2), (5, 2), (6, 4)]:
         for delta in gamma_split(d, n)[1]:
@@ -382,7 +392,7 @@ def test_o1_matrix_shares_no_code_with_the_staircase_or_the_solve(monkeypatch):
     for module, name in [(partitions, "staircase"), (partitions, "resolution_terms"),
                          (resolutions, "resolution_terms"), (autoequiv, "resolution_terms"),
                          (resolutions, "unstable_resolution_twisted"),
-                         (autoequiv, "unstable_resolution_twisted"),
+                         (autoequiv, "_cancelled_resolution"), (autoequiv, "_complex"),
                          (autoequiv, "determinant")]:
         monkeypatch.setattr(module, name, refuse)
     for d, r in [(d, r) for d in range(2, 7) for r in range(1, d)]:
@@ -413,6 +423,37 @@ def test_an_image_label_outside_the_window_is_an_internal_consistency_error(monk
         k_matrix("twist", 4, 2)
     assert str(exc.value) == \
         f"(d,r)=(4,2), delta=(1,): twist image term {lb} is not a generator of window 0"
+
+
+def test_an_off_window_label_with_a_v_factor_is_named_without_it(monkeypatch):
+    # one more O(1) on the full-width images only: the first off-window term,
+    # S^dual(2) (x) wedge^3 V in the image of (2,), carries a V factor, and the
+    # message names its label less the V factor, as a label of the window would read
+    real = autoequiv.twist_on_generator
+    monkeypatch.setattr(autoequiv, "twist_on_generator", lambda delta, d, r: (
+        real(delta, d, r).tensor_det(1) if width(delta) == d - r else real(delta, d, r)))
+    (_, lb, _), *_ = real((2,), 4, 2).tensor_det(1).items()
+    assert lb.v_shape == (1, 1, 1)
+    with pytest.raises(InternalConsistencyError) as exc:
+        k_matrix("twist", 4, 2)
+    assert str(exc.value) == ("(d,r)=(4,2), delta=(2,): twist image term "
+                              f"{label((1,), 2, 2)} is not a generator of window 0")
+
+
+@pytest.mark.parametrize("field, value", [("side", "H"), ("bracket_twist", 1)])
+def test_an_image_label_off_the_ambient_side_is_an_internal_consistency_error(
+        monkeypatch, field, value):
+    # the read-off indexes the window by (schur, taut_rank, det_twist); a label
+    # that matches those but sits on the H side or carries a bracket twist is refused
+    real = autoequiv.cotwist_on_generator
+    monkeypatch.setattr(autoequiv, "cotwist_on_generator", lambda delta, d, n: GradedComplex(
+        tuple((deg, tuple((lb._replace(**{field: value}), m) for lb, m in labels))
+              for deg, labels in real(delta, d, n).terms)))
+    with pytest.raises(InternalConsistencyError) as exc:
+        k_matrix("cotwist", 4, 2)
+    wrong = BundleLabel((), 2, 0, "S")._replace(**{field: value})
+    assert str(exc.value) == \
+        f"(d,r)=(4,2), delta=(): cotwist image term {wrong} is not a generator of window -1"
 
 
 def staircase_with_s1_off_by_one(delta, d, r):

@@ -59,6 +59,10 @@ def test_classify_matches_bruteforce():
         r = rng.randint(1, 6)
         alpha = tuple(rng.randint(-10, 10) for _ in range(r))
         assert classify(alpha) == classify_bruteforce(alpha)
+    # r = 7: a few samples, each an all-permutations scan of 5040 sorters
+    for _ in range(6):
+        alpha = tuple(rng.randint(-10, 10) for _ in range(7))
+        assert classify(alpha) == classify_bruteforce(alpha)
 
 
 def test_classify_dominant_uses_identity():

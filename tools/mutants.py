@@ -45,10 +45,6 @@ EQUIVALENT = {
     ("autoequiv.py", "return (-1) ** sum((a >= b for a, b in combinations(p, 2))) * "
                      "prod((matrix[i][j] for j, i in enumerate(p)))"):
         "the pivot rows are distinct, so no pair is equal",
-    ("bott.py", "shifted = [alpha[i] - r - i for i in range(r)]"):
-        "a constant shift of rho changes neither distinctness nor order",
-    ("bott.py", "length = sum((w[i] >= w[j] for i in range(r) for j in range(i + 1, r)))"):
-        "a permutation has distinct entries",
     ("bundles.py", "if mult <= 0:"): "mult == 0 has already continued",
     ("bundles.py", "if mult < 1:"): "mult == 0 has already continued",
     ("characters.py", "digit = (D + 2 + max((shape[0] for shape in shapes if shape), "
