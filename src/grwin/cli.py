@@ -2,9 +2,9 @@
 
 The library returns values; this module alone reads and writes their text
 and JSON syntax: the comma-separated partition, the □ diagram, bundle and
-complex names, and the JSON documents.  Each subcommand returns (exit code,
-output): one JSON document with --json, else an iterable of text lines.
-Only `main` writes stdout.
+complex names, and the JSON documents.  The parser carries each subcommand's
+handler, which returns (exit code, output): one JSON document with --json,
+else an iterable of text lines.  Only `main` writes stdout.
 
 Exit codes: 0 success, 1 verification failure (a failed exactness check or
 an InternalConsistencyError), 2 usage or validation error.
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from itertools import chain
 from math import comb
 
@@ -124,42 +123,45 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replace V factors by their dimensions")
     parser = argparse.ArgumentParser(
         prog="grwin", description="window-shift calculus on Grassmannian flop models")
-    add_parser = partial(parser.add_subparsers(dest="command", required=True).add_parser,
-                         parents=[common])
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p = add_parser("windows", help="window generator list")
+    def add_parser(name, handler, **kwargs):
+        p = subparsers.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(run=handler)
+        return p
+
+    p = add_parser("windows", cmd_windows, help="window generator list")
     p.add_argument("d", type=int)
     p.add_argument("r", type=int)
     p.add_argument("k", type=int)
 
-    p = add_parser("staircase", help="column-filling sequence")
+    p = add_parser("staircase", cmd_staircase, help="column-filling sequence")
     p.add_argument("delta", type=str)
     p.add_argument("r", type=int)
     p.add_argument("K", type=int)
 
-    p = add_parser("resolve", help="staircase resolution of a seed diagram")
+    p = add_parser("resolve", cmd_resolve, help="staircase resolution of a seed diagram")
     p.add_argument("delta", type=str)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--twisted", action="store_true",
                    help="down-shift route: strip, resolve, cancel, twist")
 
-    p = add_parser("twist", help="up-shift image of a window generator")
-    p.add_argument("delta", type=str)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    for name, image, flag, metavar, shift in (
+            ("twist", autoequiv.twist_on_generator, "--r", "R", "up"),
+            ("cotwist", autoequiv.cotwist_on_generator, "--n", "N", "down")):
+        p = add_parser(name, cmd_image, help=f"{shift}-shift image of a window generator")
+        p.set_defaults(image=image)
+        p.add_argument("delta", type=str)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument(flag, type=int, required=True, dest="r", metavar=metavar)
 
-    p = add_parser("cotwist", help="down-shift image of a window generator")
-    p.add_argument("delta", type=str)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add_parser("bwb", help="cohomology classifier for a weight")
+    p = add_parser("bwb", cmd_bwb, help="cohomology classifier for a weight")
     p.add_argument("delta", type=str)
     p.add_argument("i", type=int)
     p.add_argument("r", type=int)
 
-    p = add_parser("kmatrix", help="functor matrix on K-theory")
+    p = add_parser("kmatrix", cmd_kmatrix, help="functor matrix on K-theory")
     p.add_argument("--which", choices=["twist", "cotwist", "identity"], required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
@@ -167,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"refuse a basis of more than N = C(d,r) generators "
                         f"(default {MAX_BASIS} = C(12,6))")
 
-    p = add_parser("verify-exactness", help="character oracle for a resolution")
+    p = add_parser("verify-exactness", cmd_verify_exactness,
+                   help="character oracle for a resolution")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--delta", type=str, required=True)
@@ -209,14 +212,8 @@ def cmd_resolve(args):
                                    f"of the rank-{args.r - 1} dual bundle"]
 
 
-def cmd_twist(args):
-    cx = autoequiv.twist_on_generator(parse_partition(args.delta), args.d, args.r)
-    return _emit_complex(cx, args)
-
-
-def cmd_cotwist(args):
-    cx = autoequiv.cotwist_on_generator(parse_partition(args.delta), args.d, args.n)
-    return _emit_complex(cx, args)
+def cmd_image(args):  # twist and cotwist: the parser stores the image function
+    return _emit_complex(args.image(parse_partition(args.delta), args.d, args.r), args)
 
 
 def cmd_bwb(args):
@@ -270,25 +267,13 @@ def cmd_verify_exactness(args):
     return (1 if diffs else 0), doc
 
 
-COMMANDS = {
-    "windows": cmd_windows,
-    "staircase": cmd_staircase,
-    "resolve": cmd_resolve,
-    "twist": cmd_twist,
-    "cotwist": cmd_cotwist,
-    "bwb": cmd_bwb,
-    "kmatrix": cmd_kmatrix,
-    "verify-exactness": cmd_verify_exactness,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        code, out = COMMANDS[args.command](args)
+        code, out = args.run(args)
         if args.json:
             out = [json.dumps(out, indent=2) if args.pretty
                    else json.dumps(out, separators=(",", ":"))]

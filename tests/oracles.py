@@ -467,3 +467,17 @@ def euler_character_by_cauchy(delta, d, r, D, terms=None):
                     if new:
                         total[la, mb] = new
     return total
+
+
+def staircase_faults(terms):
+    """Faulty copies of a staircase's terms [(k, delta_k, s_k), ...]: for each
+    term j >= 1, the term dropped, s_j - 1 (when that is >= 0), s_j + 1, and
+    delta_j with one more row of length 1."""
+    faults = []
+    for j in range(1, len(terms)):
+        head, (k, shape, s), tail = terms[:j], terms[j], terms[j + 1:]
+        faults.append(head + tail)
+        changed = [(k, shape, s - 1)] if s >= 1 else []
+        changed += [(k, shape, s + 1), (k, shape + (1,), s)]
+        faults.extend(head + [term] + tail for term in changed)
+    return faults

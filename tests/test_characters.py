@@ -14,7 +14,9 @@ from grwin.characters import (
 )
 from grwin.partitions import canonical, partitions_in_box, size
 from grwin.schur import lr_fillings
-from oracles import cauchy_truncated, euler_character_by_cauchy, hom_dimension_by_enumeration
+from oracles import (
+    cauchy_truncated, euler_character_by_cauchy, hom_dimension_by_enumeration, staircase_faults,
+)
 
 
 def test_cauchy_truncated_rejects_a_negative_alphabet():
@@ -252,6 +254,23 @@ def test_exactness_at_stable_degree_and_one_box_perturbation_caught(seed):
     bad = terms[:1] + [(k, moved, s)] + terms[2:]
     assert euler_character(delta, d, r, D, terms=bad) != \
         pushforward_character(delta, d, r, D)
+
+
+@pytest.mark.parametrize("d, r", [(d, r) for d in range(1, 7) for r in range(1, d + 1)])
+def test_every_planted_staircase_fault_shows_by_ambient_degree_d(d, r):
+    # evidence, not a proof, that D = d decides exactness: on every seed the
+    # characters agree to degree d, each planted fault breaks that by degree d,
+    # and some fault first breaks it at degree d, so no smaller D catches them all
+    lowest = []
+    for delta in partitions_in_box(d - r + 1, r - 1):
+        push = pushforward_character(delta, d, r, d)
+        assert euler_character(delta, d, r, d) == push, delta
+        for bad in staircase_faults(resolution_terms(delta, d, r)):
+            euler = euler_character(delta, d, r, d, terms=bad)
+            assert euler != push, (delta, bad)
+            lowest.append(min(sum(lam) for lam, mu in euler.keys() | push.keys()
+                              if euler.get((lam, mu), 0) != push.get((lam, mu), 0)))
+    assert max(lowest) == d
 
 
 def test_euler_key_filled_in_by_translation_matches_the_cauchy_sum():

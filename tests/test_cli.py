@@ -420,6 +420,24 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0
 
 
+SHARED_USAGE = "[-h] [--json] [--pretty] [--expand-multiplicities]"
+
+
+@pytest.mark.parametrize("argv, usage", [
+    ([], "grwin [-h] {windows,staircase,resolve,twist,cotwist,bwb,kmatrix,verify-exactness} ..."),
+    (["twist"], f"grwin twist {SHARED_USAGE} --d D --r R delta"),
+    (["cotwist"], f"grwin cotwist {SHARED_USAGE} --d D --n N delta"),
+    (["kmatrix"], f"grwin kmatrix {SHARED_USAGE} --which {{twist,cotwist,identity}} "
+                  "--d D --r R [--max-basis N]"),
+], ids=["grwin", "twist", "cotwist", "kmatrix"])
+def test_usage_names_each_subcommand_and_metavar(capsys, monkeypatch, argv, usage):
+    # a wide terminal keeps each usage on its first line
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, err = run(capsys, *argv, "-h")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"usage: {usage}"
+
+
 def test_internal_consistency_error_exits_one(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InternalConsistencyError("input-cancelling term mismatch")

@@ -124,7 +124,8 @@ def test_subcommand_output_matches_pinned_digest(name):
     assert digest(table) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("command", ["bwb", "cotwist", "kmatrix", "resolve", "staircase",
+                                     "twist", "verify-exactness", "windows"])
 def test_subcommand_help_names_the_shared_flags(command):
     code, out, err = run_cli([command, "-h"])
     assert (code, err) == (0, "")

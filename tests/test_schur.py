@@ -341,9 +341,10 @@ def test_filling_table_under_a_room_keeps_exactly_the_fillings_that_fit(mu, rows
 
 @pytest.mark.parametrize("h, r", [(7, 3), (13, 1), (13, 6), (40, 2), (40, 20)])
 def test_tall_pieri_tables_are_the_row_subsets_that_fit(h, r):
-    # the (1^s) tables the Euler character grows in h rows under the room
-    # (1, ..., 1, 0, ...) of r + 1 ones: below row r a box needs the row above
-    # it filled, so strips whose boxes cannot all land run to row h - 1 and drop
+    # lr_fillings of (1^s) in h rows under the room (1, ..., 1, 0, ...) of r + 1
+    # ones, the tables the Euler character builds by Pieri's rule in
+    # characters._strips: below row r a box needs the row above it filled, so
+    # strips whose boxes cannot all land run to row h - 1 and drop
     room = tuple(int(i <= r) for i in range(h))
     for s in range(5):
         expected = {}
