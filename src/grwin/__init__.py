@@ -1,7 +1,7 @@
 """Exact window-shift calculus on Grassmannian flop models."""
 
 from .autoequiv import cotwist_on_generator, k_matrix, o1_matrix, twist_on_generator
-from .bott import bwb_cohomology, classify, twisted_action
+from .bott import bwb_cohomology, classify
 from .bundles import BundleLabel, GradedComplex, normalize, rank
 from .characters import (euler_character, hom_invariant_dimension, pushforward_character,
                          verify_exactness)
@@ -21,6 +21,6 @@ __all__ = [
     "jshriek_jlower", "k_matrix", "lr_coefficient", "normalize", "o1_matrix",
     "pushdown_pi", "pushforward_character", "rank", "schur_dimension",
     "schur_product", "staircase", "strip", "theorem_resolution",
-    "twist_on_generator", "twisted_action", "unstable_resolution_twisted",
+    "twist_on_generator", "unstable_resolution_twisted",
     "verify_exactness", "window_generators",
 ]

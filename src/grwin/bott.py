@@ -1,9 +1,9 @@
 """Bott's theorem on GL(r) weights (Weyman, Cohomology of Vector Bundles, ch. 4):
-the twisted Weyl action, the classifier, Euler characteristics, and the one
-non-vanishing cohomology group of a dual-quotient power.
+the classifier, Euler characteristics, and the one non-vanishing cohomology
+group of a dual-quotient power.
 
-Weights are integer tuples of length r.  Permutations are tuples w acting
-by (w.v)[i] = v[w[i]], so slot w[i] of the input lands in slot i.
+Weights are integer tuples of length r; w . alpha = w(alpha + rho) - rho, with
+rho = (r, r-1, ..., 1), is the twisted Weyl action.
 """
 
 from __future__ import annotations
@@ -13,13 +13,6 @@ from operator import lt
 
 from .partitions import canonical, height
 from .schur import schur_dimension
-
-
-def twisted_action(w: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[int, ...]:
-    """w . alpha = w(alpha + rho) - rho, with rho = (r, r-1, ..., 1)."""
-    if len(w) != len(alpha):
-        raise ValueError(f"length mismatch: |w|={len(w)}, |alpha|={len(alpha)}")
-    return tuple(alpha[w[i]] + i - w[i] for i in range(len(w)))
 
 
 def classify(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:

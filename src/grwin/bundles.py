@@ -12,7 +12,7 @@ builders drop top exterior powers of V before constructing labels.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 from .partitions import canonical, complement, width
@@ -123,23 +123,6 @@ class GradedComplex(namedtuple("GradedComplex", "terms", defaults=((),))):
             for label, mult in labels:
                 yield degree, label, mult
 
-    def degrees(self) -> list[int]:
-        return [degree for degree, _ in self.terms]
-
-    def at(self, degree: int) -> Counter:
-        for deg, labels in self.terms:
-            if deg == degree:
-                return Counter(dict(labels))
-        return Counter()
-
-    def tensor_det(self, m: int) -> "GradedComplex":
-        """Tensor by the m-th power of the side determinant line.  A uniform
-        det_twist shift is injective and keeps label order: no re-sort."""
-        return GradedComplex(tuple(
-            (degree, tuple((lb._replace(det_twist=lb.det_twist + m), mult)
-                           for lb, mult in labels))
-            for degree, labels in self.terms))
-
     def expand_multiplicities(self, d: int) -> "GradedComplex":
         """Drop V factors, multiplying each term by its V-dimension."""
         out = []
@@ -148,7 +131,3 @@ class GradedComplex(namedtuple("GradedComplex", "terms", defaults=((),))):
             if dim:
                 out.append((degree, label._replace(v_shape=()), mult * dim))
         return GradedComplex.from_items(out)
-
-    def alternating_rank_sum(self, d: int) -> int:
-        return sum((-1) ** degree * mult * rank(label, d)
-                   for degree, label, mult in self.items())

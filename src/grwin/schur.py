@@ -2,17 +2,17 @@
 
 A product s_lam * s_mu in h letters (Macdonald, Symmetric Functions and Hall
 Polynomials, I.9) is read off one table of the LR fillings of content mu on
-skew shapes of at most h rows.  A filling puts b[i][v] letters v in row i;
-the v's in rows <= i never outnumber the (v-1)'s in rows < i (the ballot, so
-each letter starts strictly below the one before and letter v by row
-h - len(mu) + v; Fulton, Young Tableaux, §5), and row i fits under lam iff the
-gap lam_{i-1} - lam_i is at least its need, max_v (sum_{u<=v} b[i][u] -
+skew shapes of at most h rows.  A filling puts b[i][v] letters v in row i; the
+v's in rows <= i never outnumber the (v-1)'s in rows < i (the ballot; Fulton,
+Young Tableaux, §5; of itself it starts each letter strictly below the one
+before, so letter v starts by row h - len(mu) + v), and row i fits under lam
+iff the gap lam_{i-1} - lam_i is at least its need, max_v (sum_{u<=v} b[i][u] -
 sum_{u<v} b[i-1][u]).  Neither depends on lam, so one table {(needs, adds):
-count} serves every lam: s_lam * s_mu sums s_{lam+adds} over the entries
-whose needs fit lam's gaps.  Grown under a room, any bound on gaps, the table
-keeps exactly the entries that fit it, so a product grown under lam's gaps
-sums them all.  For mu = (1^s) (the s-subsets of rows) row i needs 1 where it
-gains a box and row i-1 does not.  An LR coefficient is read off a product.
+count} serves every lam: s_lam * s_mu sums s_{lam+adds} over the entries whose
+needs fit lam's gaps.  Grown under a room, any bound on gaps, the table keeps
+exactly the entries that fit it, so a product grown under lam's gaps sums them
+all.  For mu = (1^s) (the s-subsets of rows) row i needs 1 where it gains a box
+and row i-1 does not.  An LR coefficient is read off a product.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ def lr_fillings(mu: tuple[int, ...], h: int, room: tuple[int, ...] | None = None
             strips, part = [], [(boxes, 0 if v else boxes, ())]  # (left, slack, rows above i)
             for i in range(h):  # a strip with boxes left after row h - 1 is dropped
                 # row i takes at most the room under row i-1 of lam + adds and the ballot slack
-                if i > h - len(mu) + v:  # first rows fall strictly: later letters can't fit
-                    part = [p for p in part if p[0] < boxes]
                 cap = room[i] + adds[i - 1] - adds[i] if i else boxes
                 gain, above, part = last[i], part, []
                 for left, slack, row in above:

@@ -481,3 +481,24 @@ def staircase_faults(terms):
         changed += [(k, shape, s + 1), (k, shape + (1,), s)]
         faults.extend(head + [term] + tail for term in changed)
     return faults
+
+
+def terms_at(cx, degree):
+    """The terms of a GradedComplex in one degree as {label: mult}; {} if none."""
+    return dict(dict(cx.terms).get(degree, ()))
+
+
+def tensor_det(cx, m):
+    """A GradedComplex tensored by the m-th power of the side determinant line.
+    A uniform det_twist shift is injective and keeps label order: no re-sort."""
+    from grwin.bundles import GradedComplex
+    return GradedComplex(tuple(
+        (degree, tuple((lb._replace(det_twist=lb.det_twist + m), mult)
+                       for lb, mult in labels))
+        for degree, labels in cx.terms))
+
+
+def alternating_rank_sum(cx, d):
+    """Sum of (-1)^degree * mult * rank over a GradedComplex's terms, dim V = d."""
+    from grwin.bundles import rank
+    return sum((-1) ** degree * mult * rank(label, d) for degree, label, mult in cx.items())

@@ -1,43 +1,12 @@
 import random
-from itertools import permutations
 
 import pytest
 
 from oracles import classify_bruteforce, dominant_sorters, euler_characteristic_bruteforce
 
-from grwin.bott import bwb_cohomology, classify, euler_characteristic, twisted_action
+from grwin.bott import bwb_cohomology, classify, euler_characteristic
 from grwin.partitions import partitions_in_box, staircase
 from grwin.schur import schur_dimension
-
-
-def test_twisted_action_identity():
-    assert twisted_action((0, 1, 2), (3, 1, 2)) == (3, 1, 2)
-
-
-def test_twisted_action_swap():
-    # (3,1,3)+(3,2,1) = (6,3,4); swap last two slots; subtract rho
-    w = (0, 2, 1)
-    assert twisted_action(w, (3, 1, 3)) == (3, 2, 2)
-
-
-def test_twisted_action_length_mismatch():
-    with pytest.raises(ValueError):
-        twisted_action((0, 1), (1, 2, 3))
-
-
-def compose(p, q):
-    """Composite with compose(p, q).v == p.(q.v) under (p.v)[i] = v[p[i]]."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
-def test_twisted_action_group_law():
-    rng = random.Random(41)
-    perms = list(permutations(range(3)))
-    for _ in range(100):
-        v, w = rng.choice(perms), rng.choice(perms)
-        alpha = tuple(rng.randint(-5, 5) for _ in range(3))
-        assert twisted_action(compose(v, w), alpha) == \
-            twisted_action(v, twisted_action(w, alpha))
 
 
 def test_classify_figure_rows():
@@ -49,7 +18,7 @@ def test_classify_figure_rows():
 def test_classify_regular_rep_matches_all_permutation_search():
     sorters = dominant_sorters((3, 1, 3))
     assert len(sorters) == 1
-    assert twisted_action(sorters[0], (3, 1, 3)) == (3, 2, 2)
+    assert classify_bruteforce((3, 1, 3)) == (1, (3, 2, 2))
     assert classify((3, 1, 3))[0] == 1
 
 

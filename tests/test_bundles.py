@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import relabel_to_x
+from oracles import alternating_rank_sum, relabel_to_x, tensor_det, terms_at
 
 from grwin.autoequiv import twist_on_generator
 from grwin.bundles import BundleLabel, GradedComplex, from_nondual, normalize, rank
@@ -130,9 +130,9 @@ def test_every_label_construction_validates(args, message):
 
 def test_tensor_det_validates_the_shifted_labels():
     trivial = GradedComplex.from_items([(0, BundleLabel((), 0, 0), 1)])
-    assert trivial.tensor_det(0) == trivial
+    assert tensor_det(trivial, 0) == trivial
     with pytest.raises(ValueError, match="rank-0 side"):
-        trivial.tensor_det(1)
+        tensor_det(trivial, 1)
 
 
 def test_graded_complex_value_semantics():
@@ -140,7 +140,7 @@ def test_graded_complex_value_semantics():
                                    (0, BundleLabel((1,), 2, 0), 2)])
     same = GradedComplex(cx.terms)
     assert cx == same and hash(cx) == hash(same) == hash((cx.terms,))
-    assert cx != cx.tensor_det(1) and cx != cx.terms and cx != GradedComplex()
+    assert cx != tensor_det(cx, 1) and cx != cx.terms and cx != GradedComplex()
     assert len(cx.terms) == 2 and len(GradedComplex().terms) == 0
     assert repr(GradedComplex()) == "GradedComplex(terms=())"
     assert repr(GradedComplex.from_items([(0, BundleLabel((), 1, 2), 3)])) == (
@@ -176,7 +176,7 @@ def test_graded_complex_insertion_order_invariance():
         (1, BundleLabel((), 2, 0), 1),
     ])
     assert a == b
-    assert a.at(0)[BundleLabel((1,), 2, 0)] == 2
+    assert terms_at(a, 0)[BundleLabel((1,), 2, 0)] == 2
 
 
 def test_graded_complex_rejects_mixed_ranks():
@@ -190,7 +190,7 @@ def test_graded_complex_rejects_mixed_ranks():
 def test_graded_complex_drops_empty_degrees():
     cx = GradedComplex.from_items([(0, BundleLabel((), 2, 0), 1),
                                    (5, BundleLabel((), 2, 1), 0)])
-    assert cx.degrees() == [0]
+    assert [deg for deg, _ in cx.terms] == [0]
 
 
 def test_label_json_names_every_field():
@@ -248,7 +248,7 @@ def test_complex_json_is_equal_exactly_when_complexes_are(cx, other):
 
 def test_tensor_det_and_shift():
     cx = GradedComplex.from_items([(0, BundleLabel((1,), 2, 0), 1)])
-    assert cx.tensor_det(2).at(0) == {BundleLabel((1,), 2, 2): 1}
+    assert terms_at(tensor_det(cx, 2), 0) == {BundleLabel((1,), 2, 2): 1}
 
 
 def _tensor_det_by_resorting(cx, m):
@@ -267,21 +267,21 @@ def test_tensor_det_keeps_terms_sorted():
             merged = GradedComplex.from_items(item for cx in images for item in cx.items())
             for cx in images + [merged]:
                 for m in (-2, 1, 3):
-                    assert cx.tensor_det(m).terms == _tensor_det_by_resorting(cx, m).terms
+                    assert tensor_det(cx, m).terms == _tensor_det_by_resorting(cx, m).terms
 
 
 def test_tensor_det_composes():
     cx = twist_on_generator((3, 1), 5, 2)
     for a, b in [(1, 2), (-3, 1), (0, 4), (2, -2)]:
-        assert cx.tensor_det(a).tensor_det(b) == cx.tensor_det(a + b)
-    assert cx.tensor_det(0) == cx
+        assert tensor_det(tensor_det(cx, a), b) == tensor_det(cx, a + b)
+    assert tensor_det(cx, 0) == cx
 
 
 @pytest.mark.parametrize("delta", [(2,), (2, 1), (2, 2)])
 def test_expanding_v_factors_keeps_the_alternating_rank_sum(delta):
     cx = twist_on_generator(delta, 4, 2)
     assert any(label.v_shape for _, label, _ in cx.items())
-    assert cx.alternating_rank_sum(4) == cx.expand_multiplicities(4).alternating_rank_sum(4)
+    assert alternating_rank_sum(cx, 4) == alternating_rank_sum(cx.expand_multiplicities(4), 4)
 
 
 def test_expand_multiplicities():
@@ -290,6 +290,6 @@ def test_expand_multiplicities():
         (1, BundleLabel((), 2, 0), 1),
     ])
     flat = cx.expand_multiplicities(4)
-    assert flat.at(0) == {BundleLabel((1,), 2, 0): 4}
-    assert [flat.at(1), flat.at(2)] == [{BundleLabel((), 2, 0): 1}, {}]  # 2 is absent
+    assert terms_at(flat, 0) == {BundleLabel((1,), 2, 0): 4}
+    assert [terms_at(flat, 1), terms_at(flat, 2)] == [{BundleLabel((), 2, 0): 1}, {}]  # 2 is absent
 

@@ -6,6 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import tensor_det
+
 from grwin import autoequiv, characters, cli, resolutions
 from grwin.autoequiv import InternalConsistencyError
 from grwin.bundles import BundleLabel
@@ -185,8 +187,8 @@ def test_an_image_label_outside_the_window_makes_kmatrix_exit_one(capsys, monkey
     # window 0; kmatrix prints nothing and names the label
     real = autoequiv.twist_on_generator
     monkeypatch.setattr(autoequiv, "twist_on_generator",
-                        lambda delta, d, r: real(delta, d, r).tensor_det(1))
-    (_, lb, _), = real((1,), 4, 2).tensor_det(1).items()
+                        lambda delta, d, r: tensor_det(real(delta, d, r), 1))
+    (_, lb, _), = tensor_det(real((1,), 4, 2), 1).items()
     code, out, err = run(capsys, "kmatrix", "--which", "twist", "--d", "4", "--r", "2")
     assert (code, out) == (1, "")
     assert err.startswith("verification failure: (d,r)=(4,2), delta=(1,): twist image term ")

@@ -95,6 +95,19 @@ def test_exports_resolve_once():
     assert [name for name in grwin.__all__ if not hasattr(grwin, name)] == []
 
 
+def test_exports_are_the_pinned_names():
+    # adding or removing a public name is an edit here
+    assert sorted(grwin.__all__) == [
+        "BundleLabel", "GradedComplex", "bwb_cohomology", "classify", "complement",
+        "cotwist_on_generator", "euler_character", "gamma_set", "hom_invariant_dimension",
+        "jshriek_jlower", "k_matrix", "lr_coefficient", "normalize", "o1_matrix",
+        "pushdown_pi", "pushforward_character", "rank", "schur_dimension",
+        "schur_product", "staircase", "strip", "theorem_resolution",
+        "twist_on_generator", "unstable_resolution_twisted", "verify_exactness",
+        "window_generators",
+    ]
+
+
 def library_nodes(predicate):
     files = sorted(SRC.glob("*.py"))
     assert files

@@ -72,10 +72,6 @@ EQUIVALENT = {
     ("resolutions.py", "deleted: if s_top != d:"):
         "an invariant check: the staircase always ends at s_K = d for a stripped "
         "full-width seed, so no input reaches the raise",
-    ("schur.py", "if i > h + len(mu) + v:"):
-        "the prune weakened: the ballot and room bounds below refuse the same rows later",
-    ("schur.py", "part = [p for p in part if p[0] <= boxes]"):
-        "the prune dropped: the ballot and room bounds below refuse the same rows later",
     ("schur.py", "rows, out = (lam + (0,) * (h + len(lam)), {})"):
         "map(add) stops at the table's h rows",
     ("schur.py", "if (len(lam), size(lam)) <= (len(mu), size(mu)):"):
