@@ -5,7 +5,7 @@ from .bott import bwb_cohomology, classify
 from .bundles import BundleLabel, GradedComplex, normalize, rank
 from .characters import (euler_character, hom_invariant_dimension, pushforward_character,
                          verify_exactness)
-from .partitions import complement, staircase, strip
+from .partitions import complement, staircase
 from .resolutions import (
     jshriek_jlower,
     pushdown_pi,
@@ -20,7 +20,6 @@ __all__ = [
     "cotwist_on_generator", "euler_character", "gamma_set", "hom_invariant_dimension",
     "jshriek_jlower", "k_matrix", "lr_coefficient", "normalize", "o1_matrix",
     "pushdown_pi", "pushforward_character", "rank", "schur_dimension",
-    "schur_product", "staircase", "strip", "theorem_resolution",
-    "twist_on_generator", "unstable_resolution_twisted",
-    "verify_exactness", "window_generators",
+    "schur_product", "staircase", "theorem_resolution", "twist_on_generator",
+    "unstable_resolution_twisted", "verify_exactness", "window_generators",
 ]

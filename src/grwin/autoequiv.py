@@ -76,7 +76,7 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     A narrow delta maps to the unit vector at row delta + (1^r), and these are
     all the full-height rows.  In a full-width image every term after the first
     fills column 1 to full height, so only the first, (-1)^(d-r) at the row
-    strip(delta, "first-row") of height < r, is off them; strip is a bijection
+    delta less its first row, of height < r, is off them; this is a bijection
     onto those rows.  Any other shape, a singular matrix included, raises
     InternalConsistencyError naming the column, also kept as its `column`."""
     support = [[i for i, x in enumerate(col) if x] for col in zip(*matrix)]

@@ -53,7 +53,7 @@ def euler_character(delta: tuple[int, ...], d: int, r: int, D: int,
     terms = (resolution_terms(delta, d, r) if terms is None
              else [(k, canonical(shape), s) for k, shape, s in terms])
     for k, _, s in terms:
-        if not (isinstance(k, int) and isinstance(s, int) and s >= 0):
+        if not (isinstance(k, int) and isinstance(s, int) and min(k, s) >= 0):
             raise ValueError(f"override term needs int k, s >= 0: got {k!r}, {s!r}")
     digit, cores = _cores(d, r, D, [shape for _, shape, _ in terms])
     return {_decode(key, digit, d, r): v for part in _euler_slices(terms, d, r, D, digit, cores)

@@ -60,8 +60,7 @@ def _schur_name(schur: tuple[int, ...], letter: str) -> str:
 
 
 def format_label(label: BundleLabel) -> str:
-    letter = "S" if label.side == "S" else "H"
-    out = _schur_name(label.schur, letter)
+    out = _schur_name(label.schur, label.side)
     if label.det_twist:
         brackets = "⟨{}⟩" if label.side == "H" else "({})"
         out += brackets.format(label.det_twist)
@@ -232,7 +231,7 @@ def cmd_bwb(args):
     if result is None:
         return 0, ["non-regular: all cohomology vanishes"]
     kind += f" l={result[0]}" if result[0] else ""
-    return 0, [f"{kind}: H^{result[0]} has shape ({format_partition(result[1]) or ''})"]
+    return 0, [f"{kind}: H^{result[0]} has shape ({format_partition(result[1])})"]
 
 
 def cmd_kmatrix(args):

@@ -1,4 +1,4 @@
-"""Young diagram arithmetic: complements, row/column surgery, staircases.
+"""Young diagram arithmetic: complements, staircases.
 
 Partitions are plain tuples of non-increasing positive integers (trailing
 zeros trimmed).  All functions treat them as immutable values.
@@ -60,19 +60,11 @@ def check_box(d: int, r: int, strict: bool = False) -> None:
 
 def complement(gamma: tuple[int, ...], w: int, h: int) -> tuple[int, ...]:
     """180-degree rotated complement of gamma inside the w x h rectangle."""
+    gamma = canonical(gamma)
     if height(gamma) > h or width(gamma) > w:
         raise ValueError(f"{gamma} does not fit in a {w}x{h} rectangle")
     padded = gamma + (0,) * (h - len(gamma))
     return canonical(w - padded[h - 1 - i] for i in range(h))
-
-
-def strip(delta: tuple[int, ...], what: str) -> tuple[int, ...]:
-    """Delete the first row or the first column of the diagram."""
-    if what == "first-row":
-        return canonical(delta[1:])
-    if what == "first-column":
-        return canonical(x - 1 for x in delta if x > 0)
-    raise ValueError(f"unknown strip mode {what!r}")
 
 
 def staircase(seed: tuple[int, ...], r: int,

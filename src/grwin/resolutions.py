@@ -15,7 +15,7 @@ of V are dropped on sight (det V trivialized).
 from __future__ import annotations
 
 from .bundles import GradedComplex, _folded, from_nondual
-from .partitions import canonical, check_box, height, resolution_terms, strip, width
+from .partitions import canonical, check_box, height, resolution_terms, width
 
 
 class InternalConsistencyError(AssertionError):
@@ -107,7 +107,7 @@ def pushdown_pi(gamma: tuple[int, ...], d: int, r: int,
     if height(gamma) <= rank_h:  # S^gamma H vanishes above H's rank
         items.append((0, from_nondual(gamma, rank_h, side="H"), 1))
     if locus == "open" and width(gamma) == d - r + 1:
-        tail = strip(gamma, "first-row")
+        tail = gamma[1:]
         if height(tail) <= rank_h:
             # S^tail H ⊗ det H^dual, in canonical dual form
             items.append((d - r, from_nondual(tail, rank_h, side="H", extra_twist=1), 1))

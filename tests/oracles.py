@@ -1,5 +1,11 @@
-"""Brute-force oracles kept independent of the library code paths."""
+"""Brute-force oracles kept independent of the library code paths, and the
+helpers the test modules share: label and complex builders, an in-process
+CLI runner and the sha256 digest of the pinned tables."""
 
+import hashlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -318,6 +324,11 @@ def canonical_by_rows(rows):
     return rows
 
 
+def strip_first_row_and_column(delta):
+    """delta less its first row and its first column."""
+    return tuple(x - 1 for x in delta[1:] if x > 1)
+
+
 def staircase_closed_form(seed, r, k):
     """Independent closed form for delta_k of the staircase: insert k below
     the rows taller than column k and add one box to every deeper row."""
@@ -446,7 +457,7 @@ def euler_character_by_cauchy(delta, d, r, D, terms=None):
     else:
         terms = [(k, canonical(shape), s) for k, shape, s in terms]
         for k, _, s in terms:
-            if not (isinstance(k, int) and isinstance(s, int) and s >= 0):
+            if not (isinstance(k, int) and isinstance(s, int) and min(k, s) >= 0):
                 raise ValueError(f"override term needs int k, s >= 0: got {k!r}, {s!r}")
     cauchy = cauchy_truncated(d, r, D)
     # every shape is canonical and 0 < r <= d, so the products are read
@@ -489,16 +500,40 @@ def terms_at(cx, degree):
 
 
 def tensor_det(cx, m):
-    """A GradedComplex tensored by the m-th power of the side determinant line.
-    A uniform det_twist shift is injective and keeps label order: no re-sort."""
+    """A GradedComplex tensored by the m-th power of the side determinant line."""
     from grwin.bundles import GradedComplex
-    return GradedComplex(tuple(
-        (degree, tuple((lb._replace(det_twist=lb.det_twist + m), mult)
-                       for lb, mult in labels))
-        for degree, labels in cx.terms))
+    return GradedComplex.from_items(
+        (degree, label._replace(det_twist=label.det_twist + m), mult)
+        for degree, label, mult in cx.items())
 
 
 def alternating_rank_sum(cx, d):
     """Sum of (-1)^degree * mult * rank over a GradedComplex's terms, dim V = d."""
     from grwin.bundles import rank
     return sum((-1) ** degree * mult * rank(label, d) for degree, label, mult in cx.items())
+
+
+def label(schur, rank, twist, v=(), side="S", bracket=0):
+    """BundleLabel with schur and v given as any sequences."""
+    from grwin.bundles import BundleLabel
+    return BundleLabel(tuple(schur), rank, twist, side, tuple(v), bracket)
+
+
+def complex_of(*items):
+    """GradedComplex of (degree, label, mult) items."""
+    from grwin.bundles import GradedComplex
+    return GradedComplex.from_items(items)
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process grwin.cli.main call."""
+    from grwin import cli
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(table):
+    """sha256 of the compact JSON of a table: the form every pinned digest takes."""
+    return hashlib.sha256(json.dumps(table, separators=(",", ":")).encode()).hexdigest()

@@ -11,12 +11,15 @@ from math import comb
 from oracles import (
     alternating_rank_sum,
     classify_bruteforce,
+    complex_of,
     epsilon_sequence,
     gamma_split,
     int_matmul,
+    label,
     pushdown_pi_bruteforce,
     solve_fraction_gauss_jordan,
     staircase_closed_form,
+    strip_first_row_and_column,
     tensor_det,
     terms_at,
 )
@@ -28,7 +31,6 @@ from grwin.autoequiv import (
     twist_on_generator,
 )
 from grwin.bott import bwb_cohomology, classify
-from grwin.bundles import BundleLabel, GradedComplex
 from grwin.characters import (
     euler_character,
     hom_invariant_dimension,
@@ -41,19 +43,10 @@ from grwin.partitions import (
     height,
     partitions_in_box,
     staircase,
-    strip,
     width,
 )
 from grwin.resolutions import pushdown_pi, theorem_resolution, unstable_resolution_twisted
 from grwin.windows import gamma_set
-
-
-def label(schur, rank, twist, v=()):
-    return BundleLabel(tuple(schur), rank, twist, "S", tuple(v))
-
-
-def complex_of(*items):
-    return GradedComplex.from_items(list(items))
 
 
 def _finish(number, text, t0, budget):
@@ -200,7 +193,7 @@ def test_criterion_06_staircase_closed_form_and_remarks():
             assert chain[K][2] == d
             assert all(width(chain[k][1]) < d - r + 1 for k in range(K))
             assert width(chain[K][1]) == d - r + 1
-            assert strip(strip(chain[K][1], "first-row"), "first-column") == seed
+            assert strip_first_row_and_column(chain[K][1]) == seed
         else:
             assert all(width(chain[k][1]) == d - r + 1 for k in range(K + 1))
         eps = epsilon_sequence(seed, d, r)

@@ -8,16 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     alternating_rank_sum,
+    digest,
     gamma_split,
     int_matmul,
     kapranov_coordinates_by_bott,
     k_matrix_by_localization,
+    label,
     schur_value_bruteforce,
     solve_fraction_gauss_jordan,
     tensor_det,
 )
 
-from test_kmatrix_digests import DIGESTS, digest
+from test_kmatrix_digests import DIGESTS
 
 from grwin import autoequiv, bott, partitions, resolutions
 from grwin.autoequiv import (
@@ -33,10 +35,6 @@ from grwin.bundles import BundleLabel, GradedComplex
 from grwin.partitions import resolution_terms, width
 from grwin.resolutions import unstable_resolution_twisted
 from grwin.windows import gamma_set, window_generators
-
-
-def label(schur, rank, twist, v=()):
-    return BundleLabel(tuple(schur), rank, twist, "S", tuple(v))
 
 
 def single(lb):

@@ -2,31 +2,22 @@
 diagram, `euler_characteristic` on every small weight, and the `bwb`
 subcommand's exit codes and stdout.
 
-The digests are sha256 of the compact JSON of each table, in the form of
-`test_kmatrix_digests.py`.  They were recorded before `classify` returned
-plain pairs, so any change to the classifier that moves a degree, a shape,
-a sign or a byte of output fails here.
+The digests are sha256 of the compact JSON of each table
+(`oracles.digest`).  They were recorded before `classify` returned plain
+pairs, so any change to the classifier that moves a degree, a shape, a sign
+or a byte of output fails here.
 """
 
-import hashlib
-import io
-import json
-from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
-from oracles import euler_characteristic_bruteforce
+from oracles import digest, euler_characteristic_bruteforce, run_cli
 
-from grwin import cli
 from grwin.bott import bwb_cohomology, euler_characteristic
 from grwin.partitions import partitions_in_box
 
 BWB_COHOMOLOGY = "e830112d2a9c8199b6896452ddbaa9427a76ea6b8f21c9584b128d0c243bbd25"
 EULER_CHARACTERISTIC = "2ebaaa5bb02f359b48fb146b95433e87c32f6c43be675cb4bc3358b67bf90d40"
 CLI_BWB = "428325f71969f68a8c598f6f7aae35865e94d38af254b5b583c0b0a3c7486205"
-
-
-def digest(table):
-    return hashlib.sha256(json.dumps(table, separators=(",", ":")).encode()).hexdigest()
 
 
 def test_bwb_cohomology_matches_pinned_digest():
@@ -44,13 +35,6 @@ def test_euler_characteristic_matches_pinned_digest_and_bruteforce():
     assert digest(values) == EULER_CHARACTERISTIC
     for alpha, value in zip(weights, values):
         assert value == euler_characteristic_bruteforce(alpha), alpha
-
-
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_bwb_subcommand_matches_pinned_digest():

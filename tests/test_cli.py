@@ -1,12 +1,10 @@
-import io
 import json
 import math
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import tensor_det
+from oracles import run_cli, tensor_det
 
 from grwin import autoequiv, characters, cli, resolutions
 from grwin.autoequiv import InternalConsistencyError
@@ -491,11 +489,9 @@ def _flatten(parts):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(argv=argvs.map(_flatten), extra=flags)
 def test_cli_exit_code_contract_on_arbitrary_input(argv, extra):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv + extra)
+    code, out, err = run_cli(argv + extra)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue()
+        assert out == ""
+        assert err

@@ -3,20 +3,16 @@ the 8 combinations of the shared flags (`--json`, `--pretty`,
 `--expand-multiplicities`), over valid and invalid argvs with d <= 5.
 
 The digests are sha256 of the compact JSON of each table of
-[argv, exit code, stdout], in the form of `test_bott_digests.py`.  They were
-recorded before the subcommands returned their output to `main`, so a
-change to the printers that moves a byte of output fails here.
+[argv, exit code, stdout] (`oracles.digest`).  They were recorded before
+the subcommands returned their output to `main`, so a change to the
+printers that moves a byte of output fails here.
 """
 
-import hashlib
-import io
-import json
-from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
 import pytest
 
-from grwin import cli
+from oracles import digest, run_cli
 
 DIGESTS = {
     "windows": "836771289df5a089f2b1650f728db2a5f67d41830e15a8dcc1520bd1195994ce",
@@ -104,17 +100,6 @@ def tables():
                              and "--expand-multiplicities" in argv]
     out["resolve"] = [argv for argv in out["resolve"] if argv not in out["resolve-expand"]]
     return out
-
-
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def digest(table):
-    return hashlib.sha256(json.dumps(table, separators=(",", ":")).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))

@@ -102,7 +102,7 @@ def test_exports_are_the_pinned_names():
         "cotwist_on_generator", "euler_character", "gamma_set", "hom_invariant_dimension",
         "jshriek_jlower", "k_matrix", "lr_coefficient", "normalize", "o1_matrix",
         "pushdown_pi", "pushforward_character", "rank", "schur_dimension",
-        "schur_product", "staircase", "strip", "theorem_resolution",
+        "schur_product", "staircase", "theorem_resolution",
         "twist_on_generator", "unstable_resolution_twisted", "verify_exactness",
         "window_generators",
     ]
@@ -207,9 +207,10 @@ def test_euler_character_override_checks_rank_and_shapes():
 
 
 @pytest.mark.parametrize("term", [(0, (), -1), (0.5, (), 0), (0, (), 1.0),
-                                  (Fraction(1), (), 0)])
+                                  (Fraction(1), (), 0), (-1, (), 0)])
 def test_euler_character_override_checks_degree_and_wedge_power(term):
-    # s = -1 would read as the empty column and k = 0.5 as a complex sign
+    # s = -1 would read as the empty column, k = 0.5 as a complex sign and
+    # k = -1 as the float sign -1.0
     with pytest.raises(ValueError, match=r"^override term needs int k, s >= 0"):
         characters.euler_character((), 3, 2, 3, terms=[term])
 

@@ -2,19 +2,19 @@
 (11,5) and (12,6), pinned bit for bit; (12,6) is the largest box `kmatrix`
 computes by default.
 
-The digests are sha256 of the compact JSON of each matrix.  Those up to
-(8,4) were recorded from the Fraction Gauss-Jordan engine (the O(1) matrix at
-(8,4) from the Kapranov pairing with one Bott call per entry), those at (9,4)
-and (10,5) from the Kapranov coordinate map, and those at (11,5) and (12,6)
-from the read-off (the O(1) matrix at (12,6) from the per-entry pairing); the
-read-off of the images reproduces every pin.  A change to the images, the
-read-off or the Kapranov pairing that moves any entry fails here.
+The digests are sha256 of the compact JSON of each matrix
+(`oracles.digest`).  Those up to (8,4) were recorded from the Fraction
+Gauss-Jordan engine (the O(1) matrix at (8,4) from the Kapranov pairing with
+one Bott call per entry), those at (9,4) and (10,5) from the Kapranov
+coordinate map, and those at (11,5) and (12,6) from the read-off (the O(1)
+matrix at (12,6) from the per-entry pairing); the read-off of the images
+reproduces every pin.  A change to the images, the read-off or the Kapranov
+pairing that moves any entry fails here.
 """
 
-import hashlib
-import json
-
 import pytest
+
+from oracles import digest
 
 from grwin.autoequiv import k_matrix, o1_matrix
 
@@ -129,10 +129,6 @@ LARGE = {
     "o1:12,6": "67a90df22bb70774cf84f192d99f52469f3962d4c95d1641263e58a71b725d75",
 }
 BOXES = sorted({tuple(map(int, key.split(":")[1].split(","))) for key in DIGESTS})
-
-
-def digest(matrix):
-    return hashlib.sha256(json.dumps(matrix, separators=(",", ":")).encode()).hexdigest()
 
 
 def test_pins_cover_every_box_up_to_seven():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (add_full_column, canonical_by_rows, conjugate_by_cells,
-                     staircase_closed_form)
+                     staircase_closed_form, strip_first_row_and_column)
 
 from grwin.cli import ascii_diagram, format_partition, parse_partition
 from grwin.partitions import (
@@ -17,7 +17,6 @@ from grwin.partitions import (
     resolution_terms,
     size,
     staircase,
-    strip,
     width,
 )
 
@@ -82,6 +81,14 @@ def test_complement_rejects_oversize():
             complement((), w, h)
 
 
+def test_complement_reads_its_diagram_canonically():
+    # padded and list-valued diagrams are the canonical ones; a malformed one is refused
+    assert complement((2, 0, 0), 2, 2) == (2,)
+    assert complement([2, 1], 2, 2) == (1,)
+    with pytest.raises(ValueError, match="negative row length"):
+        complement((1, -1), 3, 2)
+
+
 def test_add_full_column():
     assert add_full_column((3, 1), 3) == (4, 2, 1)
     assert add_full_column((), 2) == (1, 1)
@@ -95,17 +102,6 @@ def test_add_full_column_complement_identity():
     tilde = add_full_column(delta, r)
     assert complement(tilde, w + 1, r) == (2, 1)
     assert complement(delta, w, r) == (2, 1)
-
-
-def test_strip():
-    assert strip((3, 1), "first-row") == (1,)
-    assert strip((3, 1), "first-column") == (2,)
-    assert strip((2, 2), "first-row") == (2,)
-    assert strip((), "first-row") == ()
-    assert strip((), "first-column") == ()
-    assert strip((2, 1, 0), "first-column") == (1,)  # a trailing zero row is no row
-    with pytest.raises(ValueError):
-        strip((1,), "diagonal")
 
 
 def test_staircase_eagon_northcott_seed():
@@ -173,8 +169,7 @@ def test_recovery_properties_for_resolution_range():
         if width(seed) < d - r + 1:
             assert chain[K][2] == d
             assert width(chain[K][1]) == d - r + 1
-            recovered = strip(strip(chain[K][1], "first-row"), "first-column")
-            assert recovered == seed
+            assert strip_first_row_and_column(chain[K][1]) == seed
         else:
             assert all(width(chain[k][1]) == d - r + 1 for k in range(K + 1))
 

@@ -2,29 +2,23 @@ import pytest
 
 from oracles import (
     alternating_rank_sum,
+    complex_of,
     epsilon_sequence,
     gamma_split,
     jshriek_by_epsilon,
+    label,
     pushdown_pi_bruteforce,
     relabel_to_x,
 )
 
-from grwin.bundles import BundleLabel, GradedComplex
-from grwin.partitions import height, partitions_in_box, strip, width
+from grwin.bundles import GradedComplex
+from grwin.partitions import height, partitions_in_box, width
 from grwin.resolutions import (
     jshriek_jlower,
     pushdown_pi,
     theorem_resolution,
     unstable_resolution_twisted,
 )
-
-
-def label(schur, rank, twist, v=(), side="S", bracket=0):
-    return BundleLabel(tuple(schur), rank, twist, side, tuple(v), bracket)
-
-
-def complex_of(*items):
-    return GradedComplex.from_items([(d, lb, m) for d, lb, m in items])
 
 
 def test_resolution_of_empty_seed_reproduces_displayed_complex():

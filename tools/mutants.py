@@ -58,6 +58,11 @@ EQUIVALENT = {
     ("characters.py", "ones, plans, ahead, classes = (_code((1,) * r, digit), [], "
                       "[{} for _ in range(D + 2)], {})"):
         "copies go only to slices N + r <= D, so the extra slice stays empty",
+    ("characters.py", "right = [(needs, _code(adds, digit, d) + (c * ones << digit * d), n) for "
+                      "(needs, adds), n in lr_fillings(tuple((x - c for x in shape if x >= c)), "
+                      "r).items()]"):
+        "a row of c lowers to a trailing letter of 0 boxes, whose one empty strip "
+        "leaves every (needs, adds) entry as it is",
     ("characters.py", "cap = max((x for needs, *_ in lefts[0] + lefts[1] + right for x in needs), "
                       "default=1)"):
         "every filling needs 0 at row 0, so the default serves only empty tables",
@@ -65,8 +70,6 @@ EQUIVALENT = {
         "rows ending in 0 take the row loop, which passes them, and the zeros are trimmed",
     ("partitions.py", "padded = gamma + (0,) * (h + len(gamma))"):
         "only the first h entries are read",
-    ("partitions.py", "return canonical((x - 1 for x in delta if x > 1))"):
-        "a row of 1 lowers to 0, which canonical trims",
     ("partitions.py", "rows = list(seed) + [1] * (r - len(seed))"):
         "step 1 raises every row to at least 1",
     ("resolutions.py", "deleted: if s_top != d:"):
