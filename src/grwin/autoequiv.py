@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 from .bott import euler_characteristic
 from .bundles import BundleLabel, GradedComplex
 from .partitions import canonical, check_box, height, resolution_terms, size, width
 from .resolutions import InternalConsistencyError, _cancelled_resolution, _complex
-from .schur import schur_dimension
 from .windows import gamma_set, window_generators
 
 
@@ -100,7 +99,7 @@ def k_matrix(which: str, d: int, r: int) -> list[list[int]]:
     Every image term is a generator of the target window (k = -1 for the
     cotwist, 0 for the twist), and those labels are a basis of K(Gr(r,d)), so
     entry (i, j) sums (-1)^deg mult over the terms of image j labelled by
-    generator i, a V factor S^v V multiplying mult by dim S^v V and leaving the
+    generator i, a V factor wedge^s V multiplying mult by C(d, s) and leaving the
     label; `identity` is I.
     A label outside the window, on the H side or with a bracket twist raises
     InternalConsistencyError, naming the label less its V factor.  The Kapranov
@@ -124,10 +123,8 @@ def k_matrix(which: str, d: int, r: int) -> list[list[int]]:
                 if i is None or lb.side != "S" or lb.bracket_twist:
                     raise InternalConsistencyError(
                         f"(d,r)=({d},{r}), delta={delta}: {which} image term "
-                        f"{lb._replace(v_shape=())} is not a generator of window {k}")
-                if lb.v_shape:  # S^v V enters through its dimension
-                    mult *= schur_dimension(lb.v_shape, d)
-                matrix[i][j] += (-1) ** degree * mult
+                        f"{lb._replace(wedge=0)} is not a generator of window {k}")
+                matrix[i][j] += (-1) ** degree * mult * comb(d, lb.wedge)
     return matrix
 
 
@@ -145,7 +142,7 @@ def kapranov_coordinates(labels: Sequence[BundleLabel], d: int, r: int, k: int) 
     check_box(d, r, strict=True)
     tails = []
     for lb in labels:
-        if lb.side != "S" or lb.taut_rank != r or lb.bracket_twist or lb.v_shape:
+        if lb.side != "S" or lb.taut_rank != r or lb.bracket_twist or lb.wedge:
             raise ValueError(f"coordinates need plain ambient-side labels, got {lb}")
         tail = tuple(x + lb.det_twist - k for x in lb.schur + (0,) * (r - len(lb.schur)))
         tails.append((tail, frozenset(x + r - i for i, x in enumerate(tail))))

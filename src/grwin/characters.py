@@ -23,6 +23,8 @@ Key = tuple[tuple[int, ...], tuple[int, ...]]
 def _checked(delta: tuple[int, ...], d: int, r: int, D: int, top: int | None) -> tuple[int, ...]:
     delta = canonical(delta)  # the library's one order: diagram, box, degree, height
     check_box(d, r)
+    if type(D) is not int:
+        raise ValueError(f"truncation degree must be an int, got {D!r}")
     if D < 0:
         raise ValueError("truncation degree must be >= 0")
     if top is not None and height(delta) > top:
@@ -159,14 +161,14 @@ def _pushforward_slices(delta: tuple[int, ...], d: int, r: int, digit: int,
 
 
 def verify_exactness(delta: tuple[int, ...], d: int, r: int, D: int) -> bool:
-    """Character oracle: the resolution is exact iff its Euler character
-    equals the pushforward character coefficient for coefficient."""
+    """Character oracle: whether the Euler and pushforward characters agree up to degree
+    D.  Every exact resolution passes, but a pass alone does not prove exactness."""
     return not exactness_report(delta, d, r, D)
 
 
 def exactness_report(delta: tuple[int, ...], d: int, r: int, D: int) -> list[tuple[Key, int, int]]:
     """The coefficients where the two characters differ, as (key, euler,
-    pushforward) sorted by key: empty iff the resolution is exact."""
+    pushforward) sorted by key: empty for every exact resolution, and perhaps for others."""
     delta = _checked(delta, d, r, D, None)
     terms = resolution_terms(delta, d, r)  # (0, delta, 0) first; refuses a height >= r
     (digit, cores), diffs = _cores(d, r, D, [shape for _, shape, _ in terms]), []

@@ -66,13 +66,8 @@ def format_label(label: BundleLabel) -> str:
         out += brackets.format(label.det_twist)
     if label.bracket_twist:
         out += f"⟨{label.bracket_twist}⟩"
-    if label.v_shape:
-        if label.v_shape == (1,):
-            out += "⊗V"
-        elif all(x == 1 for x in label.v_shape):
-            out += f"⊗∧^{len(label.v_shape)}V"
-        else:
-            out += f"⊗S^({format_partition(label.v_shape)})V"
+    if label.wedge:
+        out += "⊗V" if label.wedge == 1 else f"⊗∧^{label.wedge}V"
     return out
 
 
@@ -89,7 +84,7 @@ def format_complex(cx: GradedComplex) -> str:
 
 def label_to_json(label: BundleLabel, multiplicity: int | None = None) -> dict:
     doc: dict = {"schur": list(label.schur), "twist": label.det_twist, "side": label.side,
-                 "v_shape": list(label.v_shape), "rank": label.taut_rank}
+                 "v_shape": [1] * label.wedge, "rank": label.taut_rank}
     if label.bracket_twist:
         doc["bracket"] = label.bracket_twist
     if multiplicity is not None:
@@ -255,7 +250,7 @@ def cmd_kmatrix(args):
 
 def cmd_verify_exactness(args):
     delta = parse_partition(args.delta)
-    diffs = characters.exactness_report(delta, args.d, args.r, args.degree)  # exact iff empty
+    diffs = characters.exactness_report(delta, args.d, args.r, args.degree)  # empty if exact
     if not args.json:
         return (1 if diffs else 0), ["NOT exact" if diffs else "exact"]
     doc = {"ok": not diffs, "diffs": [{"lambda": list(lam), "mu": list(mu), "euler": a,

@@ -53,7 +53,9 @@ def conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def check_box(d: int, r: int, strict: bool = False) -> None:
-    """Validate a (d, r) pair: 0 < r <= d, or 0 < r < d when strict."""
+    """Validate a (d, r) pair of ints: 0 < r <= d, or 0 < r < d when strict."""
+    if type(d) is not int or type(r) is not int:  # bool and integral floats too
+        raise ValueError(f"d and r must be ints, got d={d!r}, r={r!r}")
     if not 0 < r <= (d - 1 if strict else d):
         raise ValueError(f"need 0 < r {'<' if strict else '<='} d, got r={r}, d={d}")
 

@@ -8,8 +8,8 @@ Degree conventions, pinned per display:
     and the up-shift image of a full-width generator is it tensored by
     O(1) in the same degrees.
 Here K = d-r+1, every term comes from the one staircase walk,
-partitions.resolution_terms, and `_complex` labels it.  Top exterior powers
-of V are dropped on sight (det V trivialized).
+partitions.resolution_terms, and `_complex` labels it.  The top exterior power
+wedge^d V is labelled as wedge 0, no V factor (det V trivialized).
 """
 
 from __future__ import annotations
@@ -22,18 +22,14 @@ class InternalConsistencyError(AssertionError):
     """A construction produced data the theory forbids."""
 
 
-def _wedge(s: int, d: int) -> tuple[int, ...]:
-    # wedge^s V as a column (s <= d on every staircase); the top power is trivialized away
-    return () if s in (0, d) else (1,) * s
-
-
 def _complex(terms: list[tuple[int, tuple[int, ...], int]], d: int, r: int, top: int,
              twist: int, bracket_twist: int = 0) -> GradedComplex:
     """The one builder from staircase terms (k, delta_k, s_k) to a complex: term k is
-    S^{delta_k}S^dual(twist) ⊗ wedge^{s_k}V in degree top - k.  The walk gives canonical
-    rows, at most r, and one term per degree, so no canonical pass, merge or sort."""
+    S^{delta_k}S^dual(twist) ⊗ wedge^{s_k}V in degree top - k, s_k = d as wedge 0 (every
+    s_k <= d).  The walk gives canonical rows, at most r, and one term per degree, so no
+    canonical pass, merge or sort."""
     return GradedComplex(tuple(
-        (top - k, ((_folded(dk, twist, r, "S", _wedge(sk, d), bracket_twist), 1),))
+        (top - k, ((_folded(dk, twist, r, "S", sk % d, bracket_twist), 1),))
         for k, dk, sk in reversed(terms)))
 
 

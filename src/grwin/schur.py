@@ -102,6 +102,8 @@ def schur_product(lam: tuple[int, ...], mu: tuple[int, ...],
 @cache
 def schur_dimension(lam: tuple[int, ...], n: int) -> int:
     """Number of semistandard tableaux of shape lam with entries in 1..n."""
+    if type(n) is not int:
+        raise ValueError(f"alphabet size must be an int, got {n!r}")
     if n < 0:
         raise ValueError("alphabet size must be >= 0")
     lam = canonical(lam)

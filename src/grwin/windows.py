@@ -23,5 +23,7 @@ def gamma_set(d: int, r: int) -> tuple[tuple[int, ...], ...]:
 def window_generators(d: int, r: int, k: int) -> list[BundleLabel]:
     """Normalized labels of the k-th window's generating bundles."""
     check_box(d, r, strict=True)
+    if type(k) is not int:
+        raise ValueError(f"window index must be an int, got {k!r}")
     return [_folded(delta, k, r) for delta in gamma_set(d, r)]
 

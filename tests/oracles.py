@@ -352,13 +352,12 @@ def jshriek_by_epsilon(delta, d, r):
     own width, bracket-twisted by d-r, with wedge^{s_k}V, in degree K-k."""
     from grwin.bundles import GradedComplex, from_nondual
     from grwin.partitions import complement, resolution_terms
-    from grwin.resolutions import _wedge
     K = d - r + 1
     items = []
     for k, dk, sk in resolution_terms(delta, d, r):
-        eps = complement(dk, K, r)
+        eps = complement(dk, K, r)  # wedge^d V = det V is trivialized
         items.append((K - k, from_nondual(eps, r, bracket_twist=d - r,
-                                          v_shape=_wedge(sk, d)), 1))
+                                          wedge=0 if sk == d else sk), 1))
     return GradedComplex.from_items(items)
 
 
@@ -513,10 +512,10 @@ def alternating_rank_sum(cx, d):
     return sum((-1) ** degree * mult * rank(label, d) for degree, label, mult in cx.items())
 
 
-def label(schur, rank, twist, v=(), side="S", bracket=0):
-    """BundleLabel with schur and v given as any sequences."""
+def label(schur, rank, twist, v=0, side="S", bracket=0):
+    """BundleLabel with schur given as any sequence and v the s of its wedge^s V."""
     from grwin.bundles import BundleLabel
-    return BundleLabel(tuple(schur), rank, twist, side, tuple(v), bracket)
+    return BundleLabel(tuple(schur), rank, twist, side, v, bracket)
 
 
 def complex_of(*items):

@@ -59,12 +59,12 @@ def test_criterion_01_golden_three_fold_flop():
     t0 = time.monotonic()
     assert cotwist_on_generator((), 2, 1) == complex_of((0, label((), 1, 0), 1))
     assert cotwist_on_generator((1,), 2, 1) == complex_of(
-        (0, label((), 1, 0, v=(1,)), 1),
+        (0, label((), 1, 0, v=1), 1),
         (1, label((), 1, -1), 1),
     )
     assert twist_on_generator((), 2, 1) == complex_of((0, label((), 1, 1), 1))
     assert twist_on_generator((1,), 2, 1) == complex_of(
-        (0, label((), 1, 1, v=(1,)), 1),
+        (0, label((), 1, 1, v=1), 1),
         (1, label((), 1, 0), 1),
     )
     _finish(1, "three-fold flop shift images", t0, 1)
@@ -74,8 +74,8 @@ def test_criterion_02_golden_d4_r2_suite():
     t0 = time.monotonic()
     out_sq = cotwist_on_generator((2,), 4, 2)
     assert out_sq == complex_of(
-        (0, label((1,), 2, 0, v=(1, 1, 1)), 1),
-        (1, label((), 2, 0, v=(1, 1)), 1),
+        (0, label((1,), 2, 0, v=3), 1),
+        (1, label((), 2, 0, v=2), 1),
         (2, label((), 2, -1), 1),
     )
     flat = out_sq.expand_multiplicities(4)
@@ -88,23 +88,23 @@ def test_criterion_02_golden_d4_r2_suite():
 
     corrected = cotwist_on_generator((2, 2), 4, 2)
     assert corrected == complex_of(
-        (0, label((), 2, 1, v=(1, 1)), 1),
-        (1, label((1,), 2, 0, v=(1,)), 1),
+        (0, label((), 2, 1, v=2), 1),
+        (1, label((1,), 2, 0, v=1), 1),
         (2, label((2,), 2, -1), 1),
     )
     # the printed four-term version carries the wrong exterior power and
     # fails the alternating-rank-zero necessary condition: 1-4+8-3 = 2
     printed = complex_of(
         (0, label((), 2, 2), 1),                      # top V power trivialized
-        (1, label((), 2, 1, v=(1, 1, 1)), 1),
-        (2, label((1,), 2, 0, v=(1,)), 1),
+        (1, label((), 2, 1, v=3), 1),
+        (2, label((1,), 2, 0, v=1), 1),
         (3, label((2,), 2, -1), 1),
     )
     assert alternating_rank_sum(printed, 4) == 2
     four_term_fixed = complex_of(
         (0, label((), 2, 2), 1),
-        (1, label((), 2, 1, v=(1, 1)), 1),
-        (2, label((1,), 2, 0, v=(1,)), 1),
+        (1, label((), 2, 1, v=2), 1),
+        (2, label((1,), 2, 0, v=1), 1),
         (3, label((2,), 2, -1), 1),
     )
     assert alternating_rank_sum(four_term_fixed, 4) == 0
@@ -116,15 +116,15 @@ def test_criterion_03_resolution_figures():
     cx = theorem_resolution((), 4, 2)
     assert cx == complex_of(
         (-3, label((2,), 2, 1), 1),
-        (-2, label((1,), 2, 1, v=(1, 1, 1)), 1),
-        (-1, label((), 2, 1, v=(1, 1)), 1),
+        (-2, label((1,), 2, 1, v=3), 1),
+        (-1, label((), 2, 1, v=2), 1),
         (0, label((), 2, 0), 1),
     )
     cx = theorem_resolution((1,), 4, 2)
     assert cx == complex_of(
         (-3, label((1,), 2, 2), 1),
-        (-2, label((), 2, 2, v=(1, 1, 1)), 1),
-        (-1, label((), 2, 1, v=(1,)), 1),
+        (-2, label((), 2, 2, v=3), 1),
+        (-1, label((), 2, 1, v=1), 1),
         (0, label((1,), 2, 0), 1),
     )
     _finish(3, "resolution figures term-for-term", t0, 1)

@@ -49,7 +49,7 @@ def oracle_det(matrix):
 
 def test_twist_three_fold():
     assert twist_on_generator((1,), 2, 1) == GradedComplex.from_items([
-        (0, label((), 1, 1, v=(1,)), 1),
+        (0, label((), 1, 1, v=1), 1),
         (1, label((), 1, 0), 1),
     ])
     assert twist_on_generator((), 2, 1) == single(label((), 1, 1))
@@ -57,8 +57,8 @@ def test_twist_three_fold():
 
 def test_twist_4_2_square():
     assert twist_on_generator((2,), 4, 2) == GradedComplex.from_items([
-        (0, label((1,), 2, 1, v=(1, 1, 1)), 1),
-        (1, label((), 2, 1, v=(1, 1)), 1),
+        (0, label((1,), 2, 1, v=3), 1),
+        (1, label((), 2, 1, v=2), 1),
         (2, label((), 2, 0), 1),
     ])
 
@@ -75,7 +75,7 @@ def test_twist_rejects_outside_index_set():
 
 def test_cotwist_three_fold():
     assert cotwist_on_generator((1,), 2, 1) == GradedComplex.from_items([
-        (0, label((), 1, 0, v=(1,)), 1),
+        (0, label((), 1, 0, v=1), 1),
         (1, label((), 1, -1), 1),
     ])
     assert cotwist_on_generator((), 2, 1) == single(label((), 1, 0))
@@ -83,21 +83,21 @@ def test_cotwist_three_fold():
 
 def test_cotwist_4_2_outputs():
     assert cotwist_on_generator((2,), 4, 2) == GradedComplex.from_items([
-        (0, label((1,), 2, 0, v=(1, 1, 1)), 1),
-        (1, label((), 2, 0, v=(1, 1)), 1),
+        (0, label((1,), 2, 0, v=3), 1),
+        (1, label((), 2, 0, v=2), 1),
         (2, label((), 2, -1), 1),
     ])
     assert cotwist_on_generator((2, 1), 4, 2) == GradedComplex.from_items([
-        (0, label((), 2, 1, v=(1, 1, 1)), 1),
-        (1, label((), 2, 0, v=(1,)), 1),
+        (0, label((), 2, 1, v=3), 1),
+        (1, label((), 2, 0, v=1), 1),
         (2, label((1,), 2, -1), 1),
     ])
 
 
 def test_cotwist_corrected_third_complex():
     assert cotwist_on_generator((2, 2), 4, 2) == GradedComplex.from_items([
-        (0, label((), 2, 1, v=(1, 1)), 1),
-        (1, label((1,), 2, 0, v=(1,)), 1),
+        (0, label((), 2, 1, v=2), 1),
+        (1, label((1,), 2, 0, v=1), 1),
         (2, label((2,), 2, -1), 1),
     ])
 
@@ -141,9 +141,9 @@ def test_outputs_stay_in_target_windows():
         window, lower = set(window_generators(d, n, 0)), set(window_generators(d, n, -1))
         for delta in gamma_set(d, n):
             for _, lb, _m in twist_on_generator(delta, d, n).items():
-                assert lb._replace(v_shape=()) in window
+                assert lb._replace(wedge=0) in window
             for _, lb, _m in cotwist_on_generator(delta, d, n).items():
-                assert lb._replace(v_shape=()) in lower
+                assert lb._replace(wedge=0) in lower
 
 
 @st.composite
@@ -166,8 +166,8 @@ def test_twist_cotwist_route_and_windows_for_seven_to_nine(case):
     if width(delta) == d - n:
         assert cotwist == unstable_resolution_twisted(delta, d, n)
     window, lower = set(window_generators(d, n, 0)), set(window_generators(d, n, -1))
-    assert all(lb._replace(v_shape=()) in window for _, lb, _m in twist.items())
-    assert all(lb._replace(v_shape=()) in lower for _, lb, _m in cotwist.items())
+    assert all(lb._replace(wedge=0) in window for _, lb, _m in twist.items())
+    assert all(lb._replace(wedge=0) in lower for _, lb, _m in cotwist.items())
 
 
 @st.composite
@@ -188,7 +188,7 @@ def test_image_labels_have_unit_kapranov_coordinates_for_ten_to_twelve(case):
     delta, d, n = case
     for image, k in [(twist_on_generator, 0), (cotwist_on_generator, -1)]:
         position = {lb: i for i, lb in enumerate(window_generators(d, n, k))}
-        plain = list(dict.fromkeys(lb._replace(v_shape=())
+        plain = list(dict.fromkeys(lb._replace(wedge=0)
                                    for _, lb, _m in image(delta, d, n).items()))
         coordinates = kapranov_coordinates(plain, d, n, k)
         for j, lb in enumerate(plain):
@@ -316,7 +316,7 @@ def test_k_matrix_matches_localization_at_three_boxes(d, r):
 
 @pytest.mark.parametrize("lb", [BundleLabel((), 2, 0, side="H"),
                                 BundleLabel((), 2, 0, bracket_twist=1),
-                                BundleLabel((), 2, 0, v_shape=(1,)), BundleLabel((), 1, 0)],
+                                BundleLabel((), 2, 0, wedge=1), BundleLabel((), 1, 0)],
                          ids=["H-side", "bracket", "V-factor", "rank"])
 def test_kapranov_coordinates_reject_labels_that_are_not_plain(lb):
     with pytest.raises(ValueError, match=r"^coordinates need plain ambient-side labels"):
@@ -412,6 +412,17 @@ def test_k_matrix_is_a_read_off_with_no_pairing(monkeypatch):
             assert digest(k_matrix(which, d, r)) == DIGESTS[f"{which}:{d},{r}"], (which, d, r)
 
 
+@pytest.mark.parametrize("which", ["twist", "cotwist"])
+def test_k_matrix_sums_each_term_multiplicity(monkeypatch, which):
+    # every library image term has multiplicity 1, but the read-off sums
+    # (-1)^deg mult C(d, s): images with each multiplicity doubled double the matrix
+    name = f"{which}_on_generator"
+    real, single = getattr(autoequiv, name), k_matrix(which, 5, 2)
+    monkeypatch.setattr(autoequiv, name, lambda delta, d, r: GradedComplex.from_items(
+        (degree, lb, 2 * mult) for degree, lb, mult in real(delta, d, r).items()))
+    assert k_matrix(which, 5, 2) == [[2 * x for x in row] for row in single]
+
+
 def test_an_image_label_outside_the_window_is_an_internal_consistency_error(monkeypatch):
     # the read-off indexes labels by the target window; images twisted by one
     # more O(1) keep O(2) in window 0, so the first label with no row is S^dual(2)
@@ -433,7 +444,7 @@ def test_an_off_window_label_with_a_v_factor_is_named_without_it(monkeypatch):
     monkeypatch.setattr(autoequiv, "twist_on_generator", lambda delta, d, r: (
         tensor_det(real(delta, d, r), 1) if width(delta) == d - r else real(delta, d, r)))
     (_, lb, _), *_ = tensor_det(real((2,), 4, 2), 1).items()
-    assert lb.v_shape == (1, 1, 1)
+    assert lb.wedge == 3
     with pytest.raises(InternalConsistencyError) as exc:
         k_matrix("twist", 4, 2)
     assert str(exc.value) == ("(d,r)=(4,2), delta=(2,): twist image term "

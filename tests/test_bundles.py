@@ -52,10 +52,10 @@ def test_dual_conversion_example():
 @pytest.mark.parametrize("side,bracket_twist", [("S", 0), ("S", 2), ("H", 0)])
 def test_dual_conversion_on_a_rank_zero_side_is_the_trivial_label(side, bracket_twist):
     for extra_twist in (-2, 0, 3):
-        for v_shape, canonical_v in [((), ()), ((2, 1), (2, 1)), ((1, 1, 0), (1, 1))]:
-            lb = from_nondual((), 0, side, v_shape, bracket_twist, extra_twist)
-            assert lb == BundleLabel((), 0, 0, side, canonical_v, bracket_twist)
-            assert lb == normalize((), extra_twist, 0, side, v_shape, bracket_twist)
+        for wedge in (0, 2):
+            lb = from_nondual((), 0, side, wedge, bracket_twist, extra_twist)
+            assert lb == BundleLabel((), 0, 0, side, wedge, bracket_twist)
+            assert lb == normalize((), extra_twist, 0, side, wedge, bracket_twist)
 
 
 def test_dual_conversion_refuses_a_vanishing_power():
@@ -73,7 +73,7 @@ def test_dual_conversion_round_trip():
 
 
 def test_rank_examples():
-    assert rank(BundleLabel((1,), 2, 0, v_shape=(1, 1, 1)), 4) == 8
+    assert rank(BundleLabel((1,), 2, 0, wedge=3), 4) == 8
     assert rank(BundleLabel((), 2, 5), 4) == 1
     assert rank(BundleLabel((2,), 2, -1), 4) == 3
 
@@ -89,21 +89,22 @@ def test_relabel_to_x():
 
 
 def fields(lb):
-    return (lb.schur, lb.taut_rank, lb.det_twist, lb.side, lb.v_shape, lb.bracket_twist)
+    return (lb.schur, lb.taut_rank, lb.det_twist, lb.side, lb.wedge, lb.bracket_twist)
 
 
 def test_label_repr_names_every_field():
-    assert repr(BundleLabel((2, 1), 3, -1, side="H", v_shape=(1, 1))) == (
+    assert repr(BundleLabel((2, 1), 3, -1, side="H", wedge=2)) == (
         "BundleLabel(schur=(2, 1), taut_rank=3, det_twist=-1, side='H', "
-        "v_shape=(1, 1), bracket_twist=0)")
+        "wedge=2, bracket_twist=0)")
     assert repr(BundleLabel((), 0, 0, bracket_twist=2)) == (
         "BundleLabel(schur=(), taut_rank=0, det_twist=0, side='S', "
-        "v_shape=(), bracket_twist=2)")
+        "wedge=0, bracket_twist=2)")
 
 
 def test_label_hashes_and_sorts_as_its_field_tuple():
     labels = [BundleLabel((1,), 2, 0), BundleLabel((), 2, 1), BundleLabel((), 2, 0, "H"),
-              BundleLabel((), 2, 0, v_shape=(1,)), BundleLabel((), 2, 0, bracket_twist=-1),
+              BundleLabel((), 2, 0, wedge=1), BundleLabel((), 2, 0, wedge=2),
+              BundleLabel((), 2, 0, bracket_twist=-1),
               BundleLabel((2,), 3, -4), BundleLabel((1, 1), 3, 0), BundleLabel((), 0, 0)]
     for lb in labels:
         assert hash(lb) == hash(fields(lb))
@@ -118,7 +119,11 @@ def test_label_hashes_and_sorts_as_its_field_tuple():
     (((1, 1), 2, 0), "not canonical"),
     (((1,), 0, 0), "rank-0 side"),
     (((), 0, 3), "rank-0 side"),
-    (((), 2, 0, "H", (), 1), "bracket twist is redundant"),
+    (((), 2, 0, "H", 0, 1), "bracket twist is redundant"),
+    (((0,), 3, 0), "not canonical"),
+    (((1, 2), 3, 0), "not canonical"),
+    (((), 3, 0, "S", -1), "wedge must be a non-negative int"),
+    (((), 3, 0, "S", (1,)), "wedge must be a non-negative int"),
 ])
 def test_every_label_construction_validates(args, message):
     for build in (lambda: BundleLabel(*args), lambda: BundleLabel._make(args),
@@ -144,7 +149,7 @@ def test_graded_complex_value_semantics():
     assert repr(GradedComplex()) == "GradedComplex(terms=())"
     assert repr(GradedComplex.from_items([(0, BundleLabel((), 1, 2), 3)])) == (
         "GradedComplex(terms=((0, ((BundleLabel(schur=(), taut_rank=1, det_twist=2, "
-        "side='S', v_shape=(), bracket_twist=0), 3),)),))")
+        "side='S', wedge=0, bracket_twist=0), 3),)),))")
     with pytest.raises(AttributeError):
         cx.terms = ()
     with pytest.raises(AttributeError):
@@ -195,10 +200,10 @@ def test_graded_complex_drops_empty_degrees():
 def test_label_json_names_every_field():
     # "bracket" only when nonzero (never on the H side), "multiplicity" only
     # when given; the key order is the order the CLI prints
-    lb = BundleLabel((2, 1), 3, -1, side="H", v_shape=(1, 1))
+    lb = BundleLabel((2, 1), 3, -1, side="H", wedge=2)
     assert label_to_json(lb) == {"schur": [2, 1], "twist": -1, "side": "H",
                                  "v_shape": [1, 1], "rank": 3}
-    zlabel = BundleLabel((1,), 2, -2, bracket_twist=1, v_shape=(1,))
+    zlabel = BundleLabel((1,), 2, -2, bracket_twist=1, wedge=1)
     doc = label_to_json(zlabel, 4)
     assert list(doc) == ["schur", "twist", "side", "v_shape", "rank", "bracket", "multiplicity"]
     assert doc == {"schur": [1], "twist": -2, "side": "S", "v_shape": [1], "rank": 2,
@@ -216,10 +221,9 @@ def complexes(draw):
     def label():
         side = draw(st.sampled_from("SH"))
         rows = draw(st.lists(st.integers(1, 4), max_size=max(rank - 1, 0)))
-        v_rows = draw(st.lists(st.integers(1, 3), max_size=3))
         return BundleLabel(schur=tuple(sorted(rows, reverse=True)), taut_rank=rank,
                            det_twist=draw(st.integers(-3, 3)) if rank else 0, side=side,
-                           v_shape=tuple(sorted(v_rows, reverse=True)),
+                           wedge=draw(st.integers(0, 3)),
                            bracket_twist=draw(st.integers(-2, 2)) if side == "S" else 0)
 
     return GradedComplex.from_items(
@@ -260,13 +264,13 @@ def test_tensor_det_composes():
 @pytest.mark.parametrize("delta", [(2,), (2, 1), (2, 2)])
 def test_expanding_v_factors_keeps_the_alternating_rank_sum(delta):
     cx = twist_on_generator(delta, 4, 2)
-    assert any(label.v_shape for _, label, _ in cx.items())
+    assert any(label.wedge for _, label, _ in cx.items())
     assert alternating_rank_sum(cx, 4) == alternating_rank_sum(cx.expand_multiplicities(4), 4)
 
 
 def test_expand_multiplicities():
     cx = GradedComplex.from_items([
-        (0, BundleLabel((1,), 2, 0, v_shape=(1, 1, 1)), 1),
+        (0, BundleLabel((1,), 2, 0, wedge=3), 1),
         (1, BundleLabel((), 2, 0), 1),
     ])
     flat = cx.expand_multiplicities(4)

@@ -295,10 +295,11 @@ def test_refused_values_exit_two(capsys, argv, message):
 
 
 def test_format_label_names_a_bracket_twist_and_a_v_shape():
-    # no subcommand prints a bracket twist (a correspondence-stack label) or a
-    # V shape that is not a column, so the printer is checked directly
-    label = BundleLabel((2,), 2, 1, v_shape=(2, 1), bracket_twist=3)
-    assert cli.format_label(label) == "Sym^2S∨(1)⟨3⟩⊗S^(2,1)V"
+    # no subcommand prints a bracket twist (a correspondence-stack label), so
+    # the printer is checked directly, with each V factor it names
+    label = BundleLabel((2,), 2, 1, wedge=2, bracket_twist=3)
+    assert cli.format_label(label) == "Sym^2S∨(1)⟨3⟩⊗∧^2V"
+    assert cli.format_label(label._replace(wedge=1)) == "Sym^2S∨(1)⟨3⟩⊗V"
 
 
 def test_max_basis_is_a_kmatrix_option_only(capsys):

@@ -1,10 +1,10 @@
 """Contracts that span modules: the package exports, the (d, r) validation
 every public entry point shares and its place after the diagram's, the
 truncation degree of the character entry points, the partition bounds and
-Euler-character overrides they pass on, the inputs that only an entry
-point's own check refuses, the shapes the cached Schur helpers accept, a
-cold import that leaves `dataclasses`, `inspect`, `fractions` and
-`decimal` unloaded, and source scans that keep `assert` and `dataclasses`
+Euler-character overrides they pass on, the scalars that must be ints, the
+inputs that only an entry point's own check refuses, the shapes the cached
+Schur helpers accept, a cold import that leaves `dataclasses`, `inspect`,
+`fractions` and `decimal` unloaded, and source scans that keep `assert` and `dataclasses`
 out of the library, text and JSON syntax out of every module but the CLI,
 recursion out of the partition walks, caches out of the K-matrix engine
 and the character oracle, and classes out of the Bott module."""
@@ -252,7 +252,6 @@ NON_INTEGRAL = {
     "canonical_negative": (lambda: canonical((3, -1.5)), "-1.5"),
     "canonical_after_a_negative_row": (lambda: canonical((-1, 2.5)), "2.5"),
     "normalize": (lambda: normalize((2, 1.25), 0, 3), "1.25"),
-    "normalize_v_shape": (lambda: normalize((), 0, 3, v_shape=(0.5,)), "0.5"),
     "twist_on_generator": (lambda: autoequiv.twist_on_generator((1.9,), 3, 1), "1.9"),
     "schur_dimension": (lambda: schur.schur_dimension((2.7,), 3), "2.7"),
 }
@@ -262,6 +261,38 @@ NON_INTEGRAL = {
 def test_entry_points_reject_non_integral_rows(name):
     call, row = NON_INTEGRAL[name]
     with pytest.raises(ValueError, match=rf"^row length {re.escape(row)} is not an integer$"):
+        call()
+
+
+# a scalar that is not an int, bool included, used to reach an answer: a float
+# alphabet gave a float dimension, a float window index float twists, D = True
+# read as 1, and other floats raised TypeError or AttributeError deep inside
+NOT_AN_INT = {
+    "gamma_set_d": (lambda: (windows.gamma_set.cache_clear(), windows.gamma_set(3.0, 1)),
+                    "d and r must be ints, got d=3.0, r=1"),
+    "k_matrix_d": (lambda: autoequiv.k_matrix("twist", 4.0, 2),
+                   "d and r must be ints, got d=4.0, r=2"),
+    "theorem_resolution_r": (lambda: resolutions.theorem_resolution((), 4, 2.0),
+                             "d and r must be ints, got d=4, r=2.0"),
+    "window_generators_r": (lambda: windows.window_generators(3, True, 0),
+                            "d and r must be ints, got d=3, r=True"),
+    "window_generators_k": (lambda: windows.window_generators(3, 1, 0.5),
+                            "window index must be an int, got 0.5"),
+    "verify_exactness_D": (lambda: characters.verify_exactness((), 3, 2, True),
+                           "truncation degree must be an int, got True"),
+    "euler_character_D": (lambda: characters.euler_character((), 3, 2, 2.5),
+                          "truncation degree must be an int, got 2.5"),
+    "schur_dimension_n": (lambda: schur.schur_dimension((1,), 2.5),
+                          "alphabet size must be an int, got 2.5"),
+    "normalize_wedge": (lambda: normalize((), 0, 3, wedge=0.5),
+                        "wedge must be a non-negative int, got 0.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_AN_INT))
+def test_entry_points_refuse_scalars_that_are_not_ints(name):
+    call, message = NOT_AN_INT[name]
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         call()
 
 

@@ -176,7 +176,7 @@ def test_recovery_properties_for_resolution_range():
 
 def test_resolution_ends_at_d_less_the_full_width_rows():
     # s_K = d - #{rows of delta of width d-r+1} <= d: no term's wedge^{s_k}V
-    # vanishes, which _wedge and the eta Hom case rely on
+    # vanishes, which the wedge labels and the eta Hom case rely on
     seen = 0
     for d in range(1, 10):
         for r in range(1, d + 1):

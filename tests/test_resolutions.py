@@ -25,8 +25,8 @@ def test_resolution_of_empty_seed_reproduces_displayed_complex():
     cx = theorem_resolution((), 4, 2)
     assert cx == complex_of(
         (-3, label((2,), 2, 1), 1),                 # square of dual taut, twisted; top V power trivial
-        (-2, label((1,), 2, 1, v=(1, 1, 1)), 1),
-        (-1, label((), 2, 1, v=(1, 1)), 1),
+        (-2, label((1,), 2, 1, v=3), 1),
+        (-1, label((), 2, 1, v=2), 1),
         (0, label((), 2, 0), 1),
     )
 
@@ -35,8 +35,8 @@ def test_resolution_of_one_box_seed_reproduces_displayed_complex():
     cx = theorem_resolution((1,), 4, 2)
     assert cx == complex_of(
         (-3, label((1,), 2, 2), 1),
-        (-2, label((), 2, 2, v=(1, 1, 1)), 1),
-        (-1, label((), 2, 1, v=(1,)), 1),
+        (-2, label((), 2, 2, v=3), 1),
+        (-1, label((), 2, 1, v=1), 1),
         (0, label((1,), 2, 0), 1),
     )
 
@@ -45,7 +45,7 @@ def test_resolution_koszul_case():
     cx = theorem_resolution((), 2, 1)
     assert cx == complex_of(
         (-2, label((), 1, 2), 1),
-        (-1, label((), 1, 1, v=(1,)), 1),
+        (-1, label((), 1, 1, v=1), 1),
         (0, label((), 1, 0), 1),
     )
 
@@ -70,8 +70,8 @@ def test_resolution_alternating_rank_sum_vanishes():
 def test_unstable_route_for_square_of_dual_taut():
     cx = unstable_resolution_twisted((2,), 4, 2)
     assert cx == complex_of(
-        (0, label((1,), 2, 0, v=(1, 1, 1)), 1),
-        (1, label((), 2, 0, v=(1, 1)), 1),
+        (0, label((1,), 2, 0, v=3), 1),
+        (1, label((), 2, 0, v=2), 1),
         (2, label((), 2, -1), 1),
     )
 
@@ -79,8 +79,8 @@ def test_unstable_route_for_square_of_dual_taut():
 def test_unstable_route_for_hook():
     cx = unstable_resolution_twisted((2, 1), 4, 2)
     assert cx == complex_of(
-        (0, label((), 2, 1, v=(1, 1, 1)), 1),
-        (1, label((), 2, 0, v=(1,)), 1),
+        (0, label((), 2, 1, v=3), 1),
+        (1, label((), 2, 0, v=1), 1),
         (2, label((1,), 2, -1), 1),
     )
 
@@ -88,7 +88,7 @@ def test_unstable_route_for_hook():
 def test_unstable_route_three_fold():
     cx = unstable_resolution_twisted((1,), 2, 1)
     assert cx == complex_of(
-        (0, label((), 1, 0, v=(1,)), 1),
+        (0, label((), 1, 0, v=1), 1),
         (1, label((), 1, -1), 1),
     )
 
@@ -112,7 +112,7 @@ def test_jshriek_three_fold():
     cx = jshriek_jlower((), 2, 1)
     assert cx == complex_of(
         (0, label((), 1, 0, bracket=1), 1),
-        (1, label((), 1, -1, v=(1,), bracket=1), 1),
+        (1, label((), 1, -1, v=1, bracket=1), 1),
         (2, label((), 1, -2, bracket=1), 1),
     )
 
@@ -123,8 +123,8 @@ def test_jshriek_4_3_terms():
     # the rectangle complement at their own width
     assert epsilon_sequence((2,), 4, 3) == [(2, 2), (1, 1), (1,)]
     assert cx == complex_of(
-        (0, label((1, 1), 3, -1, v=(1, 1, 1), bracket=1), 1),
-        (1, label((1,), 3, -1, v=(1, 1), bracket=1), 1),
+        (0, label((1, 1), 3, -1, v=3, bracket=1), 1),
+        (1, label((1,), 3, -1, v=2, bracket=1), 1),
         (2, label((2,), 3, -2, bracket=1), 1),
     )
 
@@ -214,7 +214,6 @@ def test_pushing_jshriek_terms_down_gives_the_cotwist():
     from grwin.autoequiv import cotwist_on_generator
     from grwin.bundles import from_nondual
     from grwin.partitions import staircase
-    from grwin.resolutions import _wedge
 
     for d, n in [(3, 2), (4, 2), (4, 3), (5, 3)]:
         r = n + 1
@@ -224,9 +223,9 @@ def test_pushing_jshriek_terms_down_gives_the_cotwist():
             pushed = []
             for k, e in enumerate(eps):
                 assert height(e) <= n
+                s = chain[k][2]  # wedge^d V = det V is trivialized
                 lb = relabel_to_x(from_nondual(
-                    e, n, side="H", extra_twist=d - r,
-                    v_shape=_wedge(chain[k][2], d)))
+                    e, n, side="H", extra_twist=d - r, wedge=0 if s == d else s))
                 pushed.append((d - r + 1 - k, lb, 1))
             assert GradedComplex.from_items(pushed) == \
                 cotwist_on_generator(delta, d, n), (d, n, delta)
