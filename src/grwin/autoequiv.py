@@ -5,12 +5,10 @@ part of their staircase resolution; the down-shift is its O(1) conjugate.  The s
 matrices are a read-off: every image term is a generator of the target window, and
 those labels are a basis of K-theory, so `k_matrix` walks each image once and sums
 signed multiplicities per label, found by (schur, taut_rank, det_twist), V factors
-folded in as dimensions.  The O(1) matrix pairs the twisted generators with
-Kapranov's dual collection, `kapranov_coordinates`, with no staircase: a set test
-zeroes the entries of singular weights, and each regular entry is one Bott Euler
-characteristic.  `determinant` reads det off the matrix's staircase shape.
-Fixed-point localization stays out of the library, as the test oracle
-`k_matrix_by_localization`.
+folded in as dimensions.  The O(1) matrix pairs the twisted generators with Kapranov's
+dual collection, `kapranov_coordinates`: one Weyl product per nonzero entry, no staircase.
+`determinant` reads det off the matrix's staircase shape.  Fixed-point localization
+stays out of the library, as the test oracle `k_matrix_by_localization`.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from collections.abc import Sequence
 from itertools import combinations
 from math import comb, prod
 
-from .bott import euler_characteristic
 from .bundles import BundleLabel, GradedComplex
 from .partitions import canonical, check_box, height, resolution_terms, size, width
 from .resolutions import InternalConsistencyError, _cancelled_resolution, _complex
@@ -58,8 +55,8 @@ def cotwist_on_generator(delta: tuple[int, ...], d: int, n: int) -> GradedComple
     delta = _check_generator(delta, d, n)
     if width(delta) < d - n:
         return _complex([(0, delta, 0)], d, n, 0, 0)
-    return _complex([(k, dk[1:], sk) for k, dk, sk in resolution_terms(delta, d, n + 1)],
-                    d, n, d - n, -1)
+    return _complex(((k, dk[1:], sk) for k, dk, sk in resolution_terms(delta, d, n + 1)),
+                    d, n, d - n, -1)  # lazily, each row stripped as it is labelled
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +125,11 @@ def k_matrix(which: str, d: int, r: int) -> list[list[int]]:
     return matrix
 
 
+def _vandermonde(values: Sequence[int]) -> int:
+    """prod_{i<j} (values_i - values_j): positive for a strictly decreasing sequence."""
+    return prod(a - b for a, b in combinations(values, 2))
+
+
 def kapranov_coordinates(labels: Sequence[BundleLabel], d: int, r: int, k: int) -> list[list[int]]:
     """Coordinates of plain labels' classes in window k's basis, one column per label.
 
@@ -135,23 +137,27 @@ def kapranov_coordinates(labels: Sequence[BundleLabel], d: int, r: int, k: int) 
     chi(S^alpha S ⊗ S^{beta'} Q^dual) = (-1)^|alpha| [alpha = beta], so coordinate
     beta of E = S^gamma S^dual(t) is (-1)^|beta| chi(S^gamma S ⊗ S^{beta'} Q^dual ⊗
     (det S)^(t-k)): Bott on GL(d) at head + tail, head = (-beta'_{d-r}, ..., -beta'_1)
-    and tail = gamma + t - k.  Both parts are weakly decreasing, so head + rho and
-    tail + rho each have distinct entries, and the weight is singular (chi = 0)
-    exactly when their value sets meet: only disjoint pairs reach Bott.
+    and tail = gamma + t - k.  Plus rho = (d, ..., 1), the head is a (d-r)-subset H of
+    {1..d}, one for each beta, and the tail r values T.  By Weyl's dimension formula
+    chi = V(H) V(T) prod_{h in H, t in T} (h - t) / V(rho), V the Vandermonde product,
+    so column T visits only the rows with H in {1..d} less T, one row if T lies inside.
     """
     check_box(d, r, strict=True)
-    tails = []
-    for lb in labels:
+    rows = {}  # H -> (its row, (-1)^|beta| V(H))
+    for i, beta in enumerate(gamma_set(d, r)):
+        head = tuple(d - j - sum(x > d - r - 1 - j for x in beta) for j in range(d - r))
+        rows[head] = i, (-1) ** size(beta) * _vandermonde(head)
+    rho, matrix = _vandermonde(range(d, 0, -1)), [[0] * len(labels) for _ in rows]
+    for j, lb in enumerate(labels):
         if lb.side != "S" or lb.taut_rank != r or lb.bracket_twist or lb.wedge:
             raise ValueError(f"coordinates need plain ambient-side labels, got {lb}")
-        tail = tuple(x + lb.det_twist - k for x in lb.schur + (0,) * (r - len(lb.schur)))
-        tails.append((tail, frozenset(x + r - i for i, x in enumerate(tail))))
-    heads = []
-    for beta in gamma_set(d, r):
-        head = tuple(-sum(x > j for x in beta) for j in reversed(range(d - r)))
-        heads.append(((-1) ** size(beta), head, frozenset(x + d - i for i, x in enumerate(head))))
-    return [[sign * euler_characteristic(head + tail) if values.isdisjoint(tail_values) else 0
-             for tail, tail_values in tails] for sign, head, values in heads]
+        tail = [x + lb.det_twist - k + r - i for i, x in enumerate((lb.schur + (0,) * r)[:r])]
+        meets = {h: prod(h - t for t in tail) for h in range(d, 0, -1) if h not in tail}
+        column = _vandermonde(tail)
+        for head in combinations(meets, d - r):  # the h in {1..d} less T, decreasing
+            i, row = rows[head]
+            matrix[i][j] = row * column * prod(map(meets.__getitem__, head)) // rho
+    return matrix
 
 
 def o1_matrix(d: int, r: int) -> list[list[int]]:

@@ -1,6 +1,6 @@
 """Bott's theorem on GL(r) weights (Weyman, Cohomology of Vector Bundles, ch. 4):
-the classifier, Euler characteristics, and the one non-vanishing cohomology
-group of a dual-quotient power.
+the classifier and the one non-vanishing cohomology group of a dual-quotient
+power.
 
 Weights are integer tuples of length r; w . alpha = w(alpha + rho) - rho, with
 rho = (r, r-1, ..., 1), is the twisted Weyl action.
@@ -12,7 +12,6 @@ from itertools import combinations, starmap
 from operator import lt
 
 from .partitions import canonical, height
-from .schur import schur_dimension
 
 
 def classify(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -27,16 +26,6 @@ def classify(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
         return None
     length = sum(starmap(lt, combinations(shifted, 2)))
     return length, tuple(x - r + i for i, x in enumerate(sorted(shifted, reverse=True)))
-
-
-def euler_characteristic(weight: tuple[int, ...]) -> int:
-    """Euler characteristic of the homogeneous bundle of a GL(n) weight on a
-    flag variety, n = len(weight), by Bott: 0 for a non-regular weight, else
-    (-1)^length times the Weyl dimension of the dominant representative."""
-    if (cls := classify(weight)) is None:
-        return 0
-    length, rep = cls  # rep[-1], its lowest entry, is read only when rep has one
-    return (-1) ** length * schur_dimension(tuple(x - rep[-1] for x in rep), len(rep))
 
 
 def bwb_cohomology(delta: tuple[int, ...], i: int,

@@ -60,6 +60,14 @@ def check_box(d: int, r: int, strict: bool = False) -> None:
         raise ValueError(f"need 0 < r {'<' if strict else '<='} d, got r={r}, d={d}")
 
 
+def check_alphabet(n: int) -> None:
+    """Validate an alphabet size, such as the dimension d of V: an int >= 0."""
+    if type(n) is not int:  # bool and integral floats too
+        raise ValueError(f"alphabet size must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError("alphabet size must be >= 0")
+
+
 def complement(gamma: tuple[int, ...], w: int, h: int) -> tuple[int, ...]:
     """180-degree rotated complement of gamma inside the w x h rectangle."""
     gamma = canonical(gamma)

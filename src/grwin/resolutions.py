@@ -14,6 +14,8 @@ wedge^d V is labelled as wedge 0, no V factor (det V trivialized).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .bundles import GradedComplex, _folded, from_nondual
 from .partitions import canonical, check_box, height, resolution_terms, width
 
@@ -22,15 +24,15 @@ class InternalConsistencyError(AssertionError):
     """A construction produced data the theory forbids."""
 
 
-def _complex(terms: list[tuple[int, tuple[int, ...], int]], d: int, r: int, top: int,
+def _complex(terms: Iterable[tuple[int, tuple[int, ...], int]], d: int, r: int, top: int,
              twist: int, bracket_twist: int = 0) -> GradedComplex:
-    """The one builder from staircase terms (k, delta_k, s_k) to a complex: term k is
-    S^{delta_k}S^dual(twist) ⊗ wedge^{s_k}V in degree top - k, s_k = d as wedge 0 (every
-    s_k <= d).  The walk gives canonical rows, at most r, and one term per degree, so no
-    canonical pass, merge or sort."""
+    """The one builder from staircase terms (k, delta_k, s_k), read once in order of k, to
+    a complex: term k is S^{delta_k}S^dual(twist) ⊗ wedge^{s_k}V in degree top - k, s_k = d
+    as wedge 0 (every s_k <= d).  The walk gives canonical rows, at most r, and one term
+    per degree, so no canonical pass, merge or sort."""
     return GradedComplex(tuple(
         (top - k, ((_folded(dk, twist, r, "S", sk % d, bracket_twist), 1),))
-        for k, dk, sk in reversed(terms)))
+        for k, dk, sk in terms)[::-1])
 
 
 def theorem_resolution(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:

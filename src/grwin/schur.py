@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cache
 from operator import add, le, sub
 
-from .partitions import canonical, conjugate, height, size
+from .partitions import canonical, check_alphabet, conjugate, height, size
 
 
 @cache
@@ -102,10 +102,7 @@ def schur_product(lam: tuple[int, ...], mu: tuple[int, ...],
 @cache
 def schur_dimension(lam: tuple[int, ...], n: int) -> int:
     """Number of semistandard tableaux of shape lam with entries in 1..n."""
-    if type(n) is not int:
-        raise ValueError(f"alphabet size must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError("alphabet size must be >= 0")
+    check_alphabet(n)
     lam = canonical(lam)
     num = den = 1  # height > n: row n's first box gives the factor n + 0 - n = 0
     conj = conjugate(lam)

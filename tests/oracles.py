@@ -238,11 +238,22 @@ def k_matrix_by_localization(which, d, r, params):
     return [list(row) for row in zip(*columns)]
 
 
+def euler_characteristic(weight):
+    """Euler characteristic of the homogeneous bundle of a GL(n) weight on a
+    flag variety, n = len(weight), by Bott: 0 for a non-regular weight, else
+    (-1)^length times the Weyl dimension of the dominant representative."""
+    from grwin.bott import classify
+    from grwin.schur import schur_dimension
+    if (cls := classify(weight)) is None:
+        return 0
+    length, rep = cls  # rep[-1], its lowest entry, is read only when rep has one
+    return (-1) ** length * schur_dimension(tuple(x - rep[-1] for x in rep), len(rep))
+
+
 def kapranov_coordinates_by_bott(labels, d, r, k):
-    """kapranov_coordinates with no singular-weight filter: one Bott Euler
-    characteristic per entry, at (-beta'_{d-r}, ..., -beta'_1, gamma + t - k),
-    signed by (-1)^|beta|."""
-    from grwin.bott import euler_characteristic
+    """kapranov_coordinates by Bott's route instead of the Weyl product: every
+    entry of every row, singular weights included, is one `euler_characteristic`
+    at (-beta'_{d-r}, ..., -beta'_1, gamma + t - k), signed by (-1)^|beta|."""
     from grwin.windows import gamma_set
     columns = []
     for lb in labels:

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from oracles import classify_bruteforce, dominant_sorters, euler_characteristic_bruteforce
+from oracles import (classify_bruteforce, dominant_sorters, euler_characteristic,
+                     euler_characteristic_bruteforce)
 
-from grwin.bott import bwb_cohomology, classify, euler_characteristic
+from grwin.bott import bwb_cohomology, classify
 from grwin.partitions import partitions_in_box, staircase
 from grwin.schur import schur_dimension
 

@@ -10,9 +10,9 @@ or a byte of output fails here.
 
 from itertools import product
 
-from oracles import digest, euler_characteristic_bruteforce, run_cli
+from oracles import digest, euler_characteristic, euler_characteristic_bruteforce, run_cli
 
-from grwin.bott import bwb_cohomology, euler_characteristic
+from grwin.bott import bwb_cohomology
 from grwin.partitions import partitions_in_box
 
 BWB_COHOMOLOGY = "e830112d2a9c8199b6896452ddbaa9427a76ea6b8f21c9584b128d0c243bbd25"

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +77,22 @@ def test_rank_examples():
     assert rank(BundleLabel((1,), 2, 0, wedge=3), 4) == 8
     assert rank(BundleLabel((), 2, 5), 4) == 1
     assert rank(BundleLabel((2,), 2, -1), 4) == 3
+
+
+# d is the dimension of V: a float d used to raise TypeError from math.comb and a
+# negative one math.comb's own message, and True read as 1
+@pytest.mark.parametrize("d, message", [(2.5, "alphabet size must be an int, got 2.5"),
+                                        (True, "alphabet size must be an int, got True"),
+                                        (-1, "alphabet size must be >= 0")])
+@pytest.mark.parametrize("call", [
+    lambda d: rank(BundleLabel((), 2, 0), d),
+    lambda d: GradedComplex.from_items([(0, BundleLabel((1,), 2, 0, wedge=1), 1)])
+    .expand_multiplicities(d),
+    lambda d: GradedComplex().expand_multiplicities(d),
+], ids=["rank", "expand_multiplicities", "expand_multiplicities_empty"])
+def test_rank_and_expand_multiplicities_refuse_a_bad_dimension_of_v(call, d, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        call(d)
 
 
 def test_relabel_to_x():
@@ -276,4 +293,6 @@ def test_expand_multiplicities():
     flat = cx.expand_multiplicities(4)
     assert terms_at(flat, 0) == {BundleLabel((1,), 2, 0): 4}
     assert [terms_at(flat, 1), terms_at(flat, 2)] == [{BundleLabel((), 2, 0): 1}, {}]  # 2 is absent
+    # wedge^3 of a 2-dimensional V is zero, so that term goes
+    assert cx.expand_multiplicities(2) == GradedComplex.from_items([(1, BundleLabel((), 2, 0), 1)])
 
