@@ -18,17 +18,10 @@ from itertools import combinations
 from math import comb, prod
 
 from .bundles import BundleLabel, GradedComplex
-from .partitions import canonical, check_box, height, resolution_terms, size, width
-from .resolutions import InternalConsistencyError, _cancelled_resolution, _complex
+from .partitions import check_box, resolution_terms, width
+from .resolutions import (InternalConsistencyError, _cancelled_resolution, _check_generator,
+                          _complex)
 from .windows import gamma_set, window_generators
-
-
-def _check_generator(delta: tuple[int, ...], d: int, r: int) -> tuple[int, ...]:
-    delta = canonical(delta)
-    check_box(d, r, strict=True)
-    if height(delta) > r or width(delta) > d - r:
-        raise ValueError(f"{delta} is not in the (d-r) x r index box")
-    return delta
 
 
 def twist_on_generator(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:
@@ -146,7 +139,7 @@ def kapranov_coordinates(labels: Sequence[BundleLabel], d: int, r: int, k: int) 
     rows = {}  # H -> (its row, (-1)^|beta| V(H))
     for i, beta in enumerate(gamma_set(d, r)):
         head = tuple(d - j - sum(x > d - r - 1 - j for x in beta) for j in range(d - r))
-        rows[head] = i, (-1) ** size(beta) * _vandermonde(head)
+        rows[head] = i, (-1) ** sum(beta) * _vandermonde(head)
     rho, matrix = _vandermonde(range(d, 0, -1)), [[0] * len(labels) for _ in rows]
     for j, lb in enumerate(labels):
         if lb.side != "S" or lb.taut_rank != r or lb.bracket_twist or lb.wedge:

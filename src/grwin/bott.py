@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations, starmap
 from operator import lt
 
-from .partitions import canonical, height
+from .partitions import canonical, check_int
 
 
 def classify(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -36,10 +36,12 @@ def bwb_cohomology(delta: tuple[int, ...], i: int,
     Returns (degree, shape) for the single non-vanishing group, or None.
     """
     delta = canonical(delta)
+    check_int(r, "r")
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
-    if height(delta) > r - 1:
+    if len(delta) > r - 1:
         raise ValueError(f"height({delta}) must be <= {r - 1}")
+    check_int(i, "power")
     if i < 0:
         raise ValueError("power must be non-negative")
     cls = classify(delta + (0,) * (r - 1 - len(delta)) + (i,))

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator
 from math import comb
 from operator import ge
 
-from .partitions import canonical, check_alphabet, complement, width
+from .partitions import canonical, check_int, complement, width
 from .schur import schur_dimension
 
 
@@ -89,7 +89,7 @@ def from_nondual(gamma: Iterable[int], taut_rank: int, side: str = "S",
 
 def rank(label: BundleLabel, d: int) -> int:
     """Rank of the labeled bundle, with V of dimension d."""
-    check_alphabet(d)
+    check_int(d, "alphabet size", 0)
     return schur_dimension(label.schur, label.taut_rank) * comb(d, label.wedge)
 
 
@@ -127,6 +127,6 @@ class GradedComplex(namedtuple("GradedComplex", "terms", defaults=((),))):
 
     def expand_multiplicities(self, d: int) -> "GradedComplex":
         """Drop V factors, multiplying each term by C(d, wedge), the dimension of ∧^{wedge}V."""
-        check_alphabet(d)  # from_items drops the terms with C(d, wedge) = 0
+        check_int(d, "alphabet size", 0)  # from_items drops the terms with C(d, wedge) = 0
         return GradedComplex.from_items((degree, lb._replace(wedge=0), mult * comb(d, lb.wedge))
                                         for degree, lb, mult in self.items())

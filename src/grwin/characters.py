@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import combinations
 
-from .partitions import (canonical, check_box, complement, height, partitions_in_box,
+from .partitions import (canonical, check_box, check_int, complement, partitions_in_box,
                          resolution_terms, width)
 from .schur import fits, gaps, lr_coefficient, lr_fillings
 
@@ -23,11 +23,8 @@ Key = tuple[tuple[int, ...], tuple[int, ...]]
 def _checked(delta: tuple[int, ...], d: int, r: int, D: int, top: int | None) -> tuple[int, ...]:
     delta = canonical(delta)  # the library's one order: diagram, box, degree, height
     check_box(d, r)
-    if type(D) is not int:
-        raise ValueError(f"truncation degree must be an int, got {D!r}")
-    if D < 0:
-        raise ValueError("truncation degree must be >= 0")
-    if top is not None and height(delta) > top:
+    check_int(D, "truncation degree", 0)
+    if top is not None and len(delta) > top:
         raise ValueError(f"height({delta}) must be <= {top}")
     return delta
 
@@ -201,7 +198,7 @@ def hom_invariant_dimension(case: str, delta: tuple[int, ...], d: int, r: int,
     if top is not None:
         return 1
     if case == "eta":
-        if height(delta) >= r or width(delta) != d - r + 1:
+        if len(delta) >= r or width(delta) != d - r + 1:
             raise ValueError(f"{delta} must have height < {r} and width exactly {d - r + 1}")
         _, top, s_top = resolution_terms(delta, d, r)[-1]
         a = d - s_top

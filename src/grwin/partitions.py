@@ -30,16 +30,8 @@ def canonical(rows: Iterable[int]) -> tuple[int, ...]:
     return rows[:len(rows) - rows.count(0)]
 
 
-def height(p: tuple[int, ...]) -> int:
-    return len(p)
-
-
 def width(p: tuple[int, ...]) -> int:
     return p[0] if p else 0
-
-
-def size(p: tuple[int, ...]) -> int:
-    return sum(p)
 
 
 def conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -60,18 +52,20 @@ def check_box(d: int, r: int, strict: bool = False) -> None:
         raise ValueError(f"need 0 < r {'<' if strict else '<='} d, got r={r}, d={d}")
 
 
-def check_alphabet(n: int) -> None:
-    """Validate an alphabet size, such as the dimension d of V: an int >= 0."""
-    if type(n) is not int:  # bool and integral floats too
-        raise ValueError(f"alphabet size must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError("alphabet size must be >= 0")
+def check_int(value: int, what: str, low: int | None = None) -> None:
+    """Validate a scalar named what: an int, and at least low when low is given."""
+    if type(value) is not int:  # bool and integral floats too
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}")
 
 
 def complement(gamma: tuple[int, ...], w: int, h: int) -> tuple[int, ...]:
     """180-degree rotated complement of gamma inside the w x h rectangle."""
     gamma = canonical(gamma)
-    if height(gamma) > h or width(gamma) > w:
+    check_int(w, "w")
+    check_int(h, "h")
+    if len(gamma) > h or width(gamma) > w:
         raise ValueError(f"{gamma} does not fit in a {w}x{h} rectangle")
     padded = gamma + (0,) * (h - len(gamma))
     return canonical(w - padded[h - 1 - i] for i in range(h))
@@ -87,10 +81,10 @@ def staircase(seed: tuple[int, ...], r: int,
     boxes added after step k.
     """
     seed = canonical(seed)
-    if height(seed) >= r:
-        raise ValueError(f"seed height {height(seed)} must be < {r}")
-    if K < 1:
-        raise ValueError("step count must be >= 1")
+    check_int(r, "r")
+    if len(seed) >= r:
+        raise ValueError(f"seed height {len(seed)} must be < {r}")
+    check_int(K, "step count", 1)
     # r rows hold the walk: no later target exceeds height(seed) + 1, and
     # once step 1 has filled column 1 no row is empty, so none is trimmed;
     # raising a prefix to at least k keeps the rows non-increasing
@@ -100,7 +94,7 @@ def staircase(seed: tuple[int, ...], r: int,
         target = r if k == 1 else sum(1 for x in seed if x >= k - 1) + 1
         for i in range(target):
             rows[i] = max(rows[i], k)
-        steps.append((k, tuple(rows), sum(rows) - size(seed)))
+        steps.append((k, tuple(rows), sum(rows) - sum(seed)))
     return steps
 
 
@@ -122,6 +116,8 @@ def partitions_in_box(w: int, h: int, max_size: int | None = None) -> list[tuple
     rows first."""
     if max_size is None:
         max_size = w * h
+    for what, bound in (("w", w), ("h", h), ("max_size", max_size)):
+        check_int(bound, what)
     if min(w, h, max_size) < 0:
         raise ValueError(f"partition bounds must be >= 0, got w={w}, h={h}, max_size={max_size}")
     out: list[tuple[int, ...]] = []

@@ -17,11 +17,19 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .bundles import GradedComplex, _folded, from_nondual
-from .partitions import canonical, check_box, height, resolution_terms, width
+from .partitions import canonical, check_box, resolution_terms, width
 
 
 class InternalConsistencyError(AssertionError):
     """A construction produced data the theory forbids."""
+
+
+def _check_generator(delta: tuple[int, ...], d: int, r: int) -> tuple[int, ...]:
+    delta = canonical(delta)
+    check_box(d, r, strict=True)
+    if len(delta) > r or width(delta) > d - r:
+        raise ValueError(f"{delta} is not in the (d-r) x r index box")
+    return delta
 
 
 def _complex(terms: Iterable[tuple[int, tuple[int, ...], int]], d: int, r: int, top: int,
@@ -47,11 +55,9 @@ def theorem_resolution(delta: tuple[int, ...], d: int, r: int) -> GradedComplex:
 def unstable_resolution_twisted(delta_target: tuple[int, ...], d: int, r: int) -> GradedComplex:
     """Direct route for the down-shift on a full-width generator: strip the
     first row, resolve, cancel the leftmost term, twist by O(-1)."""
-    delta_target = canonical(delta_target)
-    check_box(d, r, strict=True)
-    if height(delta_target) > r or width(delta_target) != d - r:
-        raise ValueError(
-            f"{delta_target} is not a full-width box diagram for (d,r)=({d},{r})")
+    delta_target = _check_generator(delta_target, d, r)
+    if width(delta_target) < d - r:
+        raise ValueError(f"{delta_target} is not a full-width box diagram for (d,r)=({d},{r})")
     return _cancelled_resolution(delta_target, d, r, -1)
 
 
@@ -96,17 +102,17 @@ def pushdown_pi(gamma: tuple[int, ...], d: int, r: int,
     if locus not in ("stack", "open"):
         raise ValueError(f"locus must be 'stack' or 'open', got {locus!r}")
     check_box(d, r)
-    if height(gamma) > r:
+    if len(gamma) > r:
         raise ValueError(f"height({gamma}) must be <= {r}")
     if width(gamma) > d - r + 1:
         raise ValueError(f"width({gamma}) > {d - r + 1} is outside the pushforward rules")
     rank_h = r - 1
     items = []
-    if height(gamma) <= rank_h:  # S^gamma H vanishes above H's rank
+    if len(gamma) <= rank_h:  # S^gamma H vanishes above H's rank
         items.append((0, from_nondual(gamma, rank_h, side="H"), 1))
     if locus == "open" and width(gamma) == d - r + 1:
         tail = gamma[1:]
-        if height(tail) <= rank_h:
+        if len(tail) <= rank_h:
             # S^tail H ⊗ det H^dual, in canonical dual form
             items.append((d - r, from_nondual(tail, rank_h, side="H", extra_twist=1), 1))
     return GradedComplex.from_items(items)

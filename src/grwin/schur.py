@@ -17,10 +17,10 @@ and row i-1 does not.  An LR coefficient is read off a product.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from operator import add, le, sub
 
-from .partitions import canonical, check_alphabet, conjugate, height, size
+from .partitions import canonical, check_int, conjugate
 
 
 @cache
@@ -28,7 +28,7 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...],
                    nu: tuple[int, ...]) -> int:
     """The coefficient of s_nu in s_lam * s_mu."""
     lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
-    return dict(_schur_product_items(lam, mu, height(nu))).get(nu, 0)
+    return dict(_schur_product_items(lam, mu, len(nu))).get(nu, 0)
 
 
 def lr_fillings(mu: tuple[int, ...], h: int, room: tuple[int, ...] | None = None
@@ -37,7 +37,7 @@ def lr_fillings(mu: tuple[int, ...], h: int, room: tuple[int, ...] | None = None
     letter, as {(needs, adds): count}: adds[i] boxes go into row i, which
     needs a gap of needs[i] above it (needs[0] = 0).  Given room, any
     componentwise bound on gaps, exactly the fillings whose needs fit it grow."""
-    room, zero = room or (size(mu),) * h, (0,) * h  # gaps of |mu| never bind
+    room, zero = room or (sum(mu),) * h, (0,) * h  # gaps of |mu| never bind
     # (boxes per row so far, needs so far, the last letter's boxes per row) -> fillings
     level = {(zero, zero, zero): 1}
     for v, boxes in enumerate(mu):
@@ -80,7 +80,7 @@ def _schur_product_items(lam: tuple[int, ...], mu: tuple[int, ...],
                          max_height: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     if max(len(lam), len(mu)) > max_height:
         return ()
-    if (len(lam), size(lam)) < (len(mu), size(mu)):
+    if (len(lam), sum(lam)) < (len(mu), sum(mu)):
         lam, mu = mu, lam  # c^nu_{lam mu} = c^nu_{mu lam}: fewer letters to place
     h = min(max_height, len(lam) + len(mu))  # no product reaches further down
     rows, out = lam + (0,) * (h - len(lam)), {}
@@ -94,15 +94,14 @@ def schur_product(lam: tuple[int, ...], mu: tuple[int, ...],
                   max_height: int) -> dict[tuple[int, ...], int]:
     """Expand s_lam * s_mu in the Schur basis, dropping heights above
     max_height (finite alphabet)."""
-    if max_height < 1:
-        raise ValueError("max_height must be >= 1")
+    check_int(max_height, "max_height", 1)
     return dict(_schur_product_items(canonical(lam), canonical(mu), max_height))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: n = 3.0 or True is refused, not a hit
 def schur_dimension(lam: tuple[int, ...], n: int) -> int:
     """Number of semistandard tableaux of shape lam with entries in 1..n."""
-    check_alphabet(n)
+    check_int(n, "alphabet size", 0)
     lam = canonical(lam)
     num = den = 1  # height > n: row n's first box gives the factor n + 0 - n = 0
     conj = conjugate(lam)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 
 from .bundles import BundleLabel, _folded
-from .partitions import check_box, partitions_in_box, size
+from .partitions import check_box, check_int, partitions_in_box
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: d = 4.0 or True is refused, not a hit
 def gamma_set(d: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Partitions in the (d-r) x r box, in Kapranov's order.
 
@@ -17,13 +17,12 @@ def gamma_set(d: int, r: int) -> tuple[tuple[int, ...], ...]:
     """
     check_box(d, r)
     box = partitions_in_box(d - r, r)
-    return tuple(sorted(box, key=lambda p: (size(p), tuple(-x for x in p))))
+    return tuple(sorted(box, key=lambda p: (sum(p), tuple(-x for x in p))))
 
 
 def window_generators(d: int, r: int, k: int) -> list[BundleLabel]:
     """Normalized labels of the k-th window's generating bundles."""
     check_box(d, r, strict=True)
-    if type(k) is not int:
-        raise ValueError(f"window index must be an int, got {k!r}")
+    check_int(k, "window index")
     return [_folded(delta, k, r) for delta in gamma_set(d, r)]
 

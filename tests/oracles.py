@@ -270,9 +270,8 @@ def kapranov_coordinates_by_bott(labels, d, r, k):
 def _sl_invariants_by_rectangles(lam, s, d):
     """dim of SL-invariants in S^lam V ⊗ wedge^s V: LR pairings against
     full m x d rectangles."""
-    from grwin.partitions import size
     from grwin.schur import lr_coefficient
-    total_boxes = size(lam) + s
+    total_boxes = sum(lam) + s
     if total_boxes % d:
         return 0
     m = total_boxes // d
@@ -284,7 +283,7 @@ def hom_dimension_by_enumeration(case, delta, d, r, D):
     partition lam up to degree D is paired, most of them to zero.  The
     validation and its messages are the library's."""
     from grwin.partitions import (
-        canonical, check_box, complement, height, partitions_in_box,
+        canonical, check_box, complement, partitions_in_box,
         resolution_terms, width,
     )
     from grwin.schur import lr_coefficient, schur_dimension
@@ -294,7 +293,7 @@ def hom_dimension_by_enumeration(case, delta, d, r, D):
         raise ValueError("truncation degree must be >= 0")
     if case in ("self", "tautological"):
         top = r if case == "self" else r - 1
-        if height(delta) > top:
+        if len(delta) > top:
             raise ValueError(f"height({delta}) must be <= {top}")
         # the corank-1 pairing matches the two expansion indices, the
         # ambient pairing then weights by dim S^lam V
@@ -305,7 +304,7 @@ def hom_dimension_by_enumeration(case, delta, d, r, D):
                 total += c * schur_dimension(lam, d)
         return total
     if case == "eta":
-        if height(delta) >= r or width(delta) != d - r + 1:
+        if len(delta) >= r or width(delta) != d - r + 1:
             raise ValueError(
                 f"{delta} must have height < {r} and width exactly {d - r + 1}")
         _, top, s_top = resolution_terms(delta, d, r)[-1]
@@ -343,9 +342,9 @@ def strip_first_row_and_column(delta):
 def staircase_closed_form(seed, r, k):
     """Independent closed form for delta_k of the staircase: insert k below
     the rows taller than column k and add one box to every deeper row."""
-    from grwin.partitions import canonical, height
-    if height(seed) >= r:
-        raise ValueError(f"seed height {height(seed)} must be < {r}")
+    from grwin.partitions import canonical
+    if len(seed) >= r:
+        raise ValueError(f"seed height {len(seed)} must be < {r}")
     h_k = sum(1 for x in seed if x >= k)  # height of column k of the seed
     padded = seed + (0,) * (r - 1 - len(seed))
     return canonical(padded[:h_k] + (k,) + tuple(x + 1 for x in padded[h_k:]))
@@ -374,8 +373,8 @@ def jshriek_by_epsilon(delta, d, r):
 
 def add_full_column(delta, r):
     """Add one column of height r on the left (each of the first r rows +1)."""
-    from grwin.partitions import canonical, height
-    if height(delta) > r:
+    from grwin.partitions import canonical
+    if len(delta) > r:
         raise ValueError(f"height({delta}) exceeds column height {r}")
     padded = delta + (0,) * (r - len(delta))
     return canonical(x + 1 for x in padded)
@@ -403,8 +402,8 @@ def pieri_filtration(gamma, rank_H):
     Pieces are pairs with gamma/alpha a horizontal strip of size t and
     height(alpha) <= rank_H; each occurs with multiplicity one.
     """
-    from grwin.partitions import canonical, height, size
-    if height(gamma) > rank_H + 1:
+    from grwin.partitions import canonical
+    if len(gamma) > rank_H + 1:
         raise ValueError(
             f"height({gamma}) exceeds {rank_H + 1}; no filtration of this shape")
     pieces = {}
@@ -413,7 +412,7 @@ def pieri_filtration(gamma, rank_H):
     def rec(i, alpha):
         if i == rank_H:
             a = canonical(alpha)
-            pieces[(a, size(gamma) - size(a))] = 1
+            pieces[(a, sum(gamma) - sum(a))] = 1
             return
         lo, hi = padded[i + 1], padded[i]
         prev = alpha[-1] if alpha else None
@@ -423,7 +422,7 @@ def pieri_filtration(gamma, rank_H):
             rec(i + 1, alpha + (x,))
 
     if rank_H == 0:
-        pieces[((), size(gamma))] = 1
+        pieces[((), sum(gamma))] = 1
     else:
         rec(0, ())
     return pieces
@@ -459,7 +458,7 @@ def euler_character_by_cauchy(delta, d, r, D, terms=None):
     """euler_character by the full Cauchy sum: every lambda of height <= r
     and |lambda| <= D is multiplied into every term, with no determinant
     translation.  The validation and its messages are the library's."""
-    from grwin.partitions import canonical, check_box, resolution_terms, size
+    from grwin.partitions import canonical, check_box, resolution_terms
     from grwin.schur import _schur_product_items
     check_box(d, r)
     if terms is None:
@@ -479,7 +478,7 @@ def euler_character_by_cauchy(delta, d, r, D, terms=None):
         sign = (-1) ** k
         column = (1,) * s
         for a, b in cauchy:  # each with coefficient 1
-            if size(a) + s > D:
+            if sum(a) + s > D:
                 continue
             right = _schur_product_items(b, shape, r)
             for la, cl in _schur_product_items(a, column, d):

@@ -40,7 +40,6 @@ from grwin.characters import (
 )
 from grwin.partitions import (
     complement,
-    height,
     partitions_in_box,
     staircase,
     width,
@@ -187,7 +186,7 @@ def test_criterion_06_staircase_closed_form_and_remarks():
         chain = staircase(seed, r, K)
         for k in range(1, K + 1):
             assert chain[k][1] == staircase_closed_form(seed, r, k)
-            assert height(chain[k][1]) == r
+            assert len(chain[k][1]) == r
             assert width(chain[k][1]) <= d - r + 1
         if width(seed) < d - r + 1:
             assert chain[K][2] == d
@@ -200,8 +199,8 @@ def test_criterion_06_staircase_closed_form_and_remarks():
         assert width(eps[0]) == d - r + 1
         assert all(width(e) < d - r + 1 for e in eps[1:])
         if width(seed) < d - r + 1:
-            assert all(height(eps[k]) == r for k in range(K))
-            assert height(eps[K]) < r
+            assert all(len(eps[k]) == r for k in range(K))
+            assert len(eps[K]) < r
             assert eps[K] == complement(seed, d - r, r - 1)
     _finish(6, "closed form and combinatorial remarks on 1000 draws", t0, 10)
 

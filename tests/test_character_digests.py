@@ -15,7 +15,7 @@ import pytest
 import oracles
 
 from grwin.characters import euler_character, pushforward_character
-from grwin.partitions import partitions_in_box, size
+from grwin.partitions import partitions_in_box
 
 # "d,r:delta" -> digest of both characters at D = |delta| + r(d-r+1)
 DIGESTS = {
@@ -122,7 +122,7 @@ def test_pins_cover_every_seed_of_the_four_boxes():
 @pytest.mark.parametrize("d,r,delta", CASES + WIDER_CASES,
                          ids=[key(*case) for case in CASES + WIDER_CASES])
 def test_characters_match_pinned_digests(d, r, delta):
-    D = size(delta) + r * (d - r + 1)
+    D = sum(delta) + r * (d - r + 1)
     pinned = {**DIGESTS, **WIDER_DIGESTS}[key(d, r, delta)]
     assert digest(euler_character(delta, d, r, D)) == pinned
     assert digest(pushforward_character(delta, d, r, D)) == pinned
@@ -132,7 +132,7 @@ def test_above_stable_pins_sit_at_stable_plus_r_and_plus_2r():
     for pin in ABOVE_STABLE_DIGESTS:
         box, _, D = pin.rpartition(":")
         d, r, delta = parse_key(box)
-        assert int(D) - size(delta) - r * (d - r + 1) in (r, 2 * r)
+        assert int(D) - sum(delta) - r * (d - r + 1) in (r, 2 * r)
 
 
 def test_edge_pins_sit_at_r_1_and_d_minus_1_at_stable_and_plus_2r():
@@ -140,7 +140,7 @@ def test_edge_pins_sit_at_r_1_and_d_minus_1_at_stable_and_plus_2r():
         box, _, D = pin.rpartition(":")
         d, r, delta = parse_key(box)
         assert r in (1, d - 1)
-        assert int(D) - size(delta) - r * (d - r + 1) in (0, 2 * r)
+        assert int(D) - sum(delta) - r * (d - r + 1) in (0, 2 * r)
 
 
 def check_pin(pin, pinned):

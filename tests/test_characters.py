@@ -12,7 +12,7 @@ from grwin.characters import (
     resolution_terms,
     verify_exactness,
 )
-from grwin.partitions import canonical, partitions_in_box, size
+from grwin.partitions import canonical, partitions_in_box
 from grwin.schur import lr_fillings
 from oracles import (
     cauchy_truncated, euler_character_by_cauchy, hom_dimension_by_enumeration, staircase_faults,
@@ -219,7 +219,7 @@ def test_hom_dimension_closed_forms_match_the_enumeration():
     for d in range(1, 7):
         for r in range(1, d + 1):
             for delta in partitions_in_box(d - r + 1, r):
-                stable = size(delta) + r * (d - r + 1)
+                stable = sum(delta) + r * (d - r + 1)
                 for case in ("self", "tautological", "eta"):
                     for D in sorted({0, 1, 2, 3, stable, stable + 2}):
                         args = (case, delta, d, r, D)
@@ -236,7 +236,7 @@ def seeds(draw):
     d = draw(st.integers(3, 7))
     r = draw(st.integers(2, d - 1))
     delta = draw(st.sampled_from(
-        [p for p in partitions_in_box(d - r + 1, r - 1) if size(p) <= 2]))
+        [p for p in partitions_in_box(d - r + 1, r - 1) if sum(p) <= 2]))
     return d, r, delta
 
 
@@ -244,7 +244,7 @@ def seeds(draw):
 @given(seed=seeds())
 def test_exactness_at_stable_degree_and_one_box_perturbation_caught(seed):
     d, r, delta = seed
-    D = size(delta) + r * (d - r + 1)
+    D = sum(delta) + r * (d - r + 1)
     assert verify_exactness(delta, d, r, D)
     # criterion 4's perturbation: the last box of term 1's bottom row moves
     # to its top row

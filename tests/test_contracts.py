@@ -22,7 +22,7 @@ import pytest
 import grwin
 from grwin import autoequiv, bott, characters, resolutions, schur, windows
 from grwin.bundles import GradedComplex, normalize
-from grwin.partitions import canonical, partitions_in_box, staircase
+from grwin.partitions import canonical, complement, partitions_in_box, staircase
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "grwin"
 
@@ -286,6 +286,15 @@ NOT_AN_INT = {
                           "alphabet size must be an int, got 2.5"),
     "normalize_wedge": (lambda: normalize((), 0, 3, wedge=0.5),
                         "wedge must be a non-negative int, got 0.5"),
+    "staircase_r": (lambda: staircase((), 2.0, 2), "r must be an int, got 2.0"),
+    "staircase_r_bool": (lambda: staircase((), True, 2), "r must be an int, got True"),
+    "staircase_K": (lambda: staircase((), 2, 2.5), "step count must be an int, got 2.5"),
+    "complement_h": (lambda: complement((1,), 2, 2.5), "h must be an int, got 2.5"),
+    "partitions_in_box_w": (lambda: partitions_in_box(2.0, 2), "w must be an int, got 2.0"),
+    "bwb_power": (lambda: bott.bwb_cohomology((), 2.5, 2), "power must be an int, got 2.5"),
+    "bwb_r": (lambda: bott.bwb_cohomology((), 1, 2.0), "r must be an int, got 2.0"),
+    "schur_product_max_height": (lambda: schur.schur_product((1,), (1,), 1.5),
+                                 "max_height must be an int, got 1.5"),
 }
 
 
@@ -294,6 +303,54 @@ def test_entry_points_refuse_scalars_that_are_not_ints(name):
     call, message = NOT_AN_INT[name]
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         call()
+
+
+# a cache that keys 3 and 3.0 (or 1 and True) alike answers the float once the
+# int is cached, so whether a call is refused would depend on call history
+AFTER_THE_INT = {
+    "schur_dimension_float": (schur.schur_dimension, ((1,), 3), ((1,), 3.0),
+                              "alphabet size must be an int, got 3.0"),
+    "schur_dimension_bool": (schur.schur_dimension, ((1,), 1), ((1,), True),
+                             "alphabet size must be an int, got True"),
+    "gamma_set_float": (windows.gamma_set, (4, 2), (4.0, 2),
+                        "d and r must be ints, got d=4.0, r=2"),
+    "gamma_set_bool": (windows.gamma_set, (1, 1), (True, 1),
+                       "d and r must be ints, got d=True, r=1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AFTER_THE_INT))
+def test_cached_entry_points_refuse_a_scalar_after_its_int_is_cached(name):
+    fn, cached, refused, message = AFTER_THE_INT[name]
+    fn(*cached)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        fn(*refused)
+
+
+def test_each_input_rule_is_written_once():
+    # every scalar type check goes through partitions.check_int, except the
+    # joint (d, r) check, the row check and the label's per-label wedge check,
+    # and the generator box check is one function that every image calls
+    def type_checks(tree, scope=""):
+        for node in ast.iter_child_nodes(tree):
+            inner = scope
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{node.name}" if scope else node.name
+            if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                    and getattr(node.left.func, "id", None) == "type"
+                    and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                    and any(getattr(c, "id", None) == "int" for c in node.comparators)):
+                yield scope
+            yield from type_checks(node, inner)
+
+    found = {f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
+             for scope in type_checks(ast.parse(path.read_text()))}
+    assert "partitions.py:check_int" in found  # the scan sees the one rule
+    assert sorted(found - {"partitions.py:check_int", "partitions.py:check_box",
+                           "partitions.py:canonical", "bundles.py:BundleLabel.__new__"}) == []
+    defined = library_nodes(lambda node: isinstance(node, ast.FunctionDef)
+                            and node.name == "_check_generator")
+    assert [hit.split(":")[0] for hit in defined] == ["resolutions.py"]
 
 
 def test_integral_rows_of_any_number_type_are_accepted():
@@ -366,7 +423,8 @@ def test_characters_define_no_cache():
 
 def test_schur_caches_are_the_three_the_benchmark_clears():
     # the benchmark clears these three before every cold op; a cache on any
-    # other helper would stay warm across cold ops and overstate a gain
+    # other helper would stay warm across cold ops and overstate a gain; a
+    # decorator called with options, such as lru_cache(typed=True), counts too
     caches = {"cache", "lru_cache", "cached_property"}
     tree = ast.parse((SRC / "schur.py").read_text())
     refs = [node for node in ast.walk(tree)
@@ -374,7 +432,7 @@ def test_schur_caches_are_the_three_the_benchmark_clears():
             or isinstance(node, ast.Attribute) and node.attr in caches]
     decorated = sorted(node.name for node in ast.walk(tree)
                        if isinstance(node, ast.FunctionDef)
-                       and any(dec in refs for dec in node.decorator_list))
+                       and any(getattr(dec, "func", dec) in refs for dec in node.decorator_list))
     renamed = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "functools"
                for alias in node.names if alias.asname]

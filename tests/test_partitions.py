@@ -12,10 +12,8 @@ from grwin.partitions import (
     canonical,
     complement,
     conjugate,
-    height,
     partitions_in_box,
     resolution_terms,
-    size,
     staircase,
     width,
 )
@@ -66,7 +64,7 @@ def test_complement_is_involution():
         w, h = rng.randint(0, 6), rng.randint(0, 6)
         gamma = rng.choice(partitions_in_box(w, h))
         comp = complement(gamma, w, h)
-        assert height(comp) <= h and width(comp) <= w
+        assert len(comp) <= h and width(comp) <= w
         assert complement(comp, w, h) == gamma
 
 
@@ -132,7 +130,7 @@ def test_staircase_s_strictly_increasing_and_sizes():
         chain = staircase(seed, r, 8)
         last = 0
         for k in range(1, 9):
-            assert size(chain[k][1]) == size(seed) + chain[k][2]
+            assert sum(chain[k][1]) == sum(seed) + chain[k][2]
             assert chain[k][2] > last
             last = chain[k][2]
 
@@ -149,7 +147,7 @@ def test_staircase_matches_closed_form():
         assert len(chain) == K + 1 and chain[0] == (0, seed, 0)
         for k in range(1, K + 1):
             delta_k = staircase_closed_form(seed, r, k)
-            assert chain[k] == (k, delta_k, size(delta_k) - size(seed))
+            assert chain[k] == (k, delta_k, sum(delta_k) - sum(seed))
 
 
 def test_recovery_properties_for_resolution_range():
@@ -164,7 +162,7 @@ def test_recovery_properties_for_resolution_range():
         seed = rng.choice(seeds)
         chain = staircase(seed, r, K)
         for k in range(1, K + 1):
-            assert height(chain[k][1]) == r
+            assert len(chain[k][1]) == r
             assert width(chain[k][1]) <= d - r + 1
         if width(seed) < d - r + 1:
             assert chain[K][2] == d
@@ -195,11 +193,11 @@ def test_partitions_in_box_matches_brute_force_filter():
             box = [canonical(rows) for rows in combinations_with_replacement(range(w, -1, -1), h)]
             assert partitions_in_box(w, h) == partitions_in_box(w, h, w * h)
             for max_size in range(13):
-                expected = sorted((p for p in box if size(p) <= max_size),
+                expected = sorted((p for p in box if sum(p) <= max_size),
                                   key=lambda p: [-x for x in p])
                 assert partitions_in_box(w, h, max_size) == expected, (w, h, max_size)
-    assert [p for p in partitions_in_box(3, 3, 3) if size(p) == 3] == [(3,), (2, 1), (1, 1, 1)]
-    assert [p for p in partitions_in_box(3, 1, 3) if size(p) == 3] == [(3,)]
+    assert [p for p in partitions_in_box(3, 3, 3) if sum(p) == 3] == [(3,), (2, 1), (1, 1, 1)]
+    assert [p for p in partitions_in_box(3, 1, 3) if sum(p) == 3] == [(3,)]
     # a zero bound is a bound: only the empty partition fits
     assert partitions_in_box(3, 3, 0) == partitions_in_box(3, 0, 3) == [()]
     assert partitions_in_box(0, 3, 3) == partitions_in_box(0, 0, 0) == [()]
@@ -220,7 +218,7 @@ def test_conjugate_matches_cell_count_on_every_small_partition():
 def test_conjugate_matches_cell_count_on_random_partitions(rows):
     p = tuple(sorted(rows, reverse=True))
     assert conjugate(p) == conjugate_by_cells(p)
-    assert size(conjugate(p)) == size(p) and height(conjugate(p)) == width(p)
+    assert sum(conjugate(p)) == sum(p) and len(conjugate(p)) == width(p)
 
 
 def test_ascii_and_parse_roundtrip():

@@ -12,7 +12,7 @@ from oracles import (
 )
 
 from grwin.bundles import GradedComplex
-from grwin.partitions import height, partitions_in_box, width
+from grwin.partitions import partitions_in_box, width
 from grwin.resolutions import (
     jshriek_jlower,
     pushdown_pi,
@@ -98,6 +98,16 @@ def test_unstable_route_rejects_narrow_targets():
         unstable_resolution_twisted((1,), 4, 2)
 
 
+def test_unstable_route_checks_the_box_then_the_width():
+    # the generator box check the twist and cotwist share, then its own
+    for delta in [(3,), (1, 1, 1)]:
+        with pytest.raises(ValueError, match=r"^\(.*\) is not in the \(d-r\) x r index box$"):
+            unstable_resolution_twisted(delta, 4, 2)
+    with pytest.raises(ValueError, match=r"^\(1,\) is not a full-width box diagram "
+                                         r"for \(d,r\)=\(4,2\)$"):
+        unstable_resolution_twisted((1,), 4, 2)
+
+
 def test_unstable_route_rank_sum_equals_target_rank():
     from grwin.schur import schur_dimension
     for d, r in [(3, 2), (4, 2), (5, 2), (4, 3), (5, 3), (6, 3)]:
@@ -158,13 +168,13 @@ def test_epsilon_width_and_height_remarks():
             eps = epsilon_sequence(delta, d, r)
             assert width(eps[0]) == d - r + 1
             assert all(width(e) < d - r + 1 for e in eps[1:])
-            assert all(height(e) <= r for e in eps)
+            assert all(len(e) <= r for e in eps)
             if width(delta) < d - r + 1:
-                assert all(height(eps[k]) == r for k in range(K))
-                assert height(eps[K]) < r
+                assert all(len(eps[k]) == r for k in range(K))
+                assert len(eps[K]) < r
                 assert eps[K] == complement(delta, d - r, r - 1)
             else:
-                assert all(height(e) <= r - 1 for e in eps)
+                assert all(len(e) <= r - 1 for e in eps)
 
 
 def test_pushdown_single_piece():
@@ -222,7 +232,7 @@ def test_pushing_jshriek_terms_down_gives_the_cotwist():
             chain = staircase(delta, r, d - r + 1)
             pushed = []
             for k, e in enumerate(eps):
-                assert height(e) <= n
+                assert len(e) <= n
                 s = chain[k][2]  # wedge^d V = det V is trivialized
                 lb = relabel_to_x(from_nondual(
                     e, n, side="H", extra_twist=d - r, wedge=0 if s == d else s))
